@@ -1,8 +1,15 @@
 """Command-line front end and experiment runner.
 
 Subcommands: spectrum, pseudospec, normal-form, action, birkhoff, moser,
-verify, run (config-file driver).  Exit codes: 0 success, 1 config error,
-2 tolerance failure, 3 convergence failure.
+verify, run (config-file runner).  Every subcommand but run is a task in
+TASKS; `run` executes the same tasks from a JSON config, writes one artifact
+per task and then a manifest of SHA-256 hashes.
+
+Exit codes: 0 success, 1 config error (bad argument, config, symbol or file),
+2 tolerance failure, 3 convergence failure.  A tolerance failure does not
+stop `run`: the remaining tasks run, the manifest is written and the run
+exits 2.  `action` exits 2 when the quadrature misses the closed form by more
+than 1e-8; `verify --only` takes criterion indices 1 to 12.
 
 Floats are printed with repr (shortest round-trip representation); identical
 config + seed therefore yields byte-identical artifacts.
@@ -16,10 +23,11 @@ import json
 import os
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .bargmann import MonomialSymbol, assemble_toeplitz
+from .bargmann import MonomialSymbol, assemble_toeplitz, check_hbar, check_truncation
 from .quadratic import (
     ComplexQuadraticForm,
     NoDeltaFound,
@@ -27,7 +35,9 @@ from .quadratic import (
     reduce_quadratic,
 )
 from .spectral import (
+    InversionFailed,
     NoConvergence,
+    NonClosedContour,
     action_integral,
     eigen_spectrum,
     resolvent_grid,
@@ -82,7 +92,6 @@ def parse_symbol(text: str) -> MonomialSymbol:
         except (ValueError, TypeError) as exc:
             raise ParseError(str(exc)) from exc
     coeffs: dict[tuple[int, int], complex] = {}
-    pos = 0
     # split into signed terms at top level (not inside parentheses)
     terms: list[tuple[complex, str, int]] = []
     sign = 1.0
@@ -131,8 +140,26 @@ def parse_symbol(text: str) -> MonomialSymbol:
     return MonomialSymbol(coeffs)
 
 
+def _config_symbol(cfg: dict) -> MonomialSymbol:
+    spec = cfg.get("symbol")
+    if spec is None:
+        raise ConfigError("config needs a 'symbol' entry")
+    kinds = [k for k in ("inline", "path", "shorthand") if isinstance(spec, dict) and k in spec]
+    if not kinds:
+        raise ConfigError("symbol entry needs 'inline', 'path' or 'shorthand'")
+    kind = kinds[0]
+    value = spec[kind]
+    if not isinstance(value, dict if kind == "inline" else str):
+        raise ConfigError(f"symbol.{kind} has the wrong JSON type: {value!r}")
+    if kind == "inline":
+        value = json.dumps(value)
+    elif kind == "path":
+        value = Path(value).read_text()
+    return parse_symbol(value)
+
+
 # ---------------------------------------------------------------------------
-# JSON encoding helpers (complex numbers as [re, im], matrices row-major)
+# output: JSON encoding (complex numbers as [re, im], matrices row-major)
 
 
 def _jsonable(obj):
@@ -153,71 +180,82 @@ def _jsonable(obj):
     return obj
 
 
-def _write(path: Path, content: str) -> Path:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(content)
-    return path
+def _json(doc, indent: int | None = 2) -> str:
+    return json.dumps(_jsonable(doc), indent=indent) + "\n"
+
+
+def _emit(text: str, out: str | Path | None) -> None:
+    """The one writer: text goes to the file `out` (its directory is created)
+    or, when `out` is empty, to stdout."""
+    if out:
+        Path(out).parent.mkdir(parents=True, exist_ok=True)
+        Path(out).write_text(text)
+    else:
+        sys.stdout.write(text)
 
 
 # ---------------------------------------------------------------------------
-# subcommand bodies
+# task parameters: every value from argparse or a config passes through here,
+# and a malformed one raises ConfigError naming its field
 
 
-def _load_symbol(args) -> MonomialSymbol:
-    if args.symbol is None:
-        raise ConfigError("--symbol is required")
-    text = args.symbol
-    if os.path.exists(text):
-        text = Path(text).read_text()
-    return parse_symbol(text)
-
-
-def cmd_spectrum(args) -> int:
-    sym = _load_symbol(args)
-    m = assemble_toeplitz(sym, args.hbar, args.n_max)
+def _convert(convert, name: str, value):
     try:
-        spec = eigen_spectrum(m, args.count, tol=args.tol)
-    except NoConvergence as exc:
-        print(f"convergence failure: {exc}", file=sys.stderr)
-        return EXIT_CONVERGENCE
-    lines = [f"{float(ev.real)!r},{float(ev.imag)!r}" for ev in spec.eigenvalues]
-    out = "\n".join(lines) + "\n"
-    if args.out:
-        _write(Path(args.out), out)
-    else:
-        sys.stdout.write(out)
-    return EXIT_OK
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{name}: {exc}") from None
 
 
-def cmd_pseudospec(args) -> int:
-    sym = _load_symbol(args)
-    m = assemble_toeplitz(sym, args.hbar, args.n_max)
-    rect = tuple(float(x) for x in args.rect.split(","))
-    res = tuple(int(x) for x in args.res.split(","))
-    if len(rect) != 4 or len(res) != 2:
-        raise ConfigError("--rect needs x0,x1,y0,y1 and --res needs NX,NY")
-    field = resolvent_grid(m, rect, res)
-    out = field.to_csv(c=args.c)
-    if args.out:
-        _write(Path(args.out), out)
-    else:
-        sys.stdout.write(out)
-    return EXIT_OK
+def _get(params: dict, name: str, convert, default=None):
+    value = params.get(name)
+    return _convert(convert, name, default if value is None else value)
 
 
-def cmd_normal_form(args) -> int:
-    sym = _load_symbol(args)
+def _list(params: dict, name: str, convert, sizes: tuple[int, ...] = (), default=None) -> list:
+    value = params.get(name)
+    value = default if value is None else value
+    if not isinstance(value, list) or (sizes and len(value) not in sizes):
+        want = " or ".join(map(str, sizes)) + " numbers" if sizes else "a list"
+        raise ConfigError(f"{name} needs {want}, got {value!r}")
+    return [_convert(convert, name, v) for v in value]
+
+
+def _require(ok: bool, msg: str) -> None:
+    if not ok:
+        raise ConfigError(msg)
+
+
+# ---------------------------------------------------------------------------
+# tasks: (symbol, params) -> (artifact text, exit status).  The tasks that
+# assemble a matrix read `hbar` (a list) and `n_max`; assemble_toeplitz
+# range-checks both.
+
+
+def _spectrum(sym: MonomialSymbol, p: dict) -> tuple[str, int]:
+    count, tol = _get(p, "count", int, 5), _get(p, "tol", float, 1e-8)
+    _require(count >= 1 and tol > 0, f"spectrum needs count >= 1 and tol > 0, got {count} and {tol}")
+    rows = []
+    for hbar in p["hbar"]:
+        spec = eigen_spectrum(assemble_toeplitz(sym, hbar, p["n_max"]), count, tol=tol)
+        rows += [f"{float(ev.real)!r},{float(ev.imag)!r}" for ev in spec.eigenvalues]
+    return "\n".join(rows) + "\n", EXIT_OK
+
+
+def _pseudospec(sym: MonomialSymbol, p: dict) -> tuple[str, int]:
+    rect, res = _list(p, "rect", float, (4,)), _list(p, "res", int, (2,))
+    c = None if p.get("c") is None else _get(p, "c", float)
+    field = resolvent_grid(assemble_toeplitz(sym, p["hbar"][0], p["n_max"]), tuple(rect), tuple(res))
+    return field.to_csv(c), EXIT_OK
+
+
+def _normal_form(sym: MonomialSymbol, p: dict) -> tuple[str, int]:
     quad_keys = {(2, 0), (1, 1), (0, 2)}
     if any(k not in quad_keys for k in sym.coeffs):
         raise ConfigError("normal-form expects a purely quadratic symbol")
     form = ComplexQuadraticForm.from_zv_coefficients(
         sym.coeffs.get((2, 0), 0.0), sym.coeffs.get((1, 1), 0.0), sym.coeffs.get((0, 2), 0.0)
     )
-    try:
-        nf = reduce_quadratic(form)
-    except NoDeltaFound as exc:
-        print(f"tolerance failure: {exc}", file=sys.stderr)
-        return EXIT_TOLERANCE
+    nf = reduce_quadratic(form)
     phase, weights = phase_and_weights(nf)
     doc = {
         "delta": nf.delta,
@@ -239,253 +277,213 @@ def cmd_normal_form(args) -> int:
         },
         "weights": {"r": weights.r, "j": weights.j},
     }
-    out = json.dumps(_jsonable(doc), indent=2) + "\n"
-    if args.out:
-        _write(Path(args.out), out)
-    else:
-        sys.stdout.write(out)
-    return EXIT_OK
+    return _json(doc), EXIT_OK
 
 
-def cmd_action(args) -> int:
-    d = complex(*(float(x) for x in args.d.split(",")))
-    energy = complex(*(float(x) for x in args.energy.split(",")))
-    res = action_integral(d, energy, args.winding)
-    doc = {"value": res["value"], "closed_form": res["closed_form"], "nodes": res["nodes"]}
-    sys.stdout.write(json.dumps(_jsonable(doc)) + "\n")
-    err = abs(res["value"] - res["closed_form"])
-    return EXIT_OK if err <= 1e-8 else EXIT_TOLERANCE
+def _birkhoff(sym: MonomialSymbol, p: dict) -> tuple[str, int]:
+    degree = _get(p, "degree", int, 8)
+    _require(degree >= 2, f"birkhoff needs degree >= 2, got {degree}")
+    br = symbols.birkhoff_normal_form(symbols.table_from_dict(sym.coeffs, degree), degree)
+    return _json({"mu0": list(br.mu0), "d0": br.d0, "linear_map": br.linear_map}), EXIT_OK
 
 
-def cmd_birkhoff(args) -> int:
-    sym = _load_symbol(args)
-    tab = symbols.table_from_dict(sym.coeffs, args.degree)
-    br = symbols.birkhoff_normal_form(tab, args.degree)
-    doc = {"mu0": list(br.mu0), "d0": br.d0, "linear_map": br.linear_map}
-    out = json.dumps(_jsonable(doc), indent=2) + "\n"
-    if args.out:
-        _write(Path(args.out), out)
-    else:
-        sys.stdout.write(out)
-    return EXIT_OK
-
-
-def cmd_moser(args) -> int:
-    sym = _load_symbol(args)
-    degree = args.degree + 2 * args.order
+def _moser(sym: MonomialSymbol, p: dict) -> tuple[str, int]:
+    order = _get(p, "order", int, 3)
+    degree = _get(p, "degree", int, 4) + 2 * order
+    _require(order >= 0 and degree >= 2,
+             f"moser needs order >= 0 and degree + 2*order >= 2, got order {order}, total {degree}")
     mu = symbols.FormalSymbol([symbols.radial_table(np.array([0.0, 1.0]), degree)])
     g = symbols.FormalSymbol([symbols.table_from_dict(sym.coeffs, degree)])
-    res = symbols.moser_normal_form(mu, g, args.order, degree)
-    doc = {
-        "a_final": json.loads(res.a_final.to_json()),
-        "r_final": [list(p) for p in res.r_final],
-    }
-    out = json.dumps(_jsonable(doc), indent=2) + "\n"
-    if args.out:
-        _write(Path(args.out), out)
-    else:
-        sys.stdout.write(out)
-    return EXIT_OK
+    res = symbols.moser_normal_form(mu, g, order, degree)
+    doc = {"a_final": json.loads(res.a_final.to_json()), "r_final": [list(prof) for prof in res.r_final]}
+    return _json(doc), EXIT_OK
 
 
-def cmd_verify(args) -> int:
-    indices = [int(s) for s in args.only.split(",")] if args.only else None
-    results = acceptance.run_all(indices, seed=args.seed)
-    n_fail = sum(1 for r in results if not (r.passed and r.within_time))
-    print(f"{len(results) - n_fail}/{len(results)} criteria passed")
-    return EXIT_OK if n_fail == 0 else EXIT_TOLERANCE
+def _action(sym: MonomialSymbol | None, p: dict) -> tuple[str, int]:
+    d = complex(*_list(p, "d", float, (1, 2), [1.0, 0.0]))
+    energy = complex(*_list(p, "energy", float, (1, 2), [0.1, 0.0]))
+    res = action_integral(d, energy, _get(p, "winding", int, 1))
+    doc = {key: res[key] for key in ("value", "closed_form", "nodes")}
+    ok = abs(res["value"] - res["closed_form"]) <= 1e-8
+    return _json(doc, indent=None), EXIT_OK if ok else EXIT_TOLERANCE
+
+
+def _verify(sym: MonomialSymbol | None, p: dict) -> tuple[str, int]:
+    """Prints each criterion's line as it finishes; the artifact holds them all."""
+    only = _list(p, "only", int, default=[])
+    n = len(acceptance.CRITERIA)
+    _require(all(1 <= i <= n for i in only), f"only: criterion indices run from 1 to {n}, got {only}")
+    results = acceptance.run_all(only, seed=_get(p, "seed", int, 0))
+    ok = all(r.passed and r.within_time for r in results)
+    return "\n".join(r.line() for r in results) + "\n", EXIT_OK if ok else EXIT_TOLERANCE
+
+
+class Task(NamedTuple):
+    run: Callable[[MonomialSymbol | None, dict], tuple[str, int]]
+    artifact: str  # file name in the run's out_dir unless the task sets "out"
+    needs_symbol: bool = True
+
+
+TASKS = {
+    "spectrum": Task(_spectrum, "eig.csv"),
+    "pseudospec": Task(_pseudospec, "field.csv"),
+    "normal-form": Task(_normal_form, "nf.json"),
+    "action": Task(_action, "action.json", needs_symbol=False),
+    "birkhoff": Task(_birkhoff, "birkhoff.json"),
+    "moser": Task(_moser, "moser.json"),
+    "verify": Task(_verify, "verify.txt", needs_symbol=False),
+}
 
 
 # ---------------------------------------------------------------------------
-# config runner
+# the two front ends of TASKS
 
 
-def _config_symbol(cfg: dict) -> MonomialSymbol:
-    spec = cfg.get("symbol")
-    if spec is None:
-        raise ConfigError("config needs a 'symbol' entry")
-    if "inline" in spec:
-        return MonomialSymbol.from_json(json.dumps(spec["inline"]))
-    if "path" in spec:
-        return parse_symbol(Path(spec["path"]).read_text())
-    if "shorthand" in spec:
-        return parse_symbol(spec["shorthand"])
-    raise ConfigError("symbol entry needs 'inline', 'path' or 'shorthand'")
+def cmd_task(args) -> int:
+    """A subcommand: argparse values are the params; --symbol is a file path
+    when one exists, else the symbol text."""
+    params = vars(args)
+    task = TASKS[params.pop("command")]
+    sym = None
+    if task.needs_symbol:
+        spec = params.pop("symbol")
+        sym = parse_symbol(Path(spec).read_text() if os.path.exists(spec) else spec)
+    text, status = task.run(sym, params)
+    _emit(text, params.get("out"))
+    return status
+
+
+def cmd_verify(args) -> int:
+    text, status = TASKS["verify"].run(None, vars(args))
+    lines = text.splitlines()
+    print(f"{sum(line.startswith('[PASS]') for line in lines)}/{len(lines)} criteria passed")
+    return status
 
 
 def cmd_run(args) -> int:
-    try:
-        cfg = json.loads(Path(args.config).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        return _run_config(cfg, Path(args.config))
-    except (ConfigError, ParseError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except NoConvergence as exc:
-        print(f"convergence failure: {exc}", file=sys.stderr)
-        return EXIT_CONVERGENCE
-
-
-def _run_config(cfg: dict, cfg_path: Path) -> int:
+    config = Path(args.config)
+    cfg = json.loads(config.read_text())
+    _require(isinstance(cfg, dict), "config must be a JSON object")
     tasks = cfg.get("tasks", [])
-    if not tasks:
-        raise ConfigError("empty task list")
-    out_dir = Path(cfg.get("out_dir", "out"))
-    seed = int(cfg.get("seed", 0))
+    _require(isinstance(tasks, list) and bool(tasks), f"tasks must be a non-empty list, got {tasks!r}")
+    out_dir = _get(cfg, "out_dir", Path, "out")
+    jobs = []
+    for task in tasks:
+        _require(isinstance(task, dict), f"a task must be a JSON object, got {task!r}")
+        kind = task.get("type")
+        _require(isinstance(kind, str) and kind in TASKS, f"unknown task type {kind!r}")
+        jobs.append((kind, task, out_dir / _convert(Path, "out", task.get("out") or TASKS[kind].artifact)))
+    seed = _get(cfg, "seed", int, 0)
     hbars = cfg.get("hbar", [0.1])
-    if isinstance(hbars, (int, float)):
-        hbars = [hbars]
-    if any(not 0 < h <= 1 for h in hbars):
-        raise ConfigError("hbar values must lie in (0, 1]")
-    n_max = int(cfg.get("n_max", 64))
-    tol = cfg.get("tolerances", {})
+    hbars = [_convert(check_hbar, "hbar", h) for h in (hbars if isinstance(hbars, list) else [hbars])]
+    _require(bool(hbars), "hbar needs at least one value")
+    n_max = _get(cfg, "n_max", check_truncation, 64)
+    tolerances = cfg.get("tolerances", {})
+    _require(isinstance(tolerances, dict), "tolerances must be a JSON object")
+    sym = _config_symbol(cfg) if any(TASKS[kind].needs_symbol for kind, _, _ in jobs) else None
+
     artifacts: list[Path] = []
     status = EXIT_OK
-
-    for task in tasks:
-        kind = task.get("type")
-        out_name = task.get("out")
-        if kind == "spectrum":
-            sym = _config_symbol(cfg)
-            rows = []
-            for hbar in hbars:
-                m = assemble_toeplitz(sym, hbar, n_max)
-                spec = eigen_spectrum(m, int(task.get("count", 5)), tol=tol.get("spectrum", 1e-8))
-                rows += [f"{float(ev.real)!r},{float(ev.imag)!r}" for ev in spec.eigenvalues]
-            artifacts.append(_write(out_dir / (out_name or "eig.csv"), "\n".join(rows) + "\n"))
-        elif kind == "pseudospec":
-            sym = _config_symbol(cfg)
-            m = assemble_toeplitz(sym, hbars[0], n_max)
-            field = resolvent_grid(m, tuple(task["rect"]), tuple(task["res"]))
-            artifacts.append(
-                _write(out_dir / (out_name or "field.csv"), field.to_csv(task.get("c")))
-            )
-        elif kind == "normal-form":
-            sym = _config_symbol(cfg)
-            ns = argparse.Namespace(symbol=sym.to_json(), out=str(out_dir / (out_name or "nf.json")))
-            rc = cmd_normal_form(ns)
-            if rc != EXIT_OK:
-                return rc
-            artifacts.append(out_dir / (out_name or "nf.json"))
-        elif kind == "birkhoff":
-            sym = _config_symbol(cfg)
-            ns = argparse.Namespace(
-                symbol=sym.to_json(),
-                degree=int(task.get("degree", 8)),
-                out=str(out_dir / (out_name or "birkhoff.json")),
-            )
-            cmd_birkhoff(ns)
-            artifacts.append(out_dir / (out_name or "birkhoff.json"))
-        elif kind == "moser":
-            sym = _config_symbol(cfg)
-            ns = argparse.Namespace(
-                symbol=sym.to_json(),
-                order=int(task.get("order", 3)),
-                degree=int(task.get("degree", 4)),
-                out=str(out_dir / (out_name or "moser.json")),
-            )
-            cmd_moser(ns)
-            artifacts.append(out_dir / (out_name or "moser.json"))
-        elif kind == "action":
-            d = complex(*task.get("d", [1.0, 0.0]))
-            energy = complex(*task.get("energy", [0.1, 0.0]))
-            res = action_integral(d, energy, int(task.get("winding", 1)))
-            doc = json.dumps(_jsonable({"value": res["value"], "closed_form": res["closed_form"]})) + "\n"
-            artifacts.append(_write(out_dir / (out_name or "action.json"), doc))
-        elif kind == "verify":
-            results = acceptance.run_all(task.get("only"), seed=seed)
-            lines = [r.line() for r in results]
-            artifacts.append(_write(out_dir / (out_name or "verify.txt"), "\n".join(lines) + "\n"))
-            if any(not (r.passed and r.within_time) for r in results):
-                status = EXIT_TOLERANCE
-        else:
-            raise ConfigError(f"unknown task type {kind!r}")
+    tolerance_failure = None
+    for kind, task, path in jobs:
+        # top-level values win: a task's own hbar, n_max, tol or seed is ignored
+        params = {**task, "hbar": hbars, "n_max": n_max, "tol": tolerances.get(kind), "seed": seed}
+        try:
+            text, task_status = TASKS[kind].run(sym, params)
+        except NoDeltaFound as exc:  # a tolerance failure: the remaining tasks still run
+            tolerance_failure = tolerance_failure or exc
+            continue
+        _emit(text, path)
+        artifacts.append(path)
+        status = max(status, task_status)
 
     manifest = {
-        "config": str(cfg_path),
+        "config": str(config),
         "seed": seed,
         "artifacts": [
             {"path": str(p), "sha256": hashlib.sha256(p.read_bytes()).hexdigest()}
             for p in artifacts
         ],
     }
-    _write(out_dir / "manifest.json", json.dumps(manifest, indent=2) + "\n")
+    _emit(json.dumps(manifest, indent=2) + "\n", out_dir / "manifest.json")
+    if tolerance_failure is not None:
+        raise tolerance_failure  # reported by main, with exit 2
     return status
 
 
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as a ConfigError (exit 1), not argparse's exit 2,
+    which is the tolerance-failure code here."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
+def _csv(text: str) -> list[str]:
+    return text.split(",") if text else []
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="bargspec", description=__doc__)
+    p = _Parser(prog="bargspec", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("spectrum", help="adaptive eigenvalues of T(f)")
-    sp.add_argument("--symbol", required=True, help="JSON map, shorthand, or file path")
-    sp.add_argument("--hbar", type=float, required=True)
-    sp.add_argument("--count", type=int, default=5)
+    def symbol_task(name: str, help: str) -> argparse.ArgumentParser:
+        sp = sub.add_parser(name, help=help)
+        sp.add_argument("--symbol", required=True, help="JSON map, shorthand, or file path")
+        sp.add_argument("--out")
+        return sp
+
+    sp = symbol_task("spectrum", "adaptive eigenvalues of T(f)")
+    sp.add_argument("--hbar", type=float, nargs=1, required=True)
+    sp.add_argument("--count", type=int)
     sp.add_argument("--n-max", type=int, default=64)
-    sp.add_argument("--tol", type=float, default=1e-8)
-    sp.add_argument("--out")
-    sp.set_defaults(func=cmd_spectrum)
+    sp.add_argument("--tol", type=float)
 
-    ps = sub.add_parser("pseudospec", help="sigma_min grid of (T(f) - lambda)")
-    ps.add_argument("--symbol", required=True)
-    ps.add_argument("--hbar", type=float, required=True)
-    ps.add_argument("--rect", required=True, help="x0,x1,y0,y1")
-    ps.add_argument("--res", required=True, help="NX,NY")
-    ps.add_argument("--c", type=float, default=None)
+    ps = symbol_task("pseudospec", "sigma_min grid of (T(f) - lambda)")
+    ps.add_argument("--hbar", type=float, nargs=1, required=True)
+    ps.add_argument("--rect", type=_csv, required=True, help="x0,x1,y0,y1")
+    ps.add_argument("--res", type=_csv, required=True, help="NX,NY")
+    ps.add_argument("--c", type=float)
     ps.add_argument("--n-max", type=int, default=128)
-    ps.add_argument("--out")
-    ps.set_defaults(func=cmd_pseudospec)
 
-    nf = sub.add_parser("normal-form", help="quadratic normal-form data as JSON")
-    nf.add_argument("--symbol", required=True)
-    nf.add_argument("--out")
-    nf.set_defaults(func=cmd_normal_form)
+    symbol_task("normal-form", "quadratic normal-form data as JSON")
 
     ac = sub.add_parser("action", help="loop action integral vs closed form")
-    ac.add_argument("--d", required=True, help="RE,IM")
-    ac.add_argument("--energy", required=True, help="RE,IM")
-    ac.add_argument("--winding", type=int, default=1)
-    ac.set_defaults(func=cmd_action)
+    ac.add_argument("--d", type=_csv, required=True, help="RE,IM")
+    ac.add_argument("--energy", type=_csv, required=True, help="RE,IM")
+    ac.add_argument("--winding", type=int)
 
-    bk = sub.add_parser("birkhoff", help="classical radial normal form")
-    bk.add_argument("--symbol", required=True)
-    bk.add_argument("--degree", type=int, default=8)
-    bk.add_argument("--out")
-    bk.set_defaults(func=cmd_birkhoff)
+    bk = symbol_task("birkhoff", "classical radial normal form")
+    bk.add_argument("--degree", type=int)
 
-    ms = sub.add_parser("moser", help="Moser conjugation of id + hbar^2 g")
-    ms.add_argument("--symbol", required=True)
-    ms.add_argument("--order", type=int, default=3)
-    ms.add_argument("--degree", type=int, default=4)
-    ms.add_argument("--out")
-    ms.set_defaults(func=cmd_moser)
+    ms = symbol_task("moser", "Moser conjugation of id + hbar^2 g")
+    ms.add_argument("--order", type=int)
+    ms.add_argument("--degree", type=int)
 
     vf = sub.add_parser("verify", help="run the acceptance suite")
-    vf.add_argument("--only", help="comma-separated criterion indices")
-    vf.add_argument("--seed", type=int, default=0, help="seed for randomised corpora")
-    vf.set_defaults(func=cmd_verify)
+    vf.add_argument("--only", type=_csv, help="comma-separated criterion indices, 1 to 12")
+    vf.add_argument("--seed", type=int, help="seed for randomised corpora")
 
     rn = sub.add_parser("run", help="execute a JSON experiment config")
     rn.add_argument("--config", required=True)
-    rn.set_defaults(func=cmd_run)
     return p
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """The one place where failures become exit codes."""
     try:
-        return args.func(args)
-    except NoConvergence as exc:
+        args = build_parser().parse_args(argv)
+        return {"run": cmd_run, "verify": cmd_verify}.get(args.command, cmd_task)(args)
+    except (NoConvergence, NonClosedContour, InversionFailed) as exc:
         print(f"convergence failure: {exc}", file=sys.stderr)
         return EXIT_CONVERGENCE
-    except (ParseError, ConfigError, ValueError) as exc:
+    except NoDeltaFound as exc:  # a ValueError, so it must come first
+        print(f"tolerance failure: {exc}", file=sys.stderr)
+        return EXIT_TOLERANCE
+    except (ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

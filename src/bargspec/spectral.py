@@ -104,14 +104,17 @@ def eigen_spectrum(
         mat = assemble_toeplitz(m.symbol, hbar, n).entries if n != m.dim else m.entries
         ev = np.linalg.eigvals(mat)
         ev = ev[np.argsort(np.abs(ev))][:k_wanted]
+        # nan until two truncations report the same number of eigenvalues
+        gap = float("nan")
         if prev is not None and len(prev) == len(ev):
             gap = float(np.max(np.abs(ev - prev)))
             if gap < tol:
                 return SpectrumResult(ev, n, gap)
         prev = ev
         if n >= n_cap:
-            gap = float("nan") if prev is None else gap
             result = SpectrumResult(ev, n, gap, converged=False)
+            if np.isnan(gap):
+                raise NoConvergence(f"truncation cap {n_cap} reached at n = {n} before a comparison", result)
             raise NoConvergence(f"eigenvalues still moving by {gap:.3e} at n = {n}", result)
         n = min(2 * n, n_cap)
 
@@ -320,11 +323,6 @@ def scan_isolating_c(
 # action integrals
 
 
-def _trapezoid_loop(values: np.ndarray) -> complex:
-    # periodic trapezoid = mean * period; values sampled at t_j = j * 2pi w / n
-    return complex(values.mean())
-
-
 def action_integral(
     d: complex,
     energy: complex,
@@ -339,6 +337,10 @@ def action_integral(
     winding = int(winding)
     root = np.sqrt(complex(energy) / complex(d))
     closed = 2.0 * np.pi * complex(energy) * winding / complex(d)
+    # relative to |root|: for large |E/d| the absolute gap is roundoff alone
+    endpoint_gap = abs(root * np.exp(1j * 2 * np.pi * winding) - root)
+    if endpoint_gap > 1e-12 * abs(root):
+        raise NonClosedContour(f"endpoint mismatch {endpoint_gap:.2e} at |x(0)| = {abs(root):.2e}")
 
     def value(n: int) -> complex:
         t = np.linspace(0.0, 2.0 * np.pi * winding, n, endpoint=False)
@@ -346,9 +348,6 @@ def action_integral(
         vbar = root * np.exp(-1j * t)
         dx = 1j * x  # x'(t)
         integrand = -1j * vbar * dx
-        endpoint_gap = abs(root * np.exp(1j * 2 * np.pi * winding) - root)
-        if endpoint_gap > 1e-12:
-            raise NonClosedContour(f"endpoint mismatch {endpoint_gap:.2e}")
         return complex(integrand.mean() * 2.0 * np.pi * winding)
 
     n = 16

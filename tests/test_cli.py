@@ -137,11 +137,7 @@ class TestConfigRunner:
         path.write_text(json.dumps(cfg))
         return path
 
-    def test_empty_tasks_is_config_error(self, tmp_path, capsys):
-        path = self.make_config(tmp_path, [])
-        assert main(["run", "--config", str(path)]) == 1
-
-    def test_spectrum_task_and_manifest(self, tmp_path):
+    def test_spectrum_task_and_manifest(self, tmp_path, capsys):
         path = self.make_config(
             tmp_path,
             [
@@ -158,6 +154,10 @@ class TestConfigRunner:
         for item in manifest["artifacts"]:
             data = (tmp_path / item["path"]).read_bytes() if not item["path"].startswith("/") else open(item["path"], "rb").read()
             assert hashlib.sha256(data).hexdigest() == item["sha256"]
+        # the run's action artifact is the document the subcommand prints
+        capsys.readouterr()
+        assert main(["action", "--d", "1.0,0.0", "--energy", "0.2,0.0"]) == 0
+        assert (out_dir / "action.json").read_text() == capsys.readouterr().out
 
     def test_determinism_byte_identical(self, tmp_path):
         p1 = self.make_config(tmp_path, [{"type": "spectrum", "count": 4, "out": "eig.csv"}])
@@ -166,20 +166,59 @@ class TestConfigRunner:
         main(["run", "--config", str(p1)])
         assert (tmp_path / "out" / "eig.csv").read_bytes() == first
 
-    def test_bad_hbar_rejected(self, tmp_path):
-        cfg = {
-            "out_dir": str(tmp_path / "o"),
-            "hbar": [1.5],
-            "symbol": {"shorthand": "|z|^2"},
-            "tasks": [{"type": "spectrum"}],
-        }
-        path = tmp_path / "c.json"
+    def test_tolerance_failure_runs_remaining_tasks(self, tmp_path, capsys):
+        # p^2 - q^2 has no normal form: that task fails, the action task
+        # still runs and the manifest lists its artifact
+        cfg = json.loads(self.make_config(tmp_path, []).read_text())
+        cfg["symbol"] = {"inline": {"2,0": [1, 0], "0,2": [1, 0]}}
+        cfg["tasks"] = [{"type": "normal-form"}, {"type": "action"}]
+        path = tmp_path / "config.json"
         path.write_text(json.dumps(cfg))
-        assert main(["run", "--config", str(path)]) == 1
+        assert main(["run", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("tolerance failure:")
+        out_dir = tmp_path / "out"
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        assert [item["path"] for item in manifest["artifacts"]] == [str(out_dir / "action.json")]
+        assert not (out_dir / "nf.json").exists()
 
-    def test_unknown_task_rejected(self, tmp_path):
-        path = self.make_config(tmp_path, [{"type": "frobnicate"}])
-        assert main(["run", "--config", str(path)]) == 1
+
+def _config(doc):
+    return ("config", doc)
+
+
+_BASE = {"out_dir": "out", "hbar": [0.1], "n_max": 32, "symbol": {"shorthand": "p^2+q^2"}}
+_SPECTRUM = [{"type": "spectrum"}]
+
+# every input exits with its documented code and a one-line message
+EXIT_CONTRACT = {
+    "action-d-three-parts": (["action", "--d", "1,2,3", "--energy", "0.3,0"], 1),
+    "symbol-is-directory": (["spectrum", "--symbol", ".", "--hbar", "0.1"], 1),
+    "moser-negative-order": (["moser", "--symbol", "z", "--order", "-1"], 1),
+    "birkhoff-negative-degree": (["birkhoff", "--symbol", "|z|^2+|z|^4", "--degree", "-1"], 1),
+    "verify-index-13": (["verify", "--only", "13"], 1),
+    "missing-argument": (["spectrum", "--hbar", "0.1"], 1),
+    "run-symbol-path-missing": (_config({**_BASE, "symbol": {"path": "missing.json"}, "tasks": _SPECTRUM}), 1),
+    "run-hbar-string": (_config({**_BASE, "hbar": ["a"], "tasks": _SPECTRUM}), 1),
+    "run-hbar-out-of-range": (_config({**_BASE, "hbar": [1.5], "tasks": _SPECTRUM}), 1),
+    "run-pseudospec-without-rect": (_config({**_BASE, "tasks": [{"type": "pseudospec", "res": [3, 3]}]}), 1),
+    "run-action-d-three-parts": (_config({**_BASE, "tasks": [{"type": "action", "d": [1, 2, 3]}]}), 1),
+    "run-tasks-object": (_config({**_BASE, "tasks": {"type": "spectrum"}}), 1),
+    "run-top-level-list": (_config([{**_BASE, "tasks": _SPECTRUM}]), 1),
+    "run-empty-tasks": (_config({**_BASE, "tasks": []}), 1),
+    "run-unknown-task": (_config({**_BASE, "tasks": [{"type": "frobnicate"}]}), 1),
+    "run-verify-index-99": (_config({**_BASE, "tasks": [{"type": "verify", "only": [99]}]}), 1),
+}
+
+
+@pytest.mark.parametrize("argv, code", EXIT_CONTRACT.values(), ids=EXIT_CONTRACT.keys())
+def test_exit_code_contract(argv, code, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # relative paths in argv and configs resolve here
+    if argv[0] == "config":
+        (tmp_path / "config.json").write_text(json.dumps(argv[1]))
+        argv = ["run", "--config", "config.json"]
+    assert main(argv) == code  # returns: no exception escapes main
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1, err
 
 
 def test_console_entry_point():

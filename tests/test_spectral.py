@@ -51,6 +51,16 @@ class TestEigenSpectrum:
         assert err.value.result is not None
         assert not err.value.result.converged
 
+    @pytest.mark.parametrize("n, k_wanted, n_cap", [(16, 3, 8), (16, 3, 16), (2, 3, 4)],
+                             ids=["start-above-cap", "start-at-cap", "counts-differ"])
+    def test_cap_without_comparison(self, n, k_wanted, n_cap):
+        # no two truncations with equal eigenvalue counts before the cap
+        m = assemble_toeplitz(ROT.to_symbol(), 0.1, n)
+        with pytest.raises(NoConvergence) as err:
+            eigen_spectrum(m, k_wanted, 1e-8, n_cap=n_cap)
+        assert not err.value.result.converged
+        assert np.isnan(err.value.result.convergence_gap)
+
 
 class TestResolventGrid:
     def test_normal_case_exactness(self):
@@ -153,6 +163,11 @@ class TestAction:
     def test_zero_energy(self):
         res = action_integral(1.0 + 0.5j, 0.0, 1)
         assert abs(res["value"]) < 1e-14
+
+    def test_large_energy_ratio_is_closed(self):
+        # |E/d| = 3e8: the endpoint gap of the circle is roundoff, 4e-12 absolute
+        res = action_integral(1e-9, 0.3, 1)
+        assert abs(res["value"] - res["closed_form"]) <= 1e-15 * abs(res["closed_form"])
 
     def test_winding_doubles(self):
         one = action_integral(0.8 - 0.1j, 0.2 + 0.1j, 1)
