@@ -9,7 +9,8 @@ Exit codes: 0 success, 1 config error (bad argument, config, symbol or file),
 2 tolerance failure, 3 convergence failure.  A tolerance failure does not
 stop `run`: the remaining tasks run, the manifest is written and the run
 exits 2.  `action` exits 2 when the quadrature misses the closed form by more
-than 1e-8; `verify --only` takes criterion indices 1 to 12.
+than 1e-8 relative, and 1 on a non-finite d or energy; `verify --only` takes
+criterion indices 1 to 12.
 
 Floats are printed with repr (shortest round-trip representation); identical
 config + seed therefore yields byte-identical artifacts.
@@ -304,7 +305,7 @@ def _action(sym: MonomialSymbol | None, p: dict) -> tuple[str, int]:
     energy = complex(*_list(p, "energy", float, (1, 2), [0.1, 0.0]))
     res = action_integral(d, energy, _get(p, "winding", int, 1))
     doc = {key: res[key] for key in ("value", "closed_form", "nodes")}
-    ok = abs(res["value"] - res["closed_form"]) <= 1e-8
+    ok = abs(res["value"] - res["closed_form"]) <= 1e-8 * abs(res["closed_form"])
     return _json(doc, indent=None), EXIT_OK if ok else EXIT_TOLERANCE
 
 

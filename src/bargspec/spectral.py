@@ -330,8 +330,11 @@ def action_integral(
     tol: float = 1e-10,
 ) -> dict:
     """-i oint vbar dx over x(t) = sqrt(E/d) e^{it}, vbar(t) = sqrt(E/d) e^{-it},
-    t in [0, 2 pi winding]; trapezoid nodes double until 1e-10 agreement.
+    t in [0, 2 pi winding]; trapezoid nodes double until two successive values
+    agree to `tol` relative, else NoConvergence after 12 doublings.
     Returns the numeric value and the closed form 2 pi E winding / d."""
+    if not (np.isfinite(complex(d)) and np.isfinite(complex(energy))):
+        raise ValueError(f"d and energy must be finite, got d = {d}, energy = {energy}")
     if d == 0:
         raise ValueError("d must be nonzero")
     winding = int(winding)
@@ -355,10 +358,11 @@ def action_integral(
     for _ in range(12):
         n *= 2
         cur = value(n)
-        if abs(cur - prev) < tol:
-            break
+        gap = abs(cur - prev)
+        if gap <= tol * abs(cur):
+            return {"value": cur, "closed_form": closed, "nodes": n}
         prev = cur
-    return {"value": cur, "closed_form": closed, "nodes": n}
+    raise NoConvergence(f"action quadrature still moving by {gap:.3e} at {n} nodes")
 
 
 def action_level_set(

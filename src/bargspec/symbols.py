@@ -12,6 +12,12 @@ cohomology solve, sharp inverses, the time-dependent Moser iteration, functions
 of the harmonic oscillator in both directions, and degree-by-degree normal
 forms (classical and hbar-exact).
 
+One kernel, `_sharp`, sums the sharp series.  It works on raw coefficient
+arrays with hbar-orders stacked on axis 0 and, for the Moser iteration, an
+optional polynomial axis in the homotopy time t; `sharp_product`,
+`sharp_bracket_tail` and the Moser t-products are thin wrappers.  Table
+products are numpy-only: a full 2-D product is one 1-D convolution.
+
 Degree and hbar-order caps are independent; any operation that drops a
 nonzero coefficient marks its result `truncated` and callers that need
 coefficient-exact output must check the flag (or pad degrees beforehand).
@@ -20,6 +26,8 @@ coefficient-exact output must check the flag (or pad degrees beforehand).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
+from itertools import product
 from math import factorial
 
 import numpy as np
@@ -33,7 +41,6 @@ __all__ = [
     "NonzeroAverage",
     "DegreeOverflow",
     "table_from_dict",
-    "table_from_function",
     "dz",
     "dzbar",
     "table_product",
@@ -142,11 +149,18 @@ class TaylorTable2D:
         return float(np.max(np.abs(self.t))) if self.t.size else 0.0
 
 
-def _mask_degree(t: np.ndarray) -> np.ndarray:
-    n = t.shape[0]
+@lru_cache(maxsize=64)
+def _beyond_degree(n: int) -> np.ndarray:
+    """Mask of the entries a + b > n - 1 of an n x n table (read-only)."""
     a = np.arange(n)
+    mask = a[:, None] + a[None, :] > n - 1
+    mask.flags.writeable = False
+    return mask
+
+
+def _mask_degree(t: np.ndarray) -> np.ndarray:
     out = t.copy()
-    out[a[:, None] + a[None, :] > n - 1] = 0.0
+    out[_beyond_degree(t.shape[0])] = 0.0
     return out
 
 
@@ -166,53 +180,59 @@ def table_from_dict(coeffs: dict[tuple[int, int], complex], degree: int) -> Tayl
     return TaylorTable2D(t, dropped)
 
 
-def table_from_function(f, degree: int, radius: float = 0.35) -> TaylorTable2D:
-    """Taylor coefficients of a numerically given real-analytic f via FFT on
-    two circles (used only to build test inputs, never inside the algebra)."""
-    n = 4 * (degree + 1)
-    theta = 2 * np.pi * np.arange(n) / n
-    zs = radius * np.exp(1j * theta)
-    vals = np.array([[f(z1 + 0j, np.conj(z2) + 0j) for z2 in zs] for z1 in zs])
-    # f~(z, vbar): sample on the torus |z| = |v| = radius
-    coef = np.fft.ifft2(vals) / np.outer(radius ** np.arange(n), radius ** np.arange(n))
-    t = np.zeros((degree + 1, degree + 1), dtype=complex)
-    t[:, :] = coef[: degree + 1, : degree + 1]
-    return TaylorTable2D(_mask_degree(t))
+def _dz(x: np.ndarray) -> np.ndarray:
+    """d/dz of stacked tables (..., n, n)."""
+    out = np.zeros_like(x)
+    out[..., :-1, :] = x[..., 1:, :] * np.arange(1, x.shape[-1])[:, None]
+    return out
+
+
+def _dzbar(x: np.ndarray) -> np.ndarray:
+    """d/dzbar of stacked tables (..., n, n)."""
+    out = np.zeros_like(x)
+    out[..., :, :-1] = x[..., :, 1:] * np.arange(1, x.shape[-1])
+    return out
 
 
 def dz(tab: TaylorTable2D) -> TaylorTable2D:
-    n = tab.t.shape[0]
-    out = np.zeros_like(tab.t)
-    a = np.arange(1, n)
-    out[: n - 1, :] = tab.t[1:, :] * a[:, None]
-    return TaylorTable2D(out, tab.truncated)
+    return TaylorTable2D(_dz(tab.t), tab.truncated)
 
 
 def dzbar(tab: TaylorTable2D) -> TaylorTable2D:
-    n = tab.t.shape[0]
-    out = np.zeros_like(tab.t)
-    b = np.arange(1, n)
-    out[:, : n - 1] = tab.t[:, 1:] * b[None, :]
-    return TaylorTable2D(out, tab.truncated)
+    return TaylorTable2D(_dzbar(tab.t), tab.truncated)
+
+
+def _product(x: np.ndarray, y: np.ndarray, degree: int) -> tuple[np.ndarray, bool]:
+    """Product of two raw tables truncated at total degree `degree`, and
+    whether the truncation dropped a nonzero coefficient.
+
+    The full 2-D product is one 1-D convolution (Kronecker substitution):
+    with rows padded to width w = na + nb - 1, row sums cannot carry.
+    """
+    na, nb = x.shape[0], y.shape[0]
+    w = na + nb - 1
+    xp = np.zeros((na, w), dtype=complex)
+    xp[:, :na] = x
+    yp = np.zeros((nb, w), dtype=complex)
+    yp[:, :nb] = y
+    full = np.convolve(xp.ravel()[: w * na - nb + 1], yp.ravel()[: w * nb - na + 1]).reshape(w, w)
+    n = degree + 1
+    out = np.zeros((n, n), dtype=complex)
+    m = min(n, w)
+    out[:m, :m] = full[:m, :m]
+    out[_beyond_degree(n)] = 0.0
+    mag = np.abs(full)
+    total = mag.sum()
+    dropped = bool((mag > 1e-300).any() and (total - np.abs(out).sum() > 1e-14 * (1 + total)))
+    return out, dropped
 
 
 def table_product(a: TaylorTable2D, b: TaylorTable2D, degree: int | None = None) -> TaylorTable2D:
     """Pointwise product, truncated at `degree` (default: max input degree)."""
-    from scipy.signal import convolve2d
-
     if degree is None:
         degree = max(a.degree, b.degree)
-    full = convolve2d(a.t, b.t)
-    n = degree + 1
-    out = np.zeros((n, n), dtype=complex)
-    m = min(n, full.shape[0])
-    out[:m, :m] = full[:m, :m]
-    mask = _mask_degree(out)
-    dropped = bool(
-        np.any(np.abs(full) > 1e-300)
-        and (np.abs(full).sum() - np.abs(mask).sum() > 1e-14 * (1 + np.abs(full).sum()))
-    )
-    return TaylorTable2D(mask, a.truncated or b.truncated or dropped)
+    out, dropped = _product(a.t, b.t, degree)
+    return TaylorTable2D(out, a.truncated or b.truncated or dropped)
 
 
 def pullback_linear(tab: TaylorTable2D, m: np.ndarray, degree: int | None = None) -> TaylorTable2D:
@@ -386,6 +406,64 @@ class FormalSymbol:
         return cls(terms)
 
 
+# ---------------------------------------------------------------------------
+# the sharp-product kernel
+
+
+def _layers(x: np.ndarray) -> list[list[int]]:
+    """For each hbar-order of x (K+1, T+1, n, n), the t-powers of its nonzero tables."""
+    return [[s for s, nonzero in enumerate(row) if nonzero] for row in x.any(axis=(2, 3)).tolist()]
+
+
+def _sharp(
+    f: np.ndarray, g: np.ndarray, order: int, degree: int, j_min: int = 0
+) -> tuple[np.ndarray, np.ndarray]:
+    """sum_{j >= j_min} ((-1)^j / j!) d^j f_k dbar^j g_l into hbar-order j+k+l.
+
+    f and g stack hbar-orders on axis 0: shape (K+1, n, n), or (K+1, T+1, n, n)
+    with a polynomial in the homotopy time t on axis 1, whose products are
+    truncated at the longer operand's t cap.  Zero tables are skipped, so
+    trailing zero t-layers cost nothing.  Returns the product, of shape
+    (order+1, [T+1,] degree+1, degree+1), and per hbar-order flags saying
+    whether a table product dropped a nonzero coefficient.
+    """
+    timed = f.ndim == 4
+    if not timed:
+        f, g = f[:, None], g[:, None]
+    t_len = max(f.shape[1], g.shape[1])
+    out = np.zeros((order + 1, t_len, degree + 1, degree + 1), dtype=complex)
+    dropped = np.zeros(order + 1, dtype=bool)
+    f, g = f[: order + 1], g[: order + 1]
+    for j in range(order + 1):
+        if j >= j_min:
+            c = (-1.0) ** j / factorial(j)
+            f_layers, g_layers = _layers(f), _layers(g)
+            for k in range(min(len(f), order + 1 - j)):
+                for l in range(min(len(g), order + 1 - j - k)):
+                    for s, u in product(f_layers[k], g_layers[l]):
+                        if s + u < t_len:
+                            prod, drop = _product(f[k, s], g[l, u], degree)
+                            out[j + k + l, s + u] += c * prod
+                            dropped[j + k + l] |= drop
+        f, g = _dz(f), _dzbar(g)
+    return (out if timed else out[:, 0]), dropped
+
+
+def _bracket(f: np.ndarray, g: np.ndarray, order: int, degree: int, j_min: int = 0):
+    """The sharp bracket series of `_sharp`: kernel(f, g) - kernel(g, f)."""
+    fg, fg_dropped = _sharp(f, g, order, degree, j_min)
+    gf, gf_dropped = _sharp(g, f, order, degree, j_min)
+    return fg - gf, fg_dropped | gf_dropped
+
+
+def _stack(s: FormalSymbol) -> np.ndarray:
+    return np.stack([t.t for t in s.terms])
+
+
+def _from_stack(tables: np.ndarray, truncated: np.ndarray) -> FormalSymbol:
+    return FormalSymbol([TaylorTable2D(t, bool(flag)) for t, flag in zip(tables, truncated)])
+
+
 def sharp_product(
     f: FormalSymbol, g: FormalSymbol, order: int | None = None, degree: int | None = None
 ) -> FormalSymbol:
@@ -394,34 +472,13 @@ def sharp_product(
         order = max(f.order, g.order)
     if degree is None:
         degree = max(f.degree, g.degree)
-    dmax = max(f.degree, g.degree)
-    # precompute j-derivatives
-    fd = {0: [f.term(k) for k in range(min(order, f.order) + 1)]}
-    gd = {0: [g.term(k) for k in range(min(order, g.order) + 1)]}
-    for j in range(1, min(order, dmax) + 1):
-        fd[j] = [dz(t) for t in fd[j - 1]]
-        gd[j] = [dzbar(t) for t in gd[j - 1]]
-    out = []
-    for m in range(order + 1):
-        acc = TaylorTable2D(np.zeros((degree + 1, degree + 1)))
-        for j in range(0, m + 1):
-            if j not in fd:
-                break
-            for k in range(0, m - j + 1):
-                l = m - j - k
-                if k >= len(fd[j]) or l >= len(gd[j]):
-                    continue
-                a, b = fd[j][k], gd[j][l]
-                if a.norm_inf() == 0 or b.norm_inf() == 0:
-                    continue
-                acc = acc + ((-1.0) ** j / factorial(j)) * table_product(a, b, degree)
-        out.append(acc)
-    return FormalSymbol(out)
+    out, dropped = _sharp(_stack(f), _stack(g), order, degree)
+    return _from_stack(out, dropped | f.truncated | g.truncated)
 
 
 def sharp_bracket(f: FormalSymbol, g: FormalSymbol, order=None, degree=None) -> FormalSymbol:
     """[f, g]_# = f # g - g # f."""
-    return sharp_product(f, g, order, degree) - sharp_product(g, f, order, degree)
+    return sharp_bracket_tail(f, g, 0, order, degree)
 
 
 def sharp_bracket_tail(
@@ -436,28 +493,8 @@ def sharp_bracket_tail(
         order = max(f.order, g.order)
     if degree is None:
         degree = max(f.degree, g.degree)
-    out = [TaylorTable2D(np.zeros((degree + 1, degree + 1))) for _ in range(order + 1)]
-    fz = {0: [f.term(k) for k in range(f.order + 1)]}
-    fv = {0: [f.term(k) for k in range(f.order + 1)]}
-    gz = {0: [g.term(k) for k in range(g.order + 1)]}
-    gv = {0: [g.term(k) for k in range(g.order + 1)]}
-    for j in range(1, order + 1):
-        fz[j] = [dz(t) for t in fz[j - 1]]
-        fv[j] = [dzbar(t) for t in fv[j - 1]]
-        gz[j] = [dz(t) for t in gz[j - 1]]
-        gv[j] = [dzbar(t) for t in gv[j - 1]]
-    for j in range(j_min, order + 1):
-        c = (-1.0) ** j / factorial(j)
-        for k in range(f.order + 1):
-            for l in range(g.order + 1):
-                m = j + k + l
-                if m > order:
-                    continue
-                out[m] = out[m] + c * (
-                    table_product(fz[j][k], gv[j][l], degree)
-                    - table_product(gz[j][l], fv[j][k], degree)
-                )
-    return FormalSymbol(out)
+    out, dropped = _bracket(_stack(f), _stack(g), order, degree, j_min)
+    return _from_stack(out, dropped | f.truncated | g.truncated)
 
 
 @dataclass
@@ -504,11 +541,15 @@ def poisson_bracket(f: TaylorTable2D, g: TaylorTable2D) -> TaylorTable2D:
     )
 
 
+def _theta_weights(n: int) -> np.ndarray:
+    """i (a - b): d_theta multiplies t[a, b] by it."""
+    a = np.arange(n)
+    return 1j * (a[:, None] - a[None, :])
+
+
 def theta_derivative(f: TaylorTable2D) -> TaylorTable2D:
     """d_theta f = i (z df - zbar dbar f): multiplies t[a,b] by i(a-b)."""
-    n = f.t.shape[0]
-    a = np.arange(n)
-    return TaylorTable2D(f.t * (1j * (a[:, None] - a[None, :])), f.truncated)
+    return TaylorTable2D(f.t * _theta_weights(f.t.shape[0]), f.truncated)
 
 
 def theta_antiderivative(f: TaylorTable2D, tol: float = 1e-14) -> TaylorTable2D:
@@ -517,8 +558,7 @@ def theta_antiderivative(f: TaylorTable2D, tol: float = 1e-14) -> TaylorTable2D:
     diag = np.abs(np.diagonal(f.t))
     if diag.max(initial=0.0) > tol:
         raise NonzeroAverage(f"radial content of size {diag.max():.3e} present")
-    a = np.arange(n)
-    denom = 1j * (a[:, None] - a[None, :])
+    denom = _theta_weights(n)
     with np.errstate(divide="ignore", invalid="ignore"):
         g = np.where(denom != 0, f.t / np.where(denom == 0, 1, denom), 0.0)
     np.fill_diagonal(g, 0.0)
@@ -608,29 +648,10 @@ def sharp_inverse(a: FormalSymbol, order: int | None = None, degree: int | None 
 # ---------------------------------------------------------------------------
 # t-polynomial layer for the Moser iteration
 #
-# Every scalar becomes a polynomial in the homotopy time t; a "tsymbol" is a
-# list over hbar-order of arrays with shape (T+1, D+1, D+1).  All integrations
-# in t are exact coefficient shifts, as the coefficients are polynomial in t.
-
-
-def _tzero(t_cap: int, degree: int) -> np.ndarray:
-    return np.zeros((t_cap + 1, degree + 1, degree + 1), dtype=complex)
-
-
-def _t_mul(x: np.ndarray, y: np.ndarray, degree: int) -> np.ndarray:
-    """Product of two t-dependent tables."""
-    t_cap = x.shape[0] - 1
-    out = _tzero(t_cap, degree)
-    for i in range(t_cap + 1):
-        xi = TaylorTable2D(x[i])
-        if xi.norm_inf() == 0:
-            continue
-        for j in range(t_cap + 1 - i):
-            yj = TaylorTable2D(y[j])
-            if yj.norm_inf() == 0:
-                continue
-            out[i + j] += table_product(xi, yj, degree).t
-    return out
+# Every scalar becomes a polynomial in the homotopy time t; a t-symbol is an
+# array (K+1, T+1, D+1, D+1) over hbar-order and t-power, multiplied by the
+# kernel `_sharp`.  All integrations in t are exact coefficient shifts, as the
+# coefficients are polynomial in t.
 
 
 def _t_int(x: np.ndarray) -> np.ndarray:
@@ -656,25 +677,6 @@ def _t_shift(x: np.ndarray) -> np.ndarray:
 def _t_eval(x: np.ndarray, tau: float) -> np.ndarray:
     powers = tau ** np.arange(x.shape[0])
     return np.tensordot(powers, x, axes=(0, 0))
-
-
-def _tsym_sharp(f: list[np.ndarray], g: list[np.ndarray], order: int, degree: int) -> list[np.ndarray]:
-    """Sharp product of t-dependent symbols (lists over hbar-order)."""
-    t_cap = f[0].shape[0] - 1
-    dzf = {0: f}
-    dvg = {0: g}
-    for j in range(1, order + 1):
-        dzf[j] = [np.stack([dz(TaylorTable2D(s)).t for s in x]) for x in dzf[j - 1]]
-        dvg[j] = [np.stack([dzbar(TaylorTable2D(s)).t for s in x]) for x in dvg[j - 1]]
-    out = [_tzero(t_cap, degree) for _ in range(order + 1)]
-    for m in range(order + 1):
-        for j in range(m + 1):
-            for k in range(m - j + 1):
-                l = m - j - k
-                if k >= len(f) or l >= len(g):
-                    continue
-                out[m] += ((-1.0) ** j / factorial(j)) * _t_mul(dzf[j][k], dvg[j][l], degree)
-    return out
 
 
 @dataclass
@@ -740,50 +742,35 @@ def moser_normal_form(
         mu_primes.append(dprof)
 
     t_cap = t_degree
-    a = [_tzero(t_cap, degree) for _ in range(order + 1)]
-    astar = [_tzero(t_cap, degree) for _ in range(order + 1)]
-    b = [_tzero(t_cap, degree) for _ in range(order + 1)]
-    rdot = [_tzero(t_cap, degree) for _ in range(order + 1)]
-    g_t = [np.concatenate([g.term(k).t[None], _tzero(t_cap - 1, degree)]) for k in range(order + 1)]
-    mu_t = [np.concatenate([mu.term(k).t[None], _tzero(t_cap - 1, degree)]) for k in range(order + 1)]
-
-    def tsym_trunc(x, upto):
-        return [x[i] for i in range(upto + 1)]
+    shape = (order + 1, t_cap + 1, degree + 1, degree + 1)
+    a, astar, b, rdot, g_t, mu_t = (np.zeros(shape, dtype=complex) for _ in range(6))
+    g_t[:, 0], mu_t[:, 0] = _stack(g), _stack(mu)
+    theta = _theta_weights(degree + 1)
 
     for k in range(order + 1):
         # a_k(t) = i int_0^t (b # (1+a))_{k-1}: needs b, a at orders <= k-1
         if k >= 1:
-            one = _tzero(t_cap, degree)
-            one[0, 0, 0] = 1.0
-            one_plus_a = [one + a[0]] + [a[j] for j in range(1, k)]
-            prod = _tsym_sharp(tsym_trunc(b, k - 1), one_plus_a, k - 1, degree)
-            a[k] = 1j * _t_int(prod[k - 1])
+            one_plus_a = a[:k].copy()
+            one_plus_a[0, 0, 0, 0] += 1.0
+            a[k] = 1j * _t_int(_sharp(b[:k], one_plus_a, k - 1, degree)[0][k - 1])
             # a*_k = -a_k - (a # a*)_k
-            cross = _tsym_sharp(tsym_trunc(a, k), tsym_trunc(astar, k - 1) + [_tzero(t_cap, degree)], k, degree)
-            astar[k] = -a[k] - cross[k]
+            astar[k] = -a[k] - _sharp(a[: k + 1], astar[: k + 1], k, degree)[0][k]
 
         # known part of the order-k equation
         rhs = -g_t[k].copy()
         if k >= 1:
-            gb = _tsym_sharp(tsym_trunc(g_t, k), tsym_trunc(b, k - 1) + [_tzero(t_cap, degree)], k, degree)
-            bg = _tsym_sharp(tsym_trunc(b, k - 1) + [_tzero(t_cap, degree)], tsym_trunc(g_t, k), k, degree)
-            rhs += -1j * _t_shift(gb[k - 1] - bg[k - 1])
+            rhs += -1j * _t_shift(_bracket(g_t[:k], b[:k], k - 1, degree)[0][k - 1])
             # corr_k: j >= 2 tail of hbar^{-1} [mu, i b]_# at order k (uses b_j, j <= k-1)
-            corr = _tsym_bracket_tail(mu_t, tsym_trunc(b, k - 1), 2, k + 1, degree)
-            rhs += -1j * corr[k + 1]
+            rhs += -1j * _bracket(mu_t, b[:k], k + 1, degree, j_min=2)[0][k + 1]
             # Q_k = (a # rdot + rdot # a* + a # rdot # a*)_k
-            q1 = _tsym_sharp(tsym_trunc(a, k), tsym_trunc(rdot, k - 1) + [_tzero(t_cap, degree)], k, degree)
-            q2 = _tsym_sharp(tsym_trunc(rdot, k - 1) + [_tzero(t_cap, degree)], tsym_trunc(astar, k), k, degree)
-            q12 = _tsym_sharp(q1, tsym_trunc(astar, k), k, degree)
+            q1 = _sharp(a[: k + 1], rdot[: k + 1], k, degree)[0]
+            q2 = _sharp(rdot[: k + 1], astar[: k + 1], k, degree)[0]
+            q12 = _sharp(q1, astar[: k + 1], k, degree)[0]
             rhs += q1[k] + q2[k] + q12[k]
             # lower-mu transport terms: - sum_{j>=1} mu_j' d_theta b_{k-j}
             for j in range(1, k + 1):
-                if np.all(mu_primes[j] == 0):
-                    continue
-                mp = radial_table(mu_primes[j], degree)
-                for i in range(t_cap + 1):
-                    tb = theta_derivative(TaylorTable2D(b[k - j][i]))
-                    rhs[i] -= table_product(mp, tb, degree).t
+                mp = radial_table(mu_primes[j], degree).t
+                rhs -= _sharp(mp[None, None], (b[k - j] * theta)[None], 0, degree)[0][0]
 
         # the accumulated rhs omits the +rdot_k part of R; the radial average
         # of mu' d_theta b vanishes, so rdot_k = -radavg(rhs) and the residue
@@ -800,39 +787,13 @@ def moser_normal_form(
     res = MoserResult(
         a_final=a_final,
         r_final=[],
-        a_of_t=a,
-        r_dot_of_t=rdot,
+        a_of_t=list(a),
+        r_dot_of_t=list(rdot),
         order=order,
         degree=degree,
     )
     res.r_final = res.r_at(1.0)
     return res
-
-
-def _tsym_bracket_tail(f, g, j_min, order, degree):
-    """t-dependent version of sharp_bracket_tail (no Poisson subtraction)."""
-    t_cap = f[0].shape[0] - 1
-    out = [_tzero(t_cap, degree) for _ in range(order + 1)]
-    dzf = {0: f}
-    dvf = {0: f}
-    dzg = {0: g}
-    dvg = {0: g}
-    for j in range(1, order + 1):
-        dzf[j] = [np.stack([dz(TaylorTable2D(s)).t for s in x]) for x in dzf[j - 1]]
-        dvf[j] = [np.stack([dzbar(TaylorTable2D(s)).t for s in x]) for x in dvf[j - 1]]
-        dzg[j] = [np.stack([dz(TaylorTable2D(s)).t for s in x]) for x in dzg[j - 1]]
-        dvg[j] = [np.stack([dzbar(TaylorTable2D(s)).t for s in x]) for x in dvg[j - 1]]
-    for j in range(j_min, order + 1):
-        c = (-1.0) ** j / factorial(j)
-        for k in range(len(f)):
-            for l in range(len(g)):
-                m = j + k + l
-                if m > order:
-                    continue
-                out[m] += c * (
-                    _t_mul(dzf[j][k], dvg[j][l], degree) - _t_mul(dzg[j][l], dvf[j][k], degree)
-                )
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -894,16 +855,6 @@ def oscillator_function_from_symbol(mu_b: FormalSymbol) -> list[np.ndarray]:
         # at order 0 the sharp power contributes s^j exactly, so target IS mu_l
         profiles.append(target)
     return profiles
-
-
-def oscillator_eigenvalues(profiles: list[np.ndarray], hbar: float, count: int) -> np.ndarray:
-    """Eigenvalues mu(hbar (l+1)) of mu(T(|z|^2)) for l = 0..count-1."""
-    lam = np.zeros(count, dtype=complex)
-    grid = hbar * (np.arange(count) + 1.0)
-    for k, prof in enumerate(profiles):
-        vals = np.polynomial.polynomial.polyval(grid, np.asarray(prof, dtype=complex))
-        lam += hbar**k * vals
-    return lam
 
 
 # ---------------------------------------------------------------------------
@@ -975,7 +926,6 @@ def birkhoff_normal_form(f: TaylorTable2D, degree: int | None = None) -> Birkhof
     if abs(f.t[0, 0]) > 1e-12 or abs(f.t[1, 0]) > 1e-12 or abs(f.t[0, 1]) > 1e-12:
         raise ValueError("expected f(0) = 0 and df(0) = 0")
     form = ComplexQuadraticForm.from_zv_coefficients(f.t[2, 0], f.t[1, 1], f.t[0, 2])
-    checks_ok = True
     try:
         nf = reduce_quadratic(form)
     except Exception as exc:

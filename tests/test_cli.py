@@ -71,6 +71,8 @@ class TestSubcommands:
         assert main(["action", "--d", "1,0", "--energy", "0.3,0", "--winding", "1"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["value"][0] == pytest.approx(2 * np.pi * 0.3)
+        # the closed-form check is relative: |value| ~ 1.8e9 here
+        assert main(["action", "--d", "1e-9,2e-9", "--energy", "0.3,-0.1", "--winding", "2"]) == 0
 
     def test_normal_form_json(self, capsys):
         rc = main(["normal-form", "--symbol", "p^2+q^2"])
@@ -192,6 +194,9 @@ _SPECTRUM = [{"type": "spectrum"}]
 # every input exits with its documented code and a one-line message
 EXIT_CONTRACT = {
     "action-d-three-parts": (["action", "--d", "1,2,3", "--energy", "0.3,0"], 1),
+    "action-d-nan": (["action", "--d", "nan", "--energy", "1"], 1),
+    "action-d-inf": (["action", "--d", "inf", "--energy", "1"], 1),
+    "action-energy-inf": (["action", "--d", "1,0", "--energy", "inf,0"], 1),
     "symbol-is-directory": (["spectrum", "--symbol", ".", "--hbar", "0.1"], 1),
     "moser-negative-order": (["moser", "--symbol", "z", "--order", "-1"], 1),
     "birkhoff-negative-degree": (["birkhoff", "--symbol", "|z|^2+|z|^4", "--degree", "-1"], 1),

@@ -165,9 +165,16 @@ class TestAction:
         assert abs(res["value"]) < 1e-14
 
     def test_large_energy_ratio_is_closed(self):
-        # |E/d| = 3e8: the endpoint gap of the circle is roundoff, 4e-12 absolute
-        res = action_integral(1e-9, 0.3, 1)
-        assert abs(res["value"] - res["closed_form"]) <= 1e-15 * abs(res["closed_form"])
+        # |E/d| ~ 1e8: the endpoint gap of the circle is roundoff (4e-12 absolute)
+        # and the value ~ 1e9 has an ulp above 1e-8, so every bound is relative
+        for d, energy, winding in ((1e-9, 0.3, 1), (1e-9 + 2e-9j, 0.3 - 0.1j, 2)):
+            res = action_integral(d, energy, winding)
+            assert abs(res["value"] - res["closed_form"]) <= 1e-15 * abs(res["closed_form"])
+            assert res["nodes"] == 32  # a constant integrand agrees at the first doubling
+
+    def test_unsettled_quadrature_raises(self):
+        with pytest.raises(NoConvergence, match="65536 nodes"):
+            action_integral(1.0, 0.3, 1, tol=-1.0)  # a negative tolerance is never met
 
     def test_winding_doubles(self):
         one = action_integral(0.8 - 0.1j, 0.2 + 0.1j, 1)

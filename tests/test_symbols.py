@@ -2,6 +2,9 @@
 theta calculus, cohomology, inverses, Moser, oscillator functions, and the
 degree-by-degree normal forms."""
 
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +16,8 @@ from bargspec.symbols import (
     FormalSymbol,
     NonzeroAverage,
     TaylorTable2D,
+    _bracket,
+    _sharp,
     birkhoff_normal_form,
     cohomology_solve,
     divide_by_radial,
@@ -33,6 +38,7 @@ from bargspec.symbols import (
     sharp_inverse,
     sharp_product,
     table_from_dict,
+    table_product,
     theta_antiderivative,
     theta_derivative,
 )
@@ -87,6 +93,68 @@ class TestSharpProduct:
         g = FormalSymbol([table_from_dict({(0, 2): 1.0}, 2)])
         p = sharp_product(f, g, 1, 2)  # true product has degree 4
         assert p.truncated
+
+
+class TestSharpKernel:
+    """The one sharp-series kernel, on its t-polynomial route and its imports."""
+
+    @staticmethod
+    def rand_t_symbol(rng, order, degree, t_degree, t_len):
+        """Stacked (order+1, t_len, D+1, D+1) symbol polynomial in t of t-degree t_degree."""
+        x = np.zeros((order + 1, t_len, degree + 1, degree + 1), dtype=complex)
+        for k in range(order + 1):
+            for s in range(t_degree + 1):
+                x[k, s] = rand_table(rng, degree).t
+        return x
+
+    @staticmethod
+    def at_time(x, tau):
+        return FormalSymbol([TaylorTable2D(t) for t in np.tensordot(tau ** np.arange(x.shape[1]), x, (0, 1))])
+
+    @pytest.mark.parametrize("j_min", [0, 2])
+    def test_t_route_matches_plain_route(self, j_min):
+        # t-degree 2 on a 5-layer t-axis: every product, up to t^4, fits
+        rng = np.random.default_rng(7)
+        order, deg = 3, 6
+        ft, gt = (self.rand_t_symbol(rng, 1, deg, 2, 5) for _ in range(2))
+        if j_min == 0:
+            timed, _ = _sharp(ft, gt, order, deg)
+            plain = lambda f, g: sharp_product(f, g, order, deg)
+        else:
+            timed, _ = _bracket(ft, gt, order, deg, j_min)
+            plain = lambda f, g: sharp_bracket_tail(f, g, j_min, order, deg)
+        for tau in (0.0, 0.4, 1.0):
+            ref = plain(self.at_time(ft, tau), self.at_time(gt, tau))
+            assert (self.at_time(timed, tau) - ref).norm_inf() <= 1e-12 * ref.norm_inf()
+
+    def test_table_product_matches_definition(self):
+        # out[a, b] = sum x[i, j] y[a-i, b-j] over a + b <= degree, for unequal sizes
+        rng = np.random.default_rng(8)
+        for na, nb, degree in ((3, 5, 2), (4, 4, 3), (5, 3, 6), (2, 6, 9), (3, 3, 8)):
+            x = rng.normal(size=(na, na)) + 1j * rng.normal(size=(na, na))
+            y = rng.normal(size=(nb, nb)) + 1j * rng.normal(size=(nb, nb))
+            ref = np.zeros((degree + 1, degree + 1), dtype=complex)
+            for i, j, k, l in np.ndindex(na, na, nb, nb):
+                if i + j + k + l <= degree:
+                    ref[i + k, j + l] += x[i, j] * y[k, l]
+            got = table_product(TaylorTable2D(x), TaylorTable2D(y), degree)
+            assert np.abs(got.t - ref).max() <= 1e-14 * np.abs(ref).max()
+            assert got.truncated == (degree < 2 * (na - 1) + 2 * (nb - 1))
+
+    def test_normal_forms_do_not_import_scipy_signal(self):
+        code = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from bargspec import symbols\n"
+            "tab = symbols.table_from_dict({(1, 1): 1.0, (2, 0): 0.2, (3, 0): 0.3, (2, 1): 0.1j}, 6)\n"
+            "symbols.birkhoff_normal_form(tab, 6)\n"
+            "mu = symbols.FormalSymbol([symbols.radial_table(np.array([0, 1.0]), 6)])\n"
+            "g = symbols.FormalSymbol([symbols.table_from_dict({(2, 1): 0.3, (1, 0): 1.0}, 6)])\n"
+            "symbols.moser_normal_form(mu, g, 2, 6)\n"
+            "assert 'scipy.signal' not in sys.modules, 'scipy.signal was imported'\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestFormalNorm:
@@ -178,7 +246,9 @@ class TestThetaCalculus:
     def test_poisson_antisymmetric_bilinear(self):
         rng = np.random.default_rng(6)
         f, g = rand_table(rng, 4, 6), rand_table(rng, 4, 6)
-        assert (poisson_bracket(f, g) + poisson_bracket(g, f)).norm_inf() < 1e-14
+        fg = poisson_bracket(f, g)
+        # relative: outputs are of size ~45, where 1e-14 absolute is under 2 ulps
+        assert (fg + poisson_bracket(g, f)).norm_inf() < 1e-15 * max(1.0, fg.norm_inf())
 
     def test_theta_antiderivative_examples(self):
         z = table_from_dict({(1, 0): 1}, 3)
