@@ -3,16 +3,25 @@ matrices, resolvent-norm grids and c-analytic pseudospectra, action integrals
 on complexified energy levels, Bohr-Sommerfeld index residuals, and multi-well
 lattice matching.
 
-The grid evaluation contract: every lambda sample is independent and
-side-effect free; workers write to disjoint slots.  BSL_THREADS caps the
-worker count (sigma_min calls release the GIL inside LAPACK).
+Resolvent grids are one batched computation in one thread, not a loop over
+lambda.  A monomial z^a zbar^b fills the diagonal a - b of a truncated
+Toeplitz matrix, so the matrix splits into blocks by index mod the gcd g of
+its diagonal offsets (parity blocks for symbols in z^2, zbar^2 and |z|^2),
+each banded.  Every block of every shifted matrix M - lambda gets a pivoted
+banded LU, and block inverse iteration on A^H A runs vectorised over all of
+them with a per-pair convergence mask (Trefethen, Computation of
+pseudospectra, Acta Numerica 1999).  `sigma_min` at a single point keeps the
+dense SVD up to its cutoff, the route the tests compare the grid against.
+
+Every adaptive loop ends with an explicit status: a loop that runs out of
+steps raises (NoConvergence, or InversionFailed for the Bohr-Sommerfeld
+inversion) rather than returning its last iterate.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg as sla
@@ -67,10 +76,9 @@ class UnmatchedEigenvalue(RuntimeError):
 
 
 def _worker_count() -> int:
-    env = os.environ.get("BSL_THREADS")
-    if env:
-        return max(1, int(env))
-    return min(4, os.cpu_count() or 1)
+    # kept for the perfbench tracer hook, which records the worker count of
+    # each resolvent_grid call; grids are batched in one thread
+    return 1
 
 
 # ---------------------------------------------------------------------------
@@ -125,64 +133,319 @@ def eigen_spectrum(
 
 def sigma_min(mat: np.ndarray, lam: complex, dense_cutoff: int = 512) -> float:
     """Smallest singular value of (mat - lam I): full SVD up to dense_cutoff,
-    inverse iteration on (A^H A) above it."""
-    a = mat - lam * np.eye(mat.shape[0])
+    the batched banded kernel of `resolvent_grid` at this one point above it."""
     if mat.shape[0] <= dense_cutoff:
-        return float(sla.svdvals(a)[-1])
-    return _sigma_min_inverse_iteration(a)
+        return float(sla.svdvals(mat - lam * np.eye(mat.shape[0]))[-1])
+    return float(_sigma_min_banded(mat, np.array([lam], dtype=complex))[0])
 
 
-def _sigma_min_inverse_iteration(a: np.ndarray, max_iter: int = 40, rtol: float = 1e-9) -> float:
-    """Block (size 2) inverse iteration on A^H A with Rayleigh-Ritz extraction;
-    the block resolves clustered smallest singular pairs.
+# band entries (grid points x blocks x rows x band width) per chunk of grid
+# points: bounds the memory of the batched LU and the iteration vectors
+_CHUNK_ENTRIES = 1 << 18
 
-    Toeplitz compressions are banded, so the factorisation goes through a
-    sparse LU whenever the matrix is sparse enough; deep inside the
-    pseudospectrum many singular values sit at the roundoff floor and the
-    iteration would crawl, so estimates far below any usable mask threshold
-    exit early (the value only needs to be tiny there)."""
-    import warnings
 
-    import scipy.sparse as sp
-    import scipy.sparse.linalg as spla
+def _band_blocks(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """The blocks of mat by index mod g, in band form.
 
-    n = a.shape[0]
-    nnz = int(np.count_nonzero(a))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        try:
-            if nnz < 0.25 * n * n:
-                lu = spla.splu(sp.csc_matrix(a))
-                solve_h = lambda b: lu.solve(b, trans="H")
-                solve_n = lu.solve
-            else:
-                fac = sla.lu_factor(a)
-                solve_h = lambda b: sla.lu_solve(fac, b, trans=2)
-                solve_n = lambda b: sla.lu_solve(fac, b)
-        except RuntimeError:
-            return 0.0  # exactly singular
-    floor = 1e-12 * float(np.abs(a).sum(axis=0).max())
-    v = np.ones((n, 2), dtype=complex)
-    v[::2, 1] = -1.0
-    v, _ = np.linalg.qr(v)
-    prev = np.inf
-    est = prev
+    Entry (i, j) lies on diagonal i - j; a monomial z^a zbar^b fills diagonal
+    a - b.  With g the gcd of the nonzero offsets, indices in different
+    classes mod g never couple, so block r holds the indices r + g i,
+    i < m = ceil(n / g), and is banded with kl = max(offset)/g sub- and
+    ku = max(-offset)/g superdiagonals.  With no nonzero offset, g = n and
+    every index is its own 1x1 block.
+
+    Returns band (m, g, kl+ku+1) with band[i, r, c] = B_r[i, i - kl + c] (zero
+    outside the matrix), `pad` (m, g), true on the rows r + g i >= n that make
+    every block m x m, and kl.
+    """
+    n = mat.shape[0]
+    rows, cols = np.nonzero(mat)
+    offsets = np.unique(rows - cols)
+    if not offsets.any():
+        g, kl, ku = n, 0, 0
+    else:
+        g = int(np.gcd.reduce(offsets))
+        kl, ku = max(int(offsets.max()), 0) // g, max(-int(offsets.min()), 0) // g
+    m = -(-n // g)
+    i = np.arange(m)[:, None, None]
+    r = np.arange(g)[None, :, None]
+    row = r + g * i
+    col = row + g * (np.arange(kl + ku + 1)[None, None, :] - kl)
+    inside = (row < n) & (col >= 0) & (col < n)
+    band = np.where(inside, mat[np.minimum(row, n - 1), np.clip(col, 0, n - 1)], 0.0)
+    return band, row[:, :, 0] >= n, kl
+
+
+class _BandLU(NamedTuple):
+    """Partial-pivoting LU of a batch of B banded m x m matrices, in LAPACK
+    gbtrf order: step j swaps row j with row j + piv[j], then subtracts
+    lo[j, r] times row j from row j + 1 + r.  The coefficients are laid out
+    to broadcast against rows of the right-hand sides (m, B, k):
+    up[j, c - 1] = U[j, j + c], uh[j, c] = conj(U[j - wu + 1 + c, j]) (the
+    row of U^H below the diagonal, wu = kl + ku + 1), dinv = 1 / U[j, j].
+    `swaps[j]` says whether any row moved at step j."""
+
+    up: np.ndarray  # (m, wu - 1, B, 1)
+    uh: np.ndarray  # (m, wu - 1, B, 1)
+    lo: np.ndarray  # (m, kl, B, 1)
+    dinv: np.ndarray  # (m, B, 1)
+    piv: np.ndarray  # (m, B)
+    swaps: list[bool]
+
+    def take(self, keep: np.ndarray) -> "_BandLU":
+        piv = self.piv[:, keep]
+        return _BandLU(
+            self.up[:, :, keep], self.uh[:, :, keep], self.lo[:, :, keep], self.dinv[:, keep], piv, list(piv.any(axis=1))
+        )
+
+
+def _band_lu(a: np.ndarray, kl: int) -> tuple[_BandLU, np.ndarray]:
+    """Factor the batch a (m, B, kl+ku+1), a[i, b, c] = A_b[i, i - kl + c].
+
+    Returns the factors and a (B,) mask of the matrices with an exactly zero
+    pivot.  Partial pivoting meets a zero pivot only when a whole remaining
+    column is zero, so those matrices are singular; their zero pivots are
+    replaced by 1 so the batch stays finite."""
+    m, nb, w = a.shape
+    ar = np.arange(nb)
+    u = np.empty((m, w, nb), dtype=complex)
+    lo = np.empty((m, kl, nb, 1), dtype=complex)
+    piv = np.zeros((m, nb), dtype=np.intp)
+    singular = np.zeros(nb, dtype=bool)
+    # rows j..j+kl of the partly eliminated matrix, columns j..j+kl+ku
+    front = np.zeros((kl + 1, nb, w), dtype=complex)
+    for i in range(min(kl + 1, m)):
+        front[i, :, : w - kl + i] = a[i, :, kl - i :]
+    for j in range(m):
+        p = np.argmax(np.abs(front[:, :, 0]), axis=0)
+        top = front[p, ar]
+        front[p, ar] = front[0]
+        zero = top[:, 0] == 0
+        singular |= zero
+        top[zero, 0] = 1.0
+        mult = front[1:, :, 0] / top[:, 0]
+        front[1:] -= mult[:, :, None] * top
+        u[j], lo[j, :, :, 0], piv[j] = top.T, mult, p
+        front[:-1, :, :-1] = front[1:, :, 1:]
+        front[:-1, :, -1] = 0.0
+        front[-1] = a[j + kl + 1] if j + kl + 1 < m else 0.0
+    uh = np.zeros((m, w - 1, nb), dtype=complex)
+    for c in range(1, min(w, m)):
+        uh[c:, w - 1 - c] = u[: m - c, c].conj()
+    up = u[:, 1:, :, None].copy()
+    return _BandLU(up, uh[..., None], lo, 1.0 / u[:, 0, :, None], piv, list(piv.any(axis=1))), singular
+
+
+def _swap_rows(win: np.ndarray, p: np.ndarray) -> None:
+    """Swap row 0 with row p[b] of win (rows, B, k), batch member by member."""
+    ar = np.arange(win.shape[1])
+    top = win[p, ar]
+    win[p, ar] = win[0]
+    win[0] = top
+
+
+def _solve(f: _BandLU, b: np.ndarray) -> np.ndarray:
+    """x with A x = b for every matrix of the batch; b is (m, B, k)."""
+    m, wu1, kl = f.up.shape[0], f.up.shape[1], f.lo.shape[1]
+    x = np.zeros((m + max(kl, wu1), *b.shape[1:]), dtype=complex)
+    x[:m] = b
+    if kl:
+        for j in range(m):
+            if f.swaps[j]:
+                _swap_rows(x[j : j + kl + 1], f.piv[j])
+            x[j + 1 : j + kl + 1] -= f.lo[j] * x[j]
+    for j in range(m - 1, -1, -1):
+        x[j] = (x[j] - (f.up[j] * x[j + 1 : j + 1 + wu1]).sum(axis=0)) * f.dinv[j]
+    return x[:m]
+
+
+def _solve_h(f: _BandLU, b: np.ndarray) -> np.ndarray:
+    """x with A^H x = b for every matrix of the batch; b is (m, B, k)."""
+    m, wu1, kl = f.uh.shape[0], f.uh.shape[1], f.lo.shape[1]
+    x = np.zeros((wu1 + m + kl, *b.shape[1:]), dtype=complex)
+    x[wu1 : wu1 + m] = b
+    dinvh, loh = f.dinv.conj(), f.lo.conj()
+    for j in range(m):
+        x[j + wu1] = (x[j + wu1] - (f.uh[j] * x[j : j + wu1]).sum(axis=0)) * dinvh[j]
+    x = x[wu1:]
+    if kl:
+        for j in range(m - 1, -1, -1):
+            x[j] -= (loh[j] * x[j + 1 : j + kl + 1]).sum(axis=0)
+            if f.swaps[j]:
+                _swap_rows(x[j : j + kl + 1], f.piv[j])
+    return x[:m]
+
+
+def _project_out(q: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """y minus its component along the unit vectors q, both (m, B), and the
+    coefficient removed; projected twice, so the result is orthogonal to q
+    to roundoff."""
+    coef = 0.0
+    for _ in range(2):
+        proj = np.einsum("ib,ib->b", q.conj(), y)
+        y = y - q * proj
+        coef = coef + proj
+    return y, coef
+
+
+def _orthonormal_pair(w: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the two columns of each (m, 2) slice of w (m, B, 2)."""
+    q0 = w[:, :, 0] / np.linalg.norm(w[:, :, 0], axis=0)
+    q1, _ = _project_out(q0, w[:, :, 1] / np.linalg.norm(w[:, :, 1], axis=0))
+    return np.stack([q0, q1 / np.linalg.norm(q1, axis=0)], axis=2)
+
+
+def _sigma_min_pair(x: np.ndarray) -> np.ndarray:
+    """Smallest singular value of each (m, 2) slice of x (m, B, 2).
+
+    Column-pivoted Gram-Schmidt gives the triangular factor [[f, g], [0, h]],
+    whose singular values satisfy s_max +- s_min = sqrt((f +- h)^2 + |g|^2);
+    s_min = f h / s_max then carries no cancellation, as the eigenvalues of
+    x^H x would for s_min << s_max."""
+    norms = np.linalg.norm(x, axis=0)
+    big = norms[:, 0] >= norms[:, 1]
+    f = np.where(big, norms[:, 0], norms[:, 1])
+    q = np.where(big, x[:, :, 0], x[:, :, 1]) / np.where(f > 0, f, 1.0)
+    y, g = _project_out(q, np.where(big, x[:, :, 1], x[:, :, 0]))
+    h = np.linalg.norm(y, axis=0)
+    s_max = 0.5 * (np.hypot(f + h, np.abs(g)) + np.hypot(f - h, np.abs(g)))
+    return np.divide(f * h, s_max, out=np.zeros_like(f), where=s_max != 0)  # NaN stays NaN
+
+
+def _band_matvec(a: np.ndarray, v: np.ndarray, kl: int) -> np.ndarray:
+    """A v for the batch a (m, B, w) in band form and v (m, B, k)."""
+    m, nb, w = a.shape
+    vp = np.zeros((m + w - 1, nb, v.shape[2]), dtype=complex)
+    vp[kl : kl + m] = v
+    return sum(a[:, :, c, None] * vp[c : c + m] for c in range(w))
+
+
+def _sigma_min_banded(
+    mat: np.ndarray,
+    lams: np.ndarray,
+    max_iter: int = 60,
+    rtol: float = 1e-9,
+) -> np.ndarray:
+    """sigma_min(mat - lam I) at every lam, batched over the points and the
+    blocks of `_band_blocks`.
+
+    Each block of each shifted matrix (a point-block pair) gets a pivoted
+    banded LU; then block (size 2) inverse iteration on A^H A with
+    Rayleigh-Ritz extraction runs on all pairs at once, each with its own
+    convergence test (`_block_inverse_iteration`).  From the third step a
+    pair is also done once its estimate sits below the roundoff floor
+    1e-12 ||mat - lam||_1: deep inside the pseudospectrum many singular
+    values are at that floor, the iteration would crawl, and the value only
+    needs to be tiny there.  An exactly zero pivot makes a block singular, so
+    its sigma is 0.  sigma_min is the minimum over the blocks; a diagonal
+    matrix (1x1 blocks) is exact without iteration.
+
+    Raises NoConvergence when a pair is still unsettled after max_iter steps
+    or an iterate is not finite.  Grid points go through in chunks of
+    _CHUNK_ENTRIES band entries, so memory stays bounded."""
+    lams = np.asarray(lams, dtype=complex).ravel()
+    band, pad, kl = _band_blocks(mat)
+    m, g, w = band.shape
+    absm = np.abs(mat)
+    diag = np.diagonal(mat)
+    off_colsum = absm.sum(axis=0) - np.abs(diag)
+    norm = max(absm.sum(axis=0).max(), absm.sum(axis=1).max())
+    out = np.empty(lams.size)
+    chunk = max(1, _CHUNK_ENTRIES // band.size)
+    for s in range(0, lams.size, chunk):
+        lam = lams[s : s + chunk]
+        if m == 1:  # diagonal: 1x1 blocks, exact
+            out[s : s + chunk] = np.abs(band[0, :, 0][None, :] - lam[:, None]).min(axis=1)
+            continue
+        floor = 1e-12 * np.max(off_colsum + np.abs(diag - lam[:, None]), axis=1)
+        a = np.repeat(band[:, None], lam.size, axis=1)
+        # padding rows get a decoupled diagonal entry above every singular value
+        a[..., kl] = np.where(
+            pad[:, None, :],
+            (norm + np.abs(lam) + 1.0)[None, :, None],
+            a[..., kl] - lam[None, :, None],
+        )
+        sig = _block_inverse_iteration(a.reshape(m, -1, w), kl, g, np.repeat(floor, g), max_iter, rtol)
+        out[s : s + chunk] = sig.reshape(-1, g).min(axis=1)
+    return out
+
+
+def _band_dense(a: np.ndarray, kl: int) -> np.ndarray:
+    """The m x m matrix of one band a (m, w), a[i, c] = A[i, i - kl + c]."""
+    i, c = np.indices(a.shape)
+    col = i - kl + c
+    inside = (col >= 0) & (col < a.shape[0])
+    dense = np.zeros((a.shape[0],) * 2, dtype=complex)
+    dense[i[inside], col[inside]] = a[inside]
+    return dense
+
+
+def _block_inverse_iteration(a, kl, g, floor, max_iter, rtol) -> np.ndarray:
+    """sigma_min of each banded matrix of the batch a (m, B, w), B = points x g.
+
+    Convergence is judged from the relative steps s_t of a pair's estimate
+    and their ratio r_t = s_t / s_{t-1}, the contraction rate.  From the
+    fourth step a pair is done when s_t <= rtol (1 - r_t), which bounds the
+    remaining error s_t r_t / (1 - r_t) by rtol, and r_t r_{t-1} <= 1/4: the
+    step must really shrink, since in a tight cluster of singular values the
+    steps can sit flat at a few hundred ulps from the start, where their
+    ratio is roundoff and says nothing.
+
+    A pair whose step has not halved in each of its last three steps, from
+    the fifth step on, has a cluster of singular values in its block (far
+    from the spectrum of a near-normal matrix, say), where the iteration
+    would need hundreds of steps; its block gets a dense SVD instead.  (A
+    single rate is no guide early on: the block often settles near sigma_2
+    before it finds sigma_1.)"""
+    f, singular = _band_lu(a, kl)
+    m, nb, _ = a.shape
+    sigma = np.zeros(nb)
+    # the working batch: pairs not yet done, plus done ones not yet dropped
+    # (the batch is compacted once half of it is done)
+    idx = np.flatnonzero(~singular)
+    if idx.size < nb:
+        a, f = a[:, idx], f.take(idx)
+    floor = floor[idx]
+    live = np.ones(idx.size, dtype=bool)
+    v = np.ones((m, idx.size, 2), dtype=complex)
+    v[1::2, :, 1] = -1.0
+    v = _orthonormal_pair(v)
+    prev = np.full(idx.size, np.inf)
+    steps = np.full((4, idx.size), np.inf)  # the last four relative steps, newest first
     for it in range(max_iter):
-        u = solve_h(v)
-        w = solve_n(u)
-        if not np.all(np.isfinite(w)):
-            return 0.0
-        v, _ = np.linalg.qr(w)
-        av = a @ v
-        gram = av.conj().T @ av
-        evs = np.linalg.eigvalsh(0.5 * (gram + gram.conj().T))
-        est = float(np.sqrt(max(evs[0], 0.0)))
-        if abs(est - prev) <= rtol * max(est, 1e-300):
-            return est
-        if it >= 2 and est <= floor:
-            return est
+        x = _solve_h(f, v)
+        x /= np.abs(x).max(axis=(0, 2))[None, :, None]  # keeps (A^H A)^-1 v in range
+        v = _orthonormal_pair(_solve(f, x))
+        est = _sigma_min_pair(_band_matvec(a, v, kl))
+        if not np.all(np.isfinite(est)):
+            bad = np.unique(idx[~np.isfinite(est)] // g).size
+            raise NoConvergence(f"inverse iteration: non-finite iterate at {bad} grid point(s) after {it + 1} step(s)")
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            steps = np.roll(steps, 1, axis=0)
+            steps[0] = np.abs(est - prev) / est
+            rates = np.nan_to_num(steps[:3] / steps[1:], nan=1.0)
+            # a rate >= 1 is roundoff jitter of a settled estimate, or a jump:
+            # then only a step below rtol 1e-6 counts as settled
+            settled = (steps[0] <= rtol * np.maximum(1.0 - rates[0], 1e-6)) & (rates[0] * rates[1] <= 0.25)
+        done = live & (((it >= 3) & settled) | ((it >= 2) & (est <= floor)))
+        slow = live & ~done & (it >= 4) & np.all(rates > 0.5, axis=0)
+        sigma[idx[done]] = est[done]
+        for j in np.flatnonzero(slow):
+            sigma[idx[j]] = sla.svdvals(_band_dense(a[:, j], kl))[-1]
+        live &= ~(done | slow)
+        if not live.any():
+            return sigma
         prev = est
-    return float(est)
+        if 2 * np.count_nonzero(live) <= live.size:
+            keep = np.flatnonzero(live)
+            a, f, v, idx, floor, prev, steps = (
+                a[:, keep], f.take(keep), v[:, keep], idx[keep], floor[keep], prev[keep], steps[:, keep]
+            )
+            live = np.ones(keep.size, dtype=bool)
+    raise NoConvergence(
+        f"inverse iteration: {np.unique(idx[live] // g).size} grid point(s) unconverged after {max_iter} steps, "
+        f"worst relative step {float(np.max(steps[0, live])):.2e}"
+    )
 
 
 @dataclass
@@ -216,33 +479,20 @@ def resolvent_grid(
     rect: tuple[float, float, float, float],
     resolution: tuple[int, int],
     workers: int | None = None,
-    dense_cutoff: int = 192,
 ) -> PseudospectrumField:
-    """sigma_min(M - lambda) over a rectangle; embarrassingly parallel.
-
-    Grid throughput dominates runtime, so grids switch from full SVD to the
-    LU-based block inverse iteration already at n > 192 (pointwise sigma_min
-    keeps the dense route up to 512)."""
+    """sigma_min(M - lambda) over a rectangle, every point in one batched
+    banded computation (`_sigma_min_banded`): the blocks of M by index mod the
+    gcd of its diagonal offsets, one pivoted LU per block and point, and block
+    inverse iteration vectorised over all of them.  `workers` is accepted and
+    ignored: the batch runs in one thread."""
     x0, x1, y0, y1 = rect
     nx, ny = resolution
     if nx < 2 or ny < 2:
         raise ValueError("resolution must be >= 2 per axis")
     xs = np.linspace(x0, x1, nx)
     ys = np.linspace(y0, y1, ny)
-    sigma = np.empty((ny, nx))
-    workers = _worker_count() if workers is None else workers
-    mat = m.entries
-
-    def fill_row(iy: int) -> None:
-        for ix in range(nx):
-            sigma[iy, ix] = sigma_min(mat, xs[ix] + 1j * ys[iy], dense_cutoff=dense_cutoff)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fill_row, range(ny)))
-    else:
-        for iy in range(ny):
-            fill_row(iy)
+    lam = xs[None, :] + 1j * ys[:, None]
+    sigma = _sigma_min_banded(m.entries, lam).reshape(ny, nx)
     return PseudospectrumField(xs=xs, ys=ys, sigma=sigma, n_max=m.dim, hbar=m.hbar)
 
 
@@ -365,6 +615,19 @@ def action_integral(
     raise NoConvergence(f"action quadrature still moving by {gap:.3e} at {n} nodes")
 
 
+def _newton_vbar(extension, x: complex, v: complex, energy: complex) -> complex:
+    """Solve extension(x, v) = energy for v by Newton from v (central-difference
+    derivative); NoConvergence if 60 steps leave the residual above tolerance."""
+    h = 1e-7
+    for _ in range(60):
+        fv = extension(x, v) - energy
+        if abs(fv) < 1e-13 * max(1.0, abs(energy)):
+            return v
+        dfdv = (extension(x, v + h) - extension(x, v - h)) / (2 * h)
+        v = v - fv / dfdv
+    raise NoConvergence(f"level-set Newton at x = {x:.6g}: residual {abs(extension(x, v) - energy):.3e} after 60 steps")
+
+
 def action_level_set(
     extension,
     energy: complex,
@@ -375,7 +638,9 @@ def action_level_set(
 ) -> complex:
     """-i oint vbar dx on the level set {f~(x, vbar) = E}, parametrised by
     x(t) on a circle and vbar(t) solved by Newton continuation; raises
-    NonClosedContour if the continuation does not return to its start."""
+    NonClosedContour if the continuation does not return to its start.
+    Nodes double until two values agree to `tol` relative, else NoConvergence
+    after 8 doublings; a node whose Newton solve fails raises NoConvergence."""
     if radius is None:
         radius = abs(np.sqrt(complex(energy) / complex(d_seed)))
 
@@ -384,24 +649,10 @@ def action_level_set(
         xs = radius * np.exp(1j * t)
         vbars = np.empty(n, dtype=complex)
         v = complex(energy) / (complex(d_seed) * xs[0])
-        h = 1e-7
         for j, x in enumerate(xs):
-            for _ in range(60):
-                fv = extension(x, v) - energy
-                if abs(fv) < 1e-13 * max(1.0, abs(energy)):
-                    break
-                dfdv = (extension(x, v + h) - extension(x, v - h)) / (2 * h)
-                v = v - fv / dfdv
-            vbars[j] = v
+            v = vbars[j] = _newton_vbar(extension, x, v, energy)
         # closure check: continue from the last node back to t = 0
-        v_close = vbars[-1]
-        x0 = xs[0]
-        for _ in range(60):
-            fv = extension(x0, v_close) - energy
-            if abs(fv) < 1e-13 * max(1.0, abs(energy)):
-                break
-            dfdv = (extension(x0, v_close + h) - extension(x0, v_close - h)) / (2 * h)
-            v_close = v_close - fv / dfdv
+        v_close = _newton_vbar(extension, xs[0], vbars[-1], energy)
         if abs(v_close - vbars[0]) > 1e-9 * max(1.0, abs(vbars[0])):
             raise NonClosedContour(f"level-set loop mismatch {abs(v_close - vbars[0]):.2e}")
         dx = 1j * xs
@@ -412,10 +663,11 @@ def action_level_set(
     for _ in range(8):
         n *= 2
         cur = complex(solve_ring(n).mean() * 2 * np.pi * winding)
-        if abs(cur - prev) < tol:
+        gap = abs(cur - prev)
+        if gap <= tol * abs(cur):
             return cur
         prev = cur
-    return prev
+    raise NoConvergence(f"level-set action still moving by {gap:.3e} at {n} nodes")
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,11 @@ action integrals, Bohr-Sommerfeld residuals, multi-well matching."""
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from bargspec import spectral
 from bargspec.bargmann import MonomialSymbol, ToeplitzMatrix, assemble_toeplitz, toeplitz_radial
 from bargspec.quadratic import ComplexQuadraticForm, exact_quadratic_spectrum, reduce_quadratic
 from bargspec.spectral import (
@@ -117,6 +121,93 @@ class TestResolventGrid:
             assert s > 0.3  # order one away from the range
 
 
+# monomials z^a zbar^b on each diagonal offset a - b of the offset sets
+BAND_MONOMIALS = {
+    "0": [(0, 0), (1, 1), (2, 2)],
+    "0,+-2": [(1, 1), (2, 0), (0, 2), (3, 1)],
+    "+-1,+-3": [(1, 0), (0, 1), (3, 0), (0, 3), (2, 1)],
+    "0,+-3": [(0, 0), (1, 1), (3, 0), (0, 3)],
+}
+
+
+def _dense_sigma(mat, lam):
+    return float(sla.svdvals(mat - lam * np.eye(mat.shape[0]))[-1])
+
+
+class TestBandedKernel:
+    """The batched banded route of resolvent_grid against the dense SVD."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        offsets=st.sampled_from(sorted(BAND_MONOMIALS)),
+        n=st.integers(5, 64),
+        coeffs=st.lists(st.complex_numbers(max_magnitude=2.0), min_size=5, max_size=5),
+        centre=st.complex_numbers(max_magnitude=3.0),
+    )
+    def test_grid_matches_dense_svd(self, offsets, n, coeffs, centre):
+        sym = MonomialSymbol(dict(zip(BAND_MONOMIALS[offsets], coeffs)))
+        m = assemble_toeplitz(sym, 0.1, n)
+        rect = (centre.real - 0.3, centre.real + 0.3, centre.imag - 0.2, centre.imag + 0.2)
+        field = resolvent_grid(m, rect, (3, 2))
+        floor = 1e-12 * float(np.abs(m.entries).sum(axis=0).max())
+        for (iy, ix), lam in np.ndenumerate(field.lam_grid()):
+            ref = _dense_sigma(m.entries, lam)
+            assert abs(field.sigma[iy, ix] - ref) <= max(1e-8 * ref, floor)
+
+    @pytest.mark.parametrize("lam", [0.3154 + 0.01j, 0.2662 + 0.1885j])
+    def test_two_well_tunnelling_points(self, lam):
+        # sigma_min is doubly degenerate here, one copy per parity block, and
+        # each block's second singular value contracts an iteration by 0.875
+        c = 1.0 + 0.3j
+        sym = MonomialSymbol({(2, 2): c, (2, 0): -c, (0, 2): -c, (0, 0): c})
+        mat = assemble_toeplitz(sym, 0.05, 256).entries
+        ref = _dense_sigma(mat, lam)
+        assert sigma_min(mat, lam, dense_cutoff=64) == pytest.approx(ref, rel=1e-8)
+
+    @pytest.mark.parametrize(
+        "coeffs, hbar, n, lam",
+        [
+            ({(1, 0): -0.5, (0, 1): 0.5, (3, 0): 0.5, (0, 3): -0.5}, 0.1, 54, -3.7 + 0.3j),
+            ({(1, 0): -0.5, (0, 1): 0.5, (3, 0): 0.5, (0, 3): -0.5}, 0.1, 54, 1000j),
+            ({(1, 0): 1.0, (0, 1): 1.0}, 0.01, 20, 1000j),
+            ({(1, 0): 1.0, (0, 1): 1.0}, 0.01, 40, 300j),
+        ],
+        ids=["cluster-5e-4", "steps-grow", "flat-steps-n20", "flat-steps-n40"],
+    )
+    def test_singular_value_cluster(self, coeffs, hbar, n, lam):
+        # far from the spectrum of a normal matrix sigma_1..sigma_3 agree to
+        # 5e-4 down to 5e-9 relative: block inverse iteration would need
+        # hundreds to thousands of steps, its steps may grow for a while, or
+        # sit flat at a few hundred ulps from the first step on
+        mat = assemble_toeplitz(MonomialSymbol(coeffs), hbar, n).entries
+        assert sigma_min(mat, lam, dense_cutoff=0) == pytest.approx(_dense_sigma(mat, lam), rel=1e-8)
+
+    def test_unconverged_raises(self):
+        mat = assemble_toeplitz(ROT.to_symbol(), 0.05, 256).entries
+        with pytest.raises(NoConvergence, match="1 grid point.*after 1 steps"):
+            spectral._sigma_min_banded(mat, np.array([0.2 + 0.1j]), max_iter=1)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_non_finite_iterate_raises(self):
+        mat = assemble_toeplitz(ROT.to_symbol(), 0.1, 32).entries
+        mat[5, 5] = np.nan
+        with pytest.raises(NoConvergence, match="non-finite"):
+            sigma_min(mat, 0.3, dense_cutoff=0)
+
+    def test_zero_leading_pivot_needs_row_exchange(self):
+        # lambda = M[0, 0] zeroes the first pivot of the even block, which is
+        # not singular: the subdiagonal entry below it becomes the pivot
+        mat = assemble_toeplitz(ROT.to_symbol(), 0.1, 40).entries
+        lam = mat[0, 0]
+        assert sigma_min(mat, lam, dense_cutoff=0) == pytest.approx(_dense_sigma(mat, lam), rel=1e-8)
+
+    def test_zero_pivot_is_singular(self):
+        # upper bidiagonal parity blocks: lambda on the diagonal zeroes a whole
+        # column of the shifted block, which is then exactly singular
+        m = assemble_toeplitz(MonomialSymbol({(1, 1): 1.0, (0, 2): 0.5}), 0.1, 20)
+        assert sigma_min(m.entries, m.entries[3, 3], dense_cutoff=0) == 0.0
+
+
 @pytest.fixture(scope="module")
 def field():
     m = assemble_toeplitz(ROT.to_symbol(), 0.05, 220)
@@ -198,6 +289,11 @@ class TestAction:
             val = action_level_set(ext, energy, 1.0)
             w = (-1 + np.sqrt(1 + 0.4 * energy)) / 0.2
             assert val == pytest.approx(2 * np.pi * w, abs=1e-9)
+
+    def test_level_set_unsettled_raises(self):
+        ext = lambda x, v: x * v + 0.1 * (x * v) ** 2
+        with pytest.raises(NoConvergence, match="16384 nodes"):
+            action_level_set(ext, 0.05, 1.0, tol=-1.0)  # a negative tolerance is never met
 
     def test_level_set_closure_failure(self):
         # a genuinely multivalued vbar-branch around the loop fails to close:
