@@ -28,6 +28,7 @@ __all__ = [
     "MonomialSymbol",
     "ToeplitzMatrix",
     "QuadratureError",
+    "NoConvergence",
     "check_hbar",
     "monomial_band_entries",
     "monomial_matrix",
@@ -44,6 +45,14 @@ _FACTORIAL_SAFE = 10_000_000
 
 class QuadratureError(RuntimeError):
     """Quadrature failed to reach the requested accuracy."""
+
+
+class NoConvergence(RuntimeError):
+    """An adaptive loop ran out of steps; `result` holds its last state, if any."""
+
+    def __init__(self, msg, result=None):
+        super().__init__(msg)
+        self.result = result
 
 
 @lru_cache(maxsize=16)

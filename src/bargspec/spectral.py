@@ -27,7 +27,7 @@ import numpy as np
 import scipy.linalg as sla
 from scipy import ndimage
 
-from .bargmann import MonomialSymbol, ToeplitzMatrix, assemble_toeplitz, check_hbar
+from .bargmann import MonomialSymbol, NoConvergence, ToeplitzMatrix, assemble_toeplitz, check_hbar
 from .quadratic import NormalFormData
 from .symbols import (
     FormalSymbol,
@@ -55,12 +55,6 @@ __all__ = [
     "multiwell_compare",
     "numerical_range_boundary",
 ]
-
-
-class NoConvergence(RuntimeError):
-    def __init__(self, msg, result=None):
-        super().__init__(msg)
-        self.result = result
 
 
 class NonClosedContour(RuntimeError):

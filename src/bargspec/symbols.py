@@ -1,9 +1,12 @@
 """Truncated analytic-symbol arithmetic on the Bargmann side.
 
 A TaylorTable2D stores the normalised Taylor data t[a, b] = d_z^a d_zbar^b
-f(0) / (a! b!) of a germ at 0, up to a total degree cap; a FormalSymbol is a
-finite hbar-expansion of such tables.  hbar stays a formal index throughout:
-no float hbar enters the algebra until matrices are assembled.
+f(0) / (a! b!) of a germ at 0, up to a total degree cap.  A FormalSymbol is
+a finite hbar-expansion a_0 + hbar a_1 + ... + hbar^K a_K held as one complex
+array `c` of shape (K+1, D+1, D+1), hbar-orders on axis 0, with one
+`truncated` flag per order in `flags`; `term(k)` is the table of a_k, a
+no-copy view of c[k].  hbar stays a formal index throughout: no float hbar
+enters the algebra until matrices are assembled.
 
 Implemented here: the sharp product  f # g = sum_j (-hbar)^j / j! d^j f dbar^j g,
 Boutet de Monvel-Kree style formal norms, the Poisson bracket
@@ -12,15 +15,18 @@ cohomology solve, sharp inverses, the time-dependent Moser iteration, functions
 of the harmonic oscillator in both directions, and degree-by-degree normal
 forms (classical and hbar-exact).
 
-One kernel, `_sharp`, sums the sharp series.  It works on raw coefficient
-arrays with hbar-orders stacked on axis 0 and, for the Moser iteration, an
-optional polynomial axis in the homotopy time t; `sharp_product`,
-`sharp_bracket_tail` and the Moser t-products are thin wrappers.  Table
-products are numpy-only: a full 2-D product is one 1-D convolution.
+One kernel, `_sharp`, sums the sharp series.  It works on the stacked arrays
+themselves, and for the Moser iteration on stacks with an extra polynomial
+axis in the homotopy time t; `sharp_product`, `sharp_bracket_tail` and the
+Moser t-products pass the arrays straight to it.  Shifts in hbar, changes of
+order or degree and sums are slices and pads of the stack.  Table products
+are numpy-only: a full 2-D product is one 1-D convolution.
 
 Degree and hbar-order caps are independent; any operation that drops a
 nonzero coefficient marks its result `truncated` and callers that need
 coefficient-exact output must check the flag (or pad degrees beforehand).
+The Lie series raise `NoConvergence` when their term cap is reached with a
+term that is not negligible.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ from math import factorial
 
 import numpy as np
 
-from .bargmann import MonomialSymbol
+from .bargmann import MonomialSymbol, NoConvergence
 
 __all__ = [
     "TaylorTable2D",
@@ -100,15 +106,6 @@ class TaylorTable2D:
     def degree(self) -> int:
         return self.t.shape[0] - 1
 
-    def copy(self) -> "TaylorTable2D":
-        return TaylorTable2D(self.t.copy(), self.truncated)
-
-    def raw_derivatives(self) -> np.ndarray:
-        """Un-normalised d^a dbar^b f(0) = a! b! t[a, b]."""
-        n = self.t.shape[0]
-        fac = np.array([factorial(i) for i in range(n)], dtype=float)
-        return self.t * fac[:, None] * fac[None, :]
-
     def resized(self, degree: int) -> "TaylorTable2D":
         n = degree + 1
         out = np.zeros((n, n), dtype=complex)
@@ -116,12 +113,6 @@ class TaylorTable2D:
         out[:m, :m] = self.t[:m, :m]
         dropped = bool(np.any(self.t[m:, :] != 0) or np.any(self.t[:, m:] != 0))
         return TaylorTable2D(out, self.truncated or dropped)
-
-    def cleaned(self, tol: float = 0.0) -> "TaylorTable2D":
-        t = self.t.copy()
-        if tol > 0:
-            t[np.abs(t) < tol] = 0.0
-        return TaylorTable2D(_mask_degree(t), self.truncated)
 
     def __call__(self, z: complex, vbar: complex | None = None) -> complex:
         """Evaluate; vbar defaults to conj(z) (the real locus)."""
@@ -133,12 +124,12 @@ class TaylorTable2D:
         return complex(zp @ self.t @ vp)
 
     def __add__(self, other: "TaylorTable2D") -> "TaylorTable2D":
-        a, b = _same_degree(self, other)
+        d = max(self.degree, other.degree)
+        a, b = self.resized(d), other.resized(d)
         return TaylorTable2D(a.t + b.t, a.truncated or b.truncated)
 
     def __sub__(self, other: "TaylorTable2D") -> "TaylorTable2D":
-        a, b = _same_degree(self, other)
-        return TaylorTable2D(a.t - b.t, a.truncated or b.truncated)
+        return self + other * -1.0
 
     def __mul__(self, c: complex) -> "TaylorTable2D":
         return TaylorTable2D(self.t * c, self.truncated)
@@ -158,15 +149,11 @@ def _beyond_degree(n: int) -> np.ndarray:
     return mask
 
 
-def _mask_degree(t: np.ndarray) -> np.ndarray:
-    out = t.copy()
-    out[_beyond_degree(t.shape[0])] = 0.0
-    return out
-
-
-def _same_degree(a: TaylorTable2D, b: TaylorTable2D):
-    d = max(a.degree, b.degree)
-    return a.resized(d), b.resized(d)
+def _radial_part(x: np.ndarray) -> np.ndarray:
+    """The radial tables of stacked tables (..., n, n): their diagonal entries
+    t[j, j] within the degree cap, 2 j <= n - 1."""
+    n = x.shape[-1]
+    return np.where(np.eye(n, dtype=bool) & ~_beyond_degree(n), x, 0.0)
 
 
 def table_from_dict(coeffs: dict[tuple[int, int], complex], degree: int) -> TaylorTable2D:
@@ -243,32 +230,18 @@ def pullback_linear(tab: TaylorTable2D, m: np.ndarray, degree: int | None = None
         degree = tab.degree
     m = np.asarray(m, dtype=complex)
     n = degree + 1
-    # powers of (m00 z + m01 v) and (m10 z + m11 v)
-    deg_in = tab.degree
-    pow1 = [np.zeros((n, n), dtype=complex) for _ in range(deg_in + 1)]
-    pow2 = [np.zeros((n, n), dtype=complex) for _ in range(deg_in + 1)]
-    for p in range(deg_in + 1):
+    # pows[r, p]: the table of (m_r0 z + m_r1 v)^p, p <= degree
+    pows = np.zeros((2, tab.degree + 1, n, n), dtype=complex)
+    for r, p in product(range(2), range(min(tab.degree, degree) + 1)):
         for j in range(p + 1):
-            if j > degree or p - j > degree or p > degree:
-                continue
-            c1 = comb(p, j) * m[0, 0] ** j * m[0, 1] ** (p - j)
-            c2 = comb(p, j) * m[1, 0] ** j * m[1, 1] ** (p - j)
-            pow1[p][j, p - j] += c1
-            pow2[p][j, p - j] += c2
-    out = TaylorTable2D(np.zeros((n, n), dtype=complex))
-    dropped = False
-    for a in range(deg_in + 1):
-        for b in range(deg_in + 1 - a):
-            c = tab.t[a, b]
-            if c == 0:
-                continue
-            if a + b > degree:
-                dropped = True
-                continue
-            term = table_product(TaylorTable2D(pow1[a]), TaylorTable2D(pow2[b]), degree)
-            out = out + c * term
-            dropped = dropped or term.truncated
-    out.truncated = out.truncated or tab.truncated or dropped
+            pows[r, p, j, p - j] = comb(p, j) * m[r, 0] ** j * m[r, 1] ** (p - j)
+    out = TaylorTable2D(np.zeros((n, n), dtype=complex), tab.truncated)
+    for a, b in zip(*np.nonzero((tab.t != 0) & ~_beyond_degree(tab.degree + 1))):
+        if a + b > degree:
+            out.truncated = True
+        else:
+            term = table_product(TaylorTable2D(pows[0, a]), TaylorTable2D(pows[1, b]), degree)
+            out = out + tab.t[a, b] * term
     return out
 
 
@@ -276,96 +249,95 @@ def pullback_linear(tab: TaylorTable2D, m: np.ndarray, degree: int | None = None
 # formal symbols
 
 
-@dataclass
 class FormalSymbol:
-    """Finite hbar-expansion (a_0, ..., a_K), all tables at one degree."""
+    """Finite hbar-expansion (a_0, ..., a_K), all tables at one degree: the
+    stack `c` (K+1, D+1, D+1) and per-order `truncated` flags `flags`."""
 
-    terms: list[TaylorTable2D]
-
-    def __post_init__(self):
-        if not self.terms:
+    def __init__(self, terms: list[TaylorTable2D]):
+        if not terms:
             raise ValueError("need at least the hbar^0 term")
-        d = max(t.degree for t in self.terms)
-        self.terms = [t.resized(d) for t in self.terms]
+        d = max(t.degree for t in terms)
+        self.c = np.stack([t.resized(d).t for t in terms])
+        self.flags = np.array([t.truncated for t in terms], dtype=bool)
+
+    @classmethod
+    def _wrap(cls, c: np.ndarray, flags) -> "FormalSymbol":
+        """The symbol of a stack the caller hands over (no copy, no padding)."""
+        out = cls.__new__(cls)
+        out.c, out.flags = c, np.asarray(flags, dtype=bool)
+        return out
 
     @property
     def order(self) -> int:
-        return len(self.terms) - 1
+        return self.c.shape[0] - 1
 
     @property
     def degree(self) -> int:
-        return self.terms[0].degree
+        return self.c.shape[1] - 1
 
     @property
     def truncated(self) -> bool:
-        return any(t.truncated for t in self.terms)
-
-    def copy(self) -> "FormalSymbol":
-        return FormalSymbol([t.copy() for t in self.terms])
+        return bool(self.flags.any())
 
     def resized(self, order: int | None = None, degree: int | None = None) -> "FormalSymbol":
+        """Pad or cut to (order, degree): a term that loses degree is flagged,
+        and dropping nonzero higher orders flags the last order."""
         order = self.order if order is None else order
         degree = self.degree if degree is None else degree
-        terms = [
-            (self.terms[k] if k <= self.order else TaylorTable2D(np.zeros((1, 1)))).resized(degree)
-            for k in range(order + 1)
-        ]
-        dropped = any(t.norm_inf() > 0 for t in self.terms[order + 1 :])
-        if dropped:
-            terms[-1].truncated = True
-        return FormalSymbol(terms)
+        kept = self.c[: order + 1]
+        m = min(degree, self.degree) + 1
+        c = np.zeros((order + 1, degree + 1, degree + 1), dtype=complex)
+        c[: len(kept), :m, :m] = kept[:, :m, :m]
+        flags = np.zeros(order + 1, dtype=bool)
+        lost = kept[:, m:].any(axis=(1, 2)) | kept[:, :, m:].any(axis=(1, 2))
+        flags[: len(kept)] = self.flags[: order + 1] | lost
+        flags[-1] |= bool(self.c[order + 1 :].any())
+        return FormalSymbol._wrap(c, flags)
 
     def term(self, k: int) -> TaylorTable2D:
         if k <= self.order:
-            return self.terms[k]
+            return TaylorTable2D(self.c[k], bool(self.flags[k]))
         return TaylorTable2D(np.zeros((self.degree + 1, self.degree + 1)))
 
     def __add__(self, other: "FormalSymbol") -> "FormalSymbol":
-        ko = max(self.order, other.order)
-        return FormalSymbol([self.term(k) + other.term(k) for k in range(ko + 1)])
+        order, degree = max(self.order, other.order), max(self.degree, other.degree)
+        a, b = self.resized(order, degree), other.resized(order, degree)
+        return FormalSymbol._wrap(a.c + b.c, a.flags | b.flags)
 
     def __sub__(self, other: "FormalSymbol") -> "FormalSymbol":
-        ko = max(self.order, other.order)
-        return FormalSymbol([self.term(k) - other.term(k) for k in range(ko + 1)])
+        return self + other * -1.0
 
     def __mul__(self, c: complex) -> "FormalSymbol":
-        return FormalSymbol([t * c for t in self.terms])
+        return FormalSymbol._wrap(self.c * c, self.flags.copy())
 
     __rmul__ = __mul__
 
     def shift_up(self, by: int = 1) -> "FormalSymbol":
         """Multiply by hbar^by (pure index shift)."""
-        zero = TaylorTable2D(np.zeros((self.degree + 1, self.degree + 1)))
-        return FormalSymbol([zero.copy() for _ in range(by)] + [t.copy() for t in self.terms])
+        pad = ((by, 0), (0, 0), (0, 0))
+        return FormalSymbol._wrap(np.pad(self.c, pad), np.pad(self.flags, (by, 0)))
 
     def shift_down(self, by: int = 1) -> "FormalSymbol":
         """Divide by hbar^by; the removed leading terms must vanish (up to
         roundoff of exactly cancelling products)."""
-        scale = max(1.0, self.norm_inf())
-        for k in range(by):
-            if self.term(k).norm_inf() > 1e-12 * scale:
-                raise ValueError("shift_down would drop a nonzero coefficient")
-        rest = self.terms[by:]
-        if not rest:
-            rest = [TaylorTable2D(np.zeros((self.degree + 1, self.degree + 1)))]
-        return FormalSymbol([t.copy() for t in rest])
+        if np.abs(self.c[:by]).max(initial=0.0) > 1e-12 * max(1.0, self.norm_inf()):
+            raise ValueError("shift_down would drop a nonzero coefficient")
+        if by > self.order:
+            return FormalSymbol.constant(0.0, 0, self.degree)
+        return FormalSymbol._wrap(self.c[by:].copy(), self.flags[by:].copy())
 
     def norm_inf(self) -> float:
-        return max(t.norm_inf() for t in self.terms)
-
-    def evaluate(self, hbar: float, z: complex, vbar: complex | None = None) -> complex:
-        return sum(hbar**k * t(z, vbar) for k, t in enumerate(self.terms))
+        return float(np.abs(self.c).max())
 
     @classmethod
     def constant(cls, c: complex, order: int = 0, degree: int = 0) -> "FormalSymbol":
-        terms = [table_from_dict({}, degree) for _ in range(order + 1)]
-        terms[0].t[0, 0] = c
-        return cls(terms)
+        out = np.zeros((order + 1, degree + 1, degree + 1), dtype=complex)
+        out[0, 0, 0] = c
+        return cls._wrap(out, np.zeros(order + 1, dtype=bool))
 
     @classmethod
     def from_table(cls, tab: TaylorTable2D, order: int = 0) -> "FormalSymbol":
-        zero = TaylorTable2D(np.zeros_like(tab.t))
-        return cls([tab.copy()] + [zero.copy() for _ in range(order)])
+        return cls([tab]).resized(order)
 
     @classmethod
     def from_monomials(cls, sym: MonomialSymbol, degree: int | None = None) -> "FormalSymbol":
@@ -377,15 +349,10 @@ class FormalSymbol:
     def to_json(self) -> str:
         import json
 
-        terms = []
-        for tab in self.terms:
-            entry = {}
-            for a in range(tab.degree + 1):
-                for b in range(tab.degree + 1 - a):
-                    c = tab.t[a, b]
-                    if c != 0:
-                        entry[f"{a},{b}"] = [c.real, c.imag]
-            terms.append(entry)
+        terms = [{} for _ in range(self.order + 1)]
+        for k, a, b in zip(*np.nonzero((self.c != 0) & ~_beyond_degree(self.degree + 1))):
+            c = self.c[k, a, b]
+            terms[k][f"{a},{b}"] = [c.real, c.imag]
         return json.dumps({"K": self.order, "D": self.degree, "terms": terms})
 
     @classmethod
@@ -393,17 +360,13 @@ class FormalSymbol:
         import json
 
         raw = json.loads(text)
-        degree = int(raw["D"])
-        terms = []
-        for entry in raw["terms"]:
-            coeffs = {}
-            for key, val in entry.items():
-                a, b = (int(s) for s in key.split(","))
-                coeffs[(a, b)] = complex(val[0], val[1])
-            terms.append(table_from_dict(coeffs, degree))
-        if len(terms) != int(raw["K"]) + 1:
+        if len(raw["terms"]) != int(raw["K"]) + 1:
             raise ValueError("terms list inconsistent with K")
-        return cls(terms)
+        coeffs = [
+            {tuple(int(s) for s in key.split(",")): complex(val[0], val[1]) for key, val in entry.items()}
+            for entry in raw["terms"]
+        ]
+        return cls([table_from_dict(c, int(raw["D"])) for c in coeffs])
 
 
 # ---------------------------------------------------------------------------
@@ -456,24 +419,19 @@ def _bracket(f: np.ndarray, g: np.ndarray, order: int, degree: int, j_min: int =
     return fg - gf, fg_dropped | gf_dropped
 
 
-def _stack(s: FormalSymbol) -> np.ndarray:
-    return np.stack([t.t for t in s.terms])
-
-
-def _from_stack(tables: np.ndarray, truncated: np.ndarray) -> FormalSymbol:
-    return FormalSymbol([TaylorTable2D(t, bool(flag)) for t, flag in zip(tables, truncated)])
+def _series(kernel, f: FormalSymbol, g: FormalSymbol, order, degree, j_min: int = 0) -> FormalSymbol:
+    """A kernel series of two symbols, by default at their larger caps."""
+    order = max(f.order, g.order) if order is None else order
+    degree = max(f.degree, g.degree) if degree is None else degree
+    out, dropped = kernel(f.c, g.c, order, degree, j_min)
+    return FormalSymbol._wrap(out, dropped | f.truncated | g.truncated)
 
 
 def sharp_product(
     f: FormalSymbol, g: FormalSymbol, order: int | None = None, degree: int | None = None
 ) -> FormalSymbol:
     """(f # g)_m = sum_{j+k+l=m} ((-1)^j / j!) d^j f_k dbar^j g_l."""
-    if order is None:
-        order = max(f.order, g.order)
-    if degree is None:
-        degree = max(f.degree, g.degree)
-    out, dropped = _sharp(_stack(f), _stack(g), order, degree)
-    return _from_stack(out, dropped | f.truncated | g.truncated)
+    return _series(_sharp, f, g, order, degree)
 
 
 def sharp_bracket(f: FormalSymbol, g: FormalSymbol, order=None, degree=None) -> FormalSymbol:
@@ -489,12 +447,7 @@ def sharp_bracket_tail(
     The j = 1 part of [f, g]_# is exactly -i hbar {f, g}; taking j_min = 2
     gives the bracket-minus-Poisson correction without cancellation noise.
     """
-    if order is None:
-        order = max(f.order, g.order)
-    if degree is None:
-        degree = max(f.degree, g.degree)
-    out, dropped = _bracket(_stack(f), _stack(g), order, degree, j_min)
-    return _from_stack(out, dropped | f.truncated | g.truncated)
+    return _series(_bracket, f, g, order, degree, j_min)
 
 
 @dataclass
@@ -515,17 +468,13 @@ def formal_norm(a: FormalSymbol, rho: float, s_max: int | None = None) -> Formal
     """
     if s_max is None:
         s_max = 2 * a.order + 2 * a.degree
-    per = np.zeros(s_max + 1)
-    for k in range(a.order + 1):
-        raw = np.abs(a.term(k).raw_derivatives())
-        d = a.degree
-        for al in range(d + 1):
-            for be in range(d + 1 - al):
-                s = 2 * k + al + be
-                if s > s_max or raw[al, be] == 0:
-                    continue
-                coeff = 2.0 * 2.0 ** (-k) * factorial(k) / (factorial(k + al) * factorial(k + be))
-                per[s] += coeff * raw[al, be] * rho**s
+    fac = np.array([float(factorial(i)) for i in range(a.order + a.degree + 1)])
+    k, al, be = np.indices(a.c.shape)
+    s = 2 * k + al + be
+    raw = np.abs(a.c) * fac[al] * fac[be]  # |d^al dbar^be a_k(0)|
+    coeff = 2.0 * 2.0 ** (-k) * fac[k] / (fac[k + al] * fac[k + be])
+    keep = (al + be <= a.degree) & (s <= s_max)
+    per = np.bincount(s[keep], weights=(coeff * raw * rho**s)[keep], minlength=s_max + 1)
     return FormalNormReport(rho=rho, per_order=per, cumulative=np.cumsum(per))
 
 
@@ -552,17 +501,19 @@ def theta_derivative(f: TaylorTable2D) -> TaylorTable2D:
     return TaylorTable2D(f.t * _theta_weights(f.t.shape[0]), f.truncated)
 
 
-def theta_antiderivative(f: TaylorTable2D, tol: float = 1e-14) -> TaylorTable2D:
-    """Unique g with d_theta g = f and zero diagonal coefficients."""
-    n = f.t.shape[0]
-    diag = np.abs(np.diagonal(f.t))
+def _theta_inverse(x: np.ndarray, tol: float = 1e-14) -> np.ndarray:
+    """The g with d_theta g = x and zero diagonal, for stacked tables (..., n, n)."""
+    diag = np.abs(np.diagonal(x, axis1=-2, axis2=-1))
     if diag.max(initial=0.0) > tol:
         raise NonzeroAverage(f"radial content of size {diag.max():.3e} present")
-    denom = _theta_weights(n)
+    denom = _theta_weights(x.shape[-1])
     with np.errstate(divide="ignore", invalid="ignore"):
-        g = np.where(denom != 0, f.t / np.where(denom == 0, 1, denom), 0.0)
-    np.fill_diagonal(g, 0.0)
-    return TaylorTable2D(g, f.truncated)
+        return np.where(denom != 0, x / np.where(denom == 0, 1, denom), 0.0)
+
+
+def theta_antiderivative(f: TaylorTable2D, tol: float = 1e-14) -> TaylorTable2D:
+    """Unique g with d_theta g = f and zero diagonal coefficients."""
+    return TaylorTable2D(_theta_inverse(f.t, tol), f.truncated)
 
 
 def radial_average(f: TaylorTable2D) -> np.ndarray:
@@ -571,14 +522,11 @@ def radial_average(f: TaylorTable2D) -> np.ndarray:
 
 
 def radial_table(profile: np.ndarray, degree: int) -> TaylorTable2D:
+    p = np.asarray(profile, dtype=complex)
+    keep = np.arange(min(p.size, degree // 2 + 1))
     t = np.zeros((degree + 1, degree + 1), dtype=complex)
-    dropped = False
-    for j, c in enumerate(np.asarray(profile, dtype=complex)):
-        if 2 * j > degree:
-            dropped = dropped or c != 0
-            continue
-        t[j, j] = c
-    return TaylorTable2D(t, dropped)
+    t[keep, keep] = p[keep]
+    return TaylorTable2D(t, bool(p[len(keep) :].any()))
 
 
 def reciprocal_profile(profile: np.ndarray, n_terms: int) -> np.ndarray:
@@ -637,79 +585,82 @@ def sharp_inverse(a: FormalSymbol, order: int | None = None, degree: int | None 
         degree = a.degree
     if a.term(0).norm_inf() > 1e-12:
         raise ValueError("sharp_inverse requires a symbol of hbar-order >= 1")
-    zero = TaylorTable2D(np.zeros((degree + 1, degree + 1)))
-    star = FormalSymbol([zero.copy() for _ in range(order + 1)])
+    lead = a.resized(max(order, a.order), degree)
+    star = np.zeros((order + 1, degree + 1, degree + 1), dtype=complex)
+    flags = np.zeros(order + 1, dtype=bool)
     for k in range(1, order + 1):
-        cross = sharp_product(a, star, k, degree)
-        star.terms[k] = -1.0 * a.term(k).resized(degree) - cross.term(k)
-    return star
+        cross, dropped = _sharp(a.c, star, k, degree)
+        star[k] = -lead.c[k] - cross[k]
+        flags[k] = lead.flags[k] | dropped[k] | a.truncated | flags.any()
+    return FormalSymbol._wrap(star, flags)
 
 
 # ---------------------------------------------------------------------------
 # t-polynomial layer for the Moser iteration
 #
 # Every scalar becomes a polynomial in the homotopy time t; a t-symbol is an
-# array (K+1, T+1, D+1, D+1) over hbar-order and t-power, multiplied by the
-# kernel `_sharp`.  All integrations in t are exact coefficient shifts, as the
-# coefficients are polynomial in t.
-
-
-def _t_int(x: np.ndarray) -> np.ndarray:
-    """int_0^t x(s) ds, exact in the polynomial coefficients."""
-    out = np.zeros_like(x)
-    t_cap = x.shape[0] - 1
-    if np.any(np.abs(x[t_cap]) > 0):
-        raise DegreeOverflow("t-polynomial degree budget exhausted")
-    for i in range(t_cap):
-        out[i + 1] = x[i] / (i + 1)
-    return out
+# array (K+1, T+1, D+1, D+1) over hbar-order and t-power (the t-axis is axis
+# -3 throughout), multiplied by the kernel `_sharp`.  The order-k entries of
+# a(t) and rdot(t) have t-degree <= k, so the cap T = order + 1 leaves room for
+# the one integration r(t) = int_0^t rdot.  All integrations in t are exact
+# coefficient shifts, as the coefficients are polynomial in t.
 
 
 def _t_shift(x: np.ndarray) -> np.ndarray:
     """Multiply by t."""
-    out = np.zeros_like(x)
-    if np.any(np.abs(x[-1]) > 0):
+    if np.any(x[..., -1, :, :] != 0):
         raise DegreeOverflow("t-polynomial degree budget exhausted")
-    out[1:] = x[:-1]
+    out = np.zeros_like(x)
+    out[..., 1:, :, :] = x[..., :-1, :, :]
+    return out
+
+
+def _t_int(x: np.ndarray) -> np.ndarray:
+    """int_0^t x(s) ds, exact in the polynomial coefficients."""
+    out = _t_shift(x)
+    out[..., 1:, :, :] /= np.arange(1, x.shape[-3])[:, None, None]
     return out
 
 
 def _t_eval(x: np.ndarray, tau: float) -> np.ndarray:
-    powers = tau ** np.arange(x.shape[0])
-    return np.tensordot(powers, x, axes=(0, 0))
+    return np.tensordot(tau ** np.arange(x.shape[-3]), x, axes=(0, -3))
+
+
+def _at(result: tuple[np.ndarray, np.ndarray], index, drops: list[bool]) -> np.ndarray:
+    """Entry `index` of a kernel result; records whether it dropped a coefficient."""
+    out, dropped = result
+    drops.append(bool(np.any(dropped[index])))
+    return out[index]
 
 
 @dataclass
 class MoserResult:
-    a_final: FormalSymbol  # a(1)
-    r_final: list[np.ndarray]  # radial profiles of r(1) by hbar-order
-    a_of_t: list[np.ndarray] = field(repr=False, default=None)
-    r_dot_of_t: list[np.ndarray] = field(repr=False, default=None)
-    order: int = 0
-    degree: int = 0
+    a_of_t: np.ndarray = field(repr=False)  # a(t), (K+1, T+1, D+1, D+1)
+    r_dot_of_t: np.ndarray = field(repr=False)  # rdot(t) as radial tables, same layout
+    flags: np.ndarray  # per hbar-order truncation flags of a(t) and r(t)
+    order: int
+    degree: int
+    a_final: FormalSymbol = field(init=False)  # a(1)
+    r_final: list[np.ndarray] = field(init=False)  # radial profiles of r(1) by hbar-order
+
+    def __post_init__(self):
+        self.a_final = self.a_at(1.0)
+        self.r_final = self.r_at(1.0)
 
     def a_at(self, tau: float) -> FormalSymbol:
-        return FormalSymbol([TaylorTable2D(_t_eval(x, tau)) for x in self.a_of_t])
-
-    def r_at(self, tau: float) -> list[np.ndarray]:
-        """Radial profiles of r(tau) = int_0^tau rdot."""
-        out = []
-        for x in self.r_dot_of_t:
-            xi = _t_int(x)
-            out.append(np.diagonal(_t_eval(xi, tau), axis1=0, axis2=1).copy())
-        return out
+        return FormalSymbol._wrap(_t_eval(self.a_of_t, tau), self.flags.copy())
 
     def r_symbol(self, tau: float = 1.0) -> FormalSymbol:
-        profs = self.r_at(tau)
-        return FormalSymbol([radial_table(p, self.degree) for p in profs])
+        """r(tau) = int_0^tau rdot."""
+        return FormalSymbol._wrap(_t_eval(_t_int(self.r_dot_of_t), tau), self.flags.copy())
+
+    def r_at(self, tau: float) -> list[np.ndarray]:
+        """Radial profiles of r(tau) by hbar-order."""
+        return list(np.diagonal(self.r_symbol(tau).c, axis1=1, axis2=2).copy())
 
 
 def moser_normal_form(
-    mu: FormalSymbol,
-    g: FormalSymbol,
-    order: int,
-    degree: int | None = None,
-    t_degree: int | None = None,
+    mu: FormalSymbol, g: FormalSymbol, order: int, degree: int | None = None
 ) -> MoserResult:
     """Solve (mu(|z|^2) + t hbar^2 g) # (1 + a(t)) = (1 + a(t)) # (mu(|z|^2) + hbar^2 r(t))
     with a(0) = 0, r(0) = 0, r(t) radial at every hbar-order.
@@ -722,78 +673,67 @@ def moser_normal_form(
 
     is integrated exactly: every coefficient is polynomial in t.  corr is the
     j >= 2 tail of hbar^{-1}[mu, i b]_# (the j = 1 part cancels {mu, b}).
+    The order-k flags of the result mark a dropped coefficient in a kernel
+    product of orders <= k, or a truncated input.
     """
     if degree is None:
         degree = max(mu.degree, g.degree)
-    if t_degree is None:
-        t_degree = 2 * order + 4
     mu = mu.resized(order, degree)
     g = g.resized(order, degree)
-    mu0_profile = radial_average(mu.term(0))
+    mu0_profile = np.diagonal(mu.c[0])
     if abs(mu0_profile[0]) > 1e-13 or abs(mu0_profile[1] - 1.0) > 1e-13:
         raise ValueError("mu_0 must be s + O(s^2)")
-    for k in range(mu.order + 1):
-        if (mu.term(k) - radial_table(radial_average(mu.term(k)), degree)).norm_inf() > 1e-13:
-            raise ValueError("mu must be radial at every hbar-order")
-    mu_primes = []
-    for k in range(order + 1):
-        prof = radial_average(mu.term(k))
-        dprof = np.array([(j + 1) * prof[j + 1] for j in range(len(prof) - 1)] + [0.0])
-        mu_primes.append(dprof)
+    if np.abs(mu.c - _radial_part(mu.c)).max() > 1e-13:
+        raise ValueError("mu must be radial at every hbar-order")
+    n = degree + 1
+    # mu' as radial tables by hbar-order, and 1 / mu_0' as a radial table
+    mu_prime = np.zeros_like(mu.c)
+    diag = np.arange(degree)
+    mu_prime[:, diag, diag] = np.diagonal(mu.c, axis1=1, axis2=2)[:, 1:] * np.arange(1, n)
+    mu_prime = _radial_part(mu_prime)
+    inv_mu0_prime = radial_table(reciprocal_profile(np.diagonal(mu_prime[0]), degree // 2 + 1), degree).t
 
-    t_cap = t_degree
-    shape = (order + 1, t_cap + 1, degree + 1, degree + 1)
+    shape = (order + 1, order + 2, n, n)
     a, astar, b, rdot, g_t, mu_t = (np.zeros(shape, dtype=complex) for _ in range(6))
-    g_t[:, 0], mu_t[:, 0] = _stack(g), _stack(mu)
-    theta = _theta_weights(degree + 1)
+    g_t[:, 0], mu_t[:, 0] = g.c, mu.c
+    theta = _theta_weights(n)
+    flags = mu.flags | g.flags
 
     for k in range(order + 1):
+        drops: list[bool] = []
         # a_k(t) = i int_0^t (b # (1+a))_{k-1}: needs b, a at orders <= k-1
         if k >= 1:
             one_plus_a = a[:k].copy()
             one_plus_a[0, 0, 0, 0] += 1.0
-            a[k] = 1j * _t_int(_sharp(b[:k], one_plus_a, k - 1, degree)[0][k - 1])
+            a[k] = 1j * _t_int(_at(_sharp(b[:k], one_plus_a, k - 1, degree), k - 1, drops))
             # a*_k = -a_k - (a # a*)_k
-            astar[k] = -a[k] - _sharp(a[: k + 1], astar[: k + 1], k, degree)[0][k]
+            astar[k] = -a[k] - _at(_sharp(a[: k + 1], astar[: k + 1], k, degree), k, drops)
 
         # known part of the order-k equation
-        rhs = -g_t[k].copy()
+        rhs = -g_t[k]
         if k >= 1:
-            rhs += -1j * _t_shift(_bracket(g_t[:k], b[:k], k - 1, degree)[0][k - 1])
+            rhs += -1j * _t_shift(_at(_bracket(g_t[:k], b[:k], k - 1, degree), k - 1, drops))
             # corr_k: j >= 2 tail of hbar^{-1} [mu, i b]_# at order k (uses b_j, j <= k-1)
-            rhs += -1j * _bracket(mu_t, b[:k], k + 1, degree, j_min=2)[0][k + 1]
+            rhs += -1j * _at(_bracket(mu_t, b[:k], k + 1, degree, j_min=2), k + 1, drops)
             # Q_k = (a # rdot + rdot # a* + a # rdot # a*)_k
-            q1 = _sharp(a[: k + 1], rdot[: k + 1], k, degree)[0]
-            q2 = _sharp(rdot[: k + 1], astar[: k + 1], k, degree)[0]
-            q12 = _sharp(q1, astar[: k + 1], k, degree)[0]
-            rhs += q1[k] + q2[k] + q12[k]
+            q1 = _at(_sharp(a[: k + 1], rdot[: k + 1], k, degree), slice(None), drops)
+            q2 = _at(_sharp(rdot[: k + 1], astar[: k + 1], k, degree), k, drops)
+            q12 = _at(_sharp(q1, astar[: k + 1], k, degree), k, drops)
+            rhs += q1[k] + q2 + q12
             # lower-mu transport terms: - sum_{j>=1} mu_j' d_theta b_{k-j}
             for j in range(1, k + 1):
-                mp = radial_table(mu_primes[j], degree).t
-                rhs -= _sharp(mp[None, None], (b[k - j] * theta)[None], 0, degree)[0][0]
+                rhs -= _at(_sharp(mu_prime[j][None, None], (b[k - j] * theta)[None], 0, degree), 0, drops)
 
         # the accumulated rhs omits the +rdot_k part of R; the radial average
-        # of mu' d_theta b vanishes, so rdot_k = -radavg(rhs) and the residue
-        # feeds the cohomology solve
-        for i in range(t_cap + 1):
-            tab = TaylorTable2D(rhs[i])
-            avg = radial_average(tab)
-            rdot[k][i] = -radial_table(avg, degree).t
-            resid = tab - radial_table(avg, degree)
-            if resid.norm_inf() > 0:
-                b[k][i] = theta_antiderivative(divide_by_radial(resid, mu_primes[0])).t
+        # of mu' d_theta b vanishes, so rdot_k = -radavg(rhs) and the residue,
+        # divided by mu_0', feeds the cohomology solve
+        radial = _radial_part(rhs)
+        rdot[k] = -radial
+        resid = (rhs - radial)[None]
+        b[k] = _theta_inverse(_at(_sharp(resid, inv_mu0_prime[None, None], 0, degree), 0, drops))
+        flags[k] |= any(drops) or (k > 0 and flags[k - 1])
 
-    a_final = FormalSymbol([TaylorTable2D(_t_eval(x, 1.0)) for x in a])
-    res = MoserResult(
-        a_final=a_final,
-        r_final=[],
-        a_of_t=list(a),
-        r_dot_of_t=list(rdot),
-        order=order,
-        degree=degree,
-    )
-    res.r_final = res.r_at(1.0)
-    return res
+    return MoserResult(a, rdot, flags, order, degree)
 
 
 # ---------------------------------------------------------------------------
@@ -816,17 +756,13 @@ def oscillator_function_symbol(
 
     mu_b = sum_{k, j} hbar^k (mu_k)_j (|z|^2)^{# j}, truncated at the caps.
     """
-    j_max = max((len(p) - 1 for p in mu_profiles), default=0)
-    j_max = min(j_max, degree // 2)
+    j_max = min(max((len(p) - 1 for p in mu_profiles), default=0), degree // 2)
     powers = oscillator_sharp_powers(j_max, order, degree)
     out = FormalSymbol.constant(0.0, order, degree)
-    for k, prof in enumerate(mu_profiles):
-        if k > order:
-            break
-        for j, c in enumerate(np.asarray(prof, dtype=complex)):
-            if c == 0 or j > j_max:
-                continue
-            out = out + (c * powers[j].shift_up(k).resized(order, degree))
+    for k, prof in enumerate(mu_profiles[: order + 1]):
+        for j, c in enumerate(np.asarray(prof, dtype=complex)[: j_max + 1]):
+            if c != 0:
+                out = out + c * powers[j].shift_up(k).resized(order, degree)
     return out
 
 
@@ -837,21 +773,18 @@ def oscillator_function_from_symbol(mu_b: FormalSymbol) -> list[np.ndarray]:
     ((|z|^2)^{#j})_{l-k} read as radial profiles.
     """
     order, degree = mu_b.order, mu_b.degree
-    for k in range(order + 1):
-        tab = mu_b.term(k)
-        if (tab - radial_table(radial_average(tab), degree)).norm_inf() > 1e-12:
-            raise ValueError("mu_b must be radial at every hbar-order")
+    if np.abs(mu_b.c - _radial_part(mu_b.c)).max() > 1e-12:
+        raise ValueError("mu_b must be radial at every hbar-order")
     j_max = degree // 2
     powers = oscillator_sharp_powers(j_max, order, degree)
-    power_profiles = [[radial_average(p.term(k)) for k in range(order + 1)] for p in powers]
+    power_profiles = [np.diagonal(p.c, axis1=1, axis2=2) for p in powers]
     profiles: list[np.ndarray] = []
     for l in range(order + 1):
-        target = radial_average(mu_b.term(l)).astype(complex)
+        target = np.diagonal(mu_b.c[l]).astype(complex)
         for k in range(l):
-            for j, c in enumerate(profiles[k]):
-                if c == 0 or j > j_max:
-                    continue
-                target = target - c * power_profiles[j][l - k]
+            for j, c in enumerate(profiles[k][: j_max + 1]):
+                if c != 0:
+                    target = target - c * power_profiles[j][l - k]
         # at order 0 the sharp power contributes s^j exactly, so target IS mu_l
         profiles.append(target)
     return profiles
@@ -861,41 +794,52 @@ def oscillator_function_from_symbol(mu_b: FormalSymbol) -> list[np.ndarray]:
 # normal forms (classical and hbar-exact)
 
 
+def _lie_series(f, ad, cap: int):
+    """exp(ad) f = f + ad f + ad^2 f / 2! + ... for tables or formal symbols.
+
+    Stops at an exactly vanishing term.  At term `cap` it stops if that term
+    is below 1e-15 relative to the sum, and raises NoConvergence if not.
+    """
+    out = term = f
+    n = 1
+    while True:
+        term = ad(term) * (1.0 / n)
+        size = term.norm_inf()
+        if size < 1e-300:
+            return out
+        if n > cap:
+            total = out.norm_inf()
+            if not (np.isfinite(total) and size <= 1e-15 * total):
+                raise NoConvergence(f"Lie series: term {n} of size {size:.3e} against a sum of size {total:.3e}")
+            return out
+        out = out + term
+        n += 1
+
+
 def lie_transport(f: TaylorTable2D, gen: TaylorTable2D, degree: int | None = None) -> TaylorTable2D:
     """exp(ad_G) f = f + {G, f} + {G, {G, f}}/2! + ... (classical flow at time 1).
 
-    Terminates under the degree cap since ad_G raises degree by deg(G) - 2.
+    Terminates under the degree cap when deg(G) >= 3, since ad_G raises degree
+    by deg(G) - 2; otherwise the term cap is 4 * degree.
     """
     if degree is None:
         degree = f.degree
-    out = f.resized(degree)
-    term = f.resized(degree)
-    n = 1
-    while True:
-        term = poisson_bracket(gen.resized(degree), term) * (1.0 / n)
-        if term.norm_inf() < 1e-300 or n > 4 * degree:
-            break
-        out = out + term
-        n += 1
-    return out
+    gen = gen.resized(degree)
+    return _lie_series(f.resized(degree), lambda x: poisson_bracket(gen, x), 4 * degree)
 
 
 def quantum_lie_transport(
     f: FormalSymbol, gen: FormalSymbol, order: int, degree: int
 ) -> FormalSymbol:
     """exp(ad) f with ad X = i hbar^{-1} [G, X]_#: the conjugation symbol of
-    e^{i T(G)/hbar} T(f) e^{-i T(G)/hbar}, exact to the truncation caps."""
-    out = f.resized(order, degree)
-    term = f.resized(order, degree)
-    n = 1
-    while True:
-        br = sharp_bracket(gen.resized(order, degree), term, order + 1, degree)
-        term = (1j / n) * br.shift_down(1).resized(order, degree)
-        if term.norm_inf() < 1e-300 or n > 8 * (degree + order + 1):
-            break
-        out = out + term
-        n += 1
-    return out
+    e^{i T(G)/hbar} T(f) e^{-i T(G)/hbar}, exact to the truncation caps.  The
+    term cap is 8 (degree + order + 1)."""
+    gen = gen.resized(order, degree)
+    return _lie_series(
+        f.resized(order, degree),
+        lambda x: 1j * sharp_bracket(gen, x, order + 1, degree).shift_down(1),
+        8 * (degree + order + 1),
+    )
 
 
 @dataclass
@@ -910,6 +854,12 @@ class BirkhoffResult:
 
 class NonEllipticHessian(ValueError):
     pass
+
+
+def _nonradial(t: np.ndarray, m: int) -> np.ndarray:
+    """The terms z^a zbar^b, a != b, of total degree a + b = m of a table."""
+    a = np.arange(t.shape[-1])
+    return np.where((a[:, None] + a[None, :] == m) & (a[:, None] != a[None, :]), t, 0.0)
 
 
 def birkhoff_normal_form(f: TaylorTable2D, degree: int | None = None) -> BirkhoffResult:
@@ -934,11 +884,9 @@ def birkhoff_normal_form(f: TaylorTable2D, degree: int | None = None) -> Birkhof
     current = pullback_linear(f, np.linalg.inv(nf.composed), degree)
     generators: list[TaylorTable2D] = []
     n = degree + 1
-    a_idx = np.arange(n)
-    offdiag = a_idx[:, None] != a_idx[None, :]
+    offdiag = ~np.eye(n, dtype=bool)
     for m in range(3, degree + 1):
-        deg_mask = (a_idx[:, None] + a_idx[None, :]) == m
-        nonrad = np.where(deg_mask & offdiag, current.t, 0.0)
+        nonrad = _nonradial(current.t, m)
         if np.max(np.abs(nonrad)) < 1e-14:
             generators.append(TaylorTable2D(np.zeros((n, n))))
             continue
@@ -961,7 +909,7 @@ def birkhoff_normal_form(f: TaylorTable2D, degree: int | None = None) -> Birkhof
 
 
 def quantum_normal_form(
-    f: FormalSymbol, order: int, degree: int, require_diagonal_hessian: bool = True
+    f: FormalSymbol, order: int, degree: int
 ) -> tuple[list[np.ndarray], list[FormalSymbol]]:
     """hbar-graded normal form by conjugation only (no change of frame):
 
@@ -980,20 +928,16 @@ def quantum_normal_form(
     if abs(t0.t[0, 0]) > 1e-12 or abs(t0.t[1, 0]) > 1e-12 or abs(t0.t[0, 1]) > 1e-12:
         raise ValueError("expected f(0) = 0 and df(0) = 0 at hbar-order 0")
     d0 = complex(t0.t[1, 1])
-    if require_diagonal_hessian and (abs(t0.t[2, 0]) > 1e-12 or abs(t0.t[0, 2]) > 1e-12):
+    if abs(t0.t[2, 0]) > 1e-12 or abs(t0.t[0, 2]) > 1e-12:
         raise ValueError("quadratic part must be proportional to z zbar")
     if d0 == 0:
         raise NonEllipticHessian("vanishing z zbar coefficient")
     current = f
     gens: list[FormalSymbol] = []
-    n = degree + 1
-    a_idx = np.arange(n)
-    offdiag = a_idx[:, None] != a_idx[None, :]
+    offdiag = ~np.eye(degree + 1, dtype=bool)
     for k in range(order + 1):
-        deg_start = 3 if k == 0 else 1
-        for m in range(deg_start, degree + 1):
-            deg_mask = (a_idx[:, None] + a_idx[None, :]) == m
-            nonrad = np.where(deg_mask & offdiag, current.term(k).t, 0.0)
+        for m in range(3 if k == 0 else 1, degree + 1):
+            nonrad = _nonradial(current.c[k], m)
             if np.max(np.abs(nonrad)) < 1e-13:
                 continue
             gamma = theta_antiderivative(TaylorTable2D(nonrad)) * (1.0 / d0)
@@ -1001,10 +945,9 @@ def quantum_normal_form(
             gens.append(gen)
             current = quantum_lie_transport(current, gen, order, degree)
         # the order-k part is now radial through all degrees
-        resid = np.where(offdiag, current.term(k).t, 0.0)
+        resid = np.where(offdiag, current.c[k], 0.0)
         assert np.max(np.abs(resid)) < 1e-9 * max(1.0, current.norm_inf())
-    profiles = [radial_average(current.term(k)) for k in range(order + 1)]
-    return profiles, gens
+    return list(np.diagonal(current.c, axis1=1, axis2=2).copy()), gens
 
 
 def radial_toeplitz_eigenvalues(

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bargspec.bargmann import MonomialSymbol, assemble_toeplitz
+from bargspec.spectral import NoConvergence
 from bargspec.symbols import (
     DegreeOverflow,
     FormalSymbol,
@@ -18,6 +19,8 @@ from bargspec.symbols import (
     TaylorTable2D,
     _bracket,
     _sharp,
+    _t_int,
+    _t_shift,
     birkhoff_normal_form,
     cohomology_solve,
     divide_by_radial,
@@ -29,6 +32,7 @@ from bargspec.symbols import (
     oscillator_sharp_powers,
     poisson_bracket,
     pullback_linear,
+    quantum_lie_transport,
     quantum_normal_form,
     radial_average,
     radial_table,
@@ -58,6 +62,35 @@ def rand_symbol(rng, order, degree, pad=None):
 
 
 ZZ = FormalSymbol([radial_table(np.array([0.0, 1.0]), 8)])
+
+
+class TestFormalSymbolStack:
+    def test_term_is_a_view_of_the_stack(self):
+        f = rand_symbol(np.random.default_rng(17), 2, 3)
+        assert f.c.shape == (3, 4, 4) and f.flags.shape == (3,)
+        assert np.shares_memory(f.term(1).t, f.c)
+        assert f.term(5).norm_inf() == 0.0
+
+    def test_list_constructor_pads_to_common_degree(self):
+        f = FormalSymbol([table_from_dict({(1, 0): 1}, 2), TaylorTable2D(np.ones((5, 5)), True)])
+        assert f.degree == 4 and list(f.flags) == [False, True]
+        assert f.term(0).t[1, 0] == 1 and not f.term(0).t[3:].any()
+
+    def test_resized_flag_rules(self):
+        f = FormalSymbol([table_from_dict({(3, 0): 1}, 3), table_from_dict({(1, 0): 1}, 3),
+                          table_from_dict({(0, 1): 1}, 3)])
+        assert list(f.resized(2, 2).flags) == [True, False, False]  # a term loses degree
+        assert list(f.resized(1, 3).flags) == [False, True]  # a dropped order flags the last
+        assert list(f.resized(4, 5).flags) == [False] * 5
+        assert f.resized(4, 5).term(0).t[3, 0] == 1
+
+    def test_shifts(self):
+        f = rand_symbol(np.random.default_rng(18), 1, 3)
+        up = f.shift_up(2)
+        assert up.order == 3 and not up.c[:2].any()
+        assert np.array_equal(up.shift_down(2).c, f.c)
+        with pytest.raises(ValueError, match="shift_down"):
+            f.shift_down(1)
 
 
 class TestSharpProduct:
@@ -170,6 +203,22 @@ class TestFormalNorm:
         zero = FormalSymbol.constant(0.0, 1, 3)
         assert formal_norm(zero, 0.2).total() == 0.0
 
+    def test_matches_defining_sum(self):
+        from math import factorial
+
+        f = rand_symbol(np.random.default_rng(19), 2, 5, 7)
+        rho, s_max = 0.3, 12
+        ref = np.zeros(s_max + 1)
+        for k in range(3):
+            for al in range(8):
+                for be in range(8 - al):
+                    s = 2 * k + al + be
+                    if s <= s_max:
+                        raw = factorial(al) * factorial(be) * abs(f.term(k).t[al, be])
+                        coeff = 2.0 * 2.0**-k * factorial(k) / (factorial(k + al) * factorial(k + be))
+                        ref[s] += coeff * raw * rho**s
+        assert np.allclose(formal_norm(f, rho, s_max).per_order, ref, rtol=1e-14, atol=0.0)
+
     def test_cumulative_monotone(self):
         rng = np.random.default_rng(2)
         rep = formal_norm(rand_symbol(rng, 2, 4), 0.3)
@@ -223,7 +272,7 @@ class TestFormalNorm:
                 if k + l + 1 > order:
                     continue
                 term = 1j * poisson_bracket(f.term(k), g.term(l)).resized(8)
-                pois.terms[k + l + 1] = pois.terms[k + l + 1] + (-1.0) * term
+                pois = pois - FormalSymbol([term]).shift_up(k + l + 1).resized(order, 8)
         # [f,g]_# + i hbar {f,g} = j>=2 tail   (with the eq_Poisson sign)
         assert (br - pois - tail).norm_inf() < 1e-12
 
@@ -389,10 +438,40 @@ class TestMoser:
                 4,
             )
 
-    def test_t_degree_overflow(self):
-        g = FormalSymbol([table_from_dict({(1, 0): 1, (2, 0): 0.3}, 8)])
-        with pytest.raises(DegreeOverflow):
-            moser_normal_form(self.MU.resized(0, 8), g, 3, 8, t_degree=1)
+    def test_order_k_has_t_degree_at_most_k(self):
+        rng = np.random.default_rng(13)
+        graded = FormalSymbol([radial_table(np.array([0.0, 1.0, 0.15 - 0.05j]), 10),
+                               radial_table(np.array([0.2, 0.1j]), 10)])
+        for mu in (self.MU, graded):
+            res = moser_normal_form(mu, rand_symbol(rng, 0, 4, 10), 3, 10)
+            for x in (res.a_of_t, res.r_dot_of_t):
+                assert x.shape[:2] == (4, 5)  # t-cap order + 1: room for r = int rdot
+                for k in range(4):
+                    assert not x[k, k + 1 :].any()
+                assert x[3, 3].any()
+
+    def test_t_polynomial_budget_guard(self):
+        x = np.zeros((2, 3, 4, 4), dtype=complex)
+        x[1, 2, 0, 0] = 1.0
+        for op in (_t_int, _t_shift):
+            with pytest.raises(DegreeOverflow):
+                op(x)
+            assert op(x[:, :2])[1, 1, 0, 0] == 0.0
+
+    def test_keeps_truncation_flags(self):
+        # the sharp products of a degree-4 g at the cap D = 10 drop coefficients
+        # from hbar-order 2 on; padding to D = 16 shows they matter at order 3
+        rng = np.random.default_rng(21)
+        g = rand_symbol(rng, 0, 4, 10)
+        res = moser_normal_form(self.MU, g, 3, 10)
+        for s in (res.a_final, res.a_at(0.4), res.r_symbol(0.4)):
+            assert list(s.flags) == [False, False, True, True]
+            assert s.truncated
+        padded = moser_normal_form(self.MU.resized(0, 16), g, 3, 16)
+        assert np.abs(res.a_final.term(3).t - padded.a_final.term(3).resized(10).t).max() > 0.1
+        # nothing is dropped for a linear g
+        linear = moser_normal_form(self.MU, FormalSymbol([table_from_dict({(1, 0): 1}, 10)]), 3, 10)
+        assert not linear.a_final.truncated and not linear.r_symbol().truncated
 
 
 class TestOscillatorFunctions:
@@ -481,6 +560,37 @@ class TestBirkhoff:
             birkhoff_normal_form(table_from_dict({(2, 0): 1.0, (0, 2): 1.0}, 6))
 
 
+class TestLieSeries:
+    """exp(ad_G) for G = c |z|^2 rotates: t[a, b] -> t[a, b] e^{i c (a - b)}
+    at every hbar-order; the series never terminates, so the term cap decides."""
+
+    @staticmethod
+    def rotated(t, c):
+        a = np.arange(t.shape[-1])
+        return t * np.exp(1j * c * (a[:, None] - a[None, :]))
+
+    def test_classical_small_rotation(self):
+        f = rand_table(np.random.default_rng(14), 8)
+        out = lie_transport(f, radial_table(np.array([0.0, 0.3]), 8), 8)
+        assert np.abs(out.t - self.rotated(f.t, 0.3)).max() <= 1e-12 * np.abs(f.t).max()
+
+    def test_quantum_small_rotation(self):
+        f = rand_symbol(np.random.default_rng(15), 2, 8)
+        gen = FormalSymbol([radial_table(np.array([0.0, 0.3]), 8)])
+        out = quantum_lie_transport(f, gen, 2, 8)
+        for k in range(3):
+            exact = self.rotated(f.term(k).t, 0.3)
+            assert np.abs(out.term(k).t - exact).max() <= 1e-12 * np.abs(exact).max()
+
+    def test_large_rotation_raises(self):
+        f = rand_table(np.random.default_rng(16), 8)
+        gen = radial_table(np.array([0.0, 50.0]), 8)
+        with pytest.raises(NoConvergence, match="Lie series"):
+            lie_transport(f, gen, 8)
+        with pytest.raises(NoConvergence, match="Lie series"):
+            quantum_lie_transport(FormalSymbol([f]), FormalSymbol([gen]), 2, 8)
+
+
 class TestQuantumNormalForm:
     def test_matches_eigensolver(self):
         sym = MonomialSymbol({(1, 1): 1.0, (2, 1): 0.2, (1, 2): 0.2, (2, 2): 0.1})
@@ -492,6 +602,11 @@ class TestQuantumNormalForm:
         ev = np.linalg.eigvals(m.entries)
         for p in pred:
             assert np.min(np.abs(ev - p)) < 1e-7
+
+    def test_rejects_nondiagonal_hessian(self):
+        f = FormalSymbol.from_monomials(MonomialSymbol({(1, 1): 1, (2, 0): 0.2, (0, 2): 0.1, (2, 1): 0.3}), 6)
+        with pytest.raises(ValueError, match="proportional to z zbar"):
+            quantum_normal_form(f, 1, 6)
 
     def test_radial_input_is_fixed_point(self):
         f = FormalSymbol([radial_table(np.array([0.0, 1.0, 0.3]), 8)])
