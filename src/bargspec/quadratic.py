@@ -7,6 +7,13 @@ z = (p + iq)/sqrt(2):
   -> kappa_2 (real rotation) -> kappa_3 (complex diagonal stretch), composed
   on the holomorphic extension so that  f~ o kappa~^{-1} (z, vbar) = d0 z vbar.
 
+The admissible rotation is closed form.  Re(e^{i theta} F) has trace
+P cos(theta) + Q sin(theta) and determinant A + B cos(2 theta) + C sin(2 theta)
+(`_arc_centre`), so the arc of angles where it is positive definite is centred
+on atan2(C, B)/2 or that plus pi, whichever has positive trace; delta is
+e^{i theta} at that centre and the proper-range test reads the closed-form
+smallest eigenvalue there.  No angle is scanned.
+
 Convention pinned by the matrix oracle: d0 is the coefficient of z*vbar in
 the reduced normal form, d0 = 2 sqrt(det(delta F)) / delta with F the
 coefficient matrix [[a, c], [c, b]].  (Equivalently sqrt of the determinant
@@ -187,9 +194,44 @@ class NormalFormData:
     form: ComplexQuadraticForm
 
 
-def _min_eig_re(form: ComplexQuadraticForm, theta: float) -> float:
-    m = (np.exp(1j * theta) * form.matrix).real
-    return float(np.linalg.eigvalsh(m)[0])
+def _lambda_min(form: ComplexQuadraticForm, theta: float) -> float:
+    """Smaller eigenvalue tr/2 - sqrt(tr^2/4 - det) of
+    Re(e^{i theta} F) = cos(theta) Re F - sin(theta) Im F, with the radicand
+    written as the sum of squares it equals."""
+    m = np.cos(theta) * form.re_matrix - np.sin(theta) * form.im_matrix
+    return float((m[0, 0] + m[1, 1]) / 2 - np.hypot((m[0, 0] - m[1, 1]) / 2, m[0, 1]))
+
+
+def _arc_centre(form: ComplexQuadraticForm) -> float:
+    """Centre of the arc of theta with Re(e^{i theta} F) positive definite.
+
+    With R = Re F and I = Im F, M(theta) = cos(theta) R - sin(theta) I has
+    trace P cos(theta) + Q sin(theta) (P = tr R, Q = -tr I) and determinant
+    A + rho cos(2 theta - phi), where A = (det R + det I)/2, rho = hypot(B, C),
+    phi = atan2(C, B), B = (det R - det I)/2 and
+    C = -(R00 I11 + R11 I00 - 2 R01 I01)/2.  So det M > 0 exactly on
+    phi/2 +- arccos(-A/rho)/2 (mod pi).  A real symmetric 2x2 matrix with
+    positive determinant has nonzero trace, and M(theta + pi) = -M(theta), so
+    the trace is positive on exactly one copy: the arc is centred on phi/2 or
+    phi/2 + pi, whichever has positive trace, and is non-empty exactly when M
+    is positive definite there.  Callers test that with `_lambda_min` rather
+    than A > -rho, which cancels when the peak determinant is far below
+    |F|^2: F = [[1, 1], [1, 1e-10 i]] has A + rho = 2.5e-21, lost in
+    rho = 0.5, while the centre has smallest eigenvalue 5e-11.  (rho = 0
+    leaves det M constant while the trace changes sign, so no angle works;
+    atan2(0, 0) = 0 then fails the test.)  F is first divided by its largest
+    entry, which moves no angle and keeps the determinants in range.
+    """
+    scale = np.abs(form.matrix).max() or 1.0
+    r, i = form.re_matrix / scale, form.im_matrix / scale
+    det_r = r[0, 0] * r[1, 1] - r[0, 1] ** 2
+    det_i = i[0, 0] * i[1, 1] - i[0, 1] ** 2
+    b = (det_r - det_i) / 2
+    c = -(r[0, 0] * i[1, 1] + r[1, 1] * i[0, 0] - 2 * r[0, 1] * i[0, 1]) / 2
+    mid = float(np.arctan2(c, b)) / 2
+    if np.trace(r) * np.cos(mid) - np.trace(i) * np.sin(mid) < 0:
+        mid += np.pi
+    return mid
 
 
 def ellipticity_check(form: ComplexQuadraticForm) -> dict:
@@ -198,7 +240,9 @@ def ellipticity_check(form: ComplexQuadraticForm) -> dict:
     condition_value E = det(Re f) + det(Im f) + i sqrt(|Im(det f)^2
     - 4 det(Re f) det(Im f)|); elliptic iff E is not in (-inf, 0].
     range_proper: some delta on the circle makes Re(delta f) positive
-    semidefinite (grid scan refined by bisection).
+    semidefinite.  det Re(e^{i theta} f) is largest at the centre of the
+    admissible arc (`_arc_centre`), also when the arc is empty, so the test
+    is the closed-form smallest eigenvalue there against -1e-14.
     """
     re_det = float(np.linalg.det(form.re_matrix))
     im_det = float(np.linalg.det(form.im_matrix))
@@ -207,83 +251,17 @@ def ellipticity_check(form: ComplexQuadraticForm) -> dict:
     on_negative_axis = value.imag == 0.0 and value.real <= 0.0
     elliptic = not on_negative_axis
 
-    thetas = np.linspace(-np.pi, np.pi, 720, endpoint=False)
-    mins = np.array([_min_eig_re(form, t) for t in thetas])
-    range_proper = bool(mins.max() > -1e-14)
-    if not range_proper:
-        # refine around the best angle before giving up
-        t0 = thetas[int(np.argmax(mins))]
-        lo, hi = t0 - np.pi / 720, t0 + np.pi / 720
-        for _ in range(60):
-            mid1 = lo + (hi - lo) / 3
-            mid2 = hi - (hi - lo) / 3
-            if _min_eig_re(form, mid1) < _min_eig_re(form, mid2):
-                lo = mid1
-            else:
-                hi = mid2
-        range_proper = bool(_min_eig_re(form, (lo + hi) / 2) > -1e-14)
+    range_proper = _lambda_min(form, _arc_centre(form)) > -1e-14
     return {"elliptic": elliptic, "range_proper": range_proper, "condition_value": value}
-
-
-def _admissible_arc(form: ComplexQuadraticForm, n_grid: int = 2048):
-    """Maximal arc of angles theta with Re(e^{i theta} f) positive definite."""
-    thetas = np.linspace(-np.pi, np.pi, n_grid, endpoint=False)
-    good = np.array([_min_eig_re(form, t) for t in thetas]) > 0.0
-    if not good.any():
-        return None
-    if good.all():
-        # f essentially real definite up to phase: any delta works; centre on
-        # the angle of maximal margin
-        vals = np.array([_min_eig_re(form, t) for t in thetas])
-        return thetas[int(np.argmax(vals))], thetas[int(np.argmax(vals))]
-    # locate maximal run of True on the circle
-    n = n_grid
-    runs = []
-    i = 0
-    while i < n:
-        if good[i]:
-            j = i
-            while good[j % n] and j - i < n:
-                j += 1
-            runs.append((i, j))
-            i = j
-        else:
-            i += 1
-    # merge wrap-around
-    if len(runs) > 1 and runs[0][0] == 0 and runs[-1][1] >= n:
-        first = runs.pop(0)
-        runs[-1] = (runs[-1][0], n + first[1])
-    start, stop = max(runs, key=lambda r: r[1] - r[0])
-
-    step = 2 * np.pi / n
-
-    def refine(a, b):
-        # sign change of min-eig between angles a (bad) and b (good)
-        for _ in range(80):
-            mid = 0.5 * (a + b)
-            if _min_eig_re(form, mid) > 0:
-                b = mid
-            else:
-                a = mid
-        return b
-
-    left = refine(thetas[0] + (start - 1) * step, thetas[0] + start * step)
-    right = refine(thetas[0] + stop * step, thetas[0] + (stop - 1) * step)
-    return left, right
 
 
 def find_delta(form: ComplexQuadraticForm) -> complex:
     """Unit complex delta with Re(delta f) positive definite, chosen at the
-    midpoint of the maximal admissible angle arc."""
-    arc = _admissible_arc(form)
-    if arc is None:
+    midpoint of the admissible angle arc, in closed form (`_arc_centre`)."""
+    mid = _arc_centre(form)
+    if _lambda_min(form, mid) <= 0:
         raise NoDeltaFound("no rotation makes Re(delta f) positive definite")
-    left, right = arc
-    mid = 0.5 * (left + right)
-    delta = np.exp(1j * mid)
-    if _min_eig_re(form, mid) <= 0:
-        raise NoDeltaFound("admissible arc collapsed during refinement")
-    return complex(delta)
+    return complex(np.exp(1j * mid))
 
 
 def _kappa2_matrix(alpha: float, beta: float, gamma: float, Delta: float) -> np.ndarray:
@@ -325,7 +303,7 @@ def reduce_quadratic(form: ComplexQuadraticForm, delta: complex | None = None) -
         delta = find_delta(form)
     else:
         delta = complex(delta / abs(delta))
-        if float(np.linalg.eigvalsh((delta * form.matrix).real)[0]) <= 0:
+        if _lambda_min(form, np.angle(delta)) <= 0:
             raise NoDeltaFound("supplied delta does not make Re(delta f) positive definite")
 
     g = form.scaled(delta)

@@ -87,6 +87,24 @@ class SpectrumResult:
     converged: bool = True
 
 
+def _matched_gap(ev: np.ndarray, prev: np.ndarray) -> float:
+    """Largest move of an eigenvalue between two truncations, each paired
+    with the nearest unpaired one of the other, closest pairs first.
+
+    Pairing by position in the modulus-sorted lists would compare the two
+    members of a pair of equal modulus (a conjugate pair) crosswise whenever
+    their order flips, and report their distance as a gap.
+    """
+    dist = np.abs(ev[:, None] - prev[None, :])
+    gap = 0.0
+    for _ in range(len(ev)):
+        i, j = np.unravel_index(np.argmin(dist), dist.shape)
+        gap = max(gap, float(dist[i, j]))
+        dist[i, :] = np.inf
+        dist[:, j] = np.inf
+    return gap
+
+
 def eigen_spectrum(
     m: ToeplitzMatrix,
     k_wanted: int,
@@ -109,7 +127,7 @@ def eigen_spectrum(
         # nan until two truncations report the same number of eigenvalues
         gap = float("nan")
         if prev is not None and len(prev) == len(ev):
-            gap = float(np.max(np.abs(ev - prev)))
+            gap = _matched_gap(ev, prev)
             if gap < tol:
                 return SpectrumResult(ev, n, gap)
         prev = ev

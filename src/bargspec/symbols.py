@@ -384,9 +384,10 @@ def _sharp(
     """sum_{j >= j_min} ((-1)^j / j!) d^j f_k dbar^j g_l into hbar-order j+k+l.
 
     f and g stack hbar-orders on axis 0: shape (K+1, n, n), or (K+1, T+1, n, n)
-    with a polynomial in the homotopy time t on axis 1, whose products are
-    truncated at the longer operand's t cap.  Zero tables are skipped, so
-    trailing zero t-layers cost nothing.  Returns the product, of shape
+    with a polynomial in the homotopy time t on axis 1; the product keeps the
+    longer operand's t cap and raises DegreeOverflow when a nonzero product
+    of two tables lands past it.  Zero tables are skipped, so trailing zero
+    t-layers cost nothing.  Returns the product, of shape
     (order+1, [T+1,] degree+1, degree+1), and per hbar-order flags saying
     whether a table product dropped a nonzero coefficient.
     """
@@ -404,10 +405,12 @@ def _sharp(
             for k in range(min(len(f), order + 1 - j)):
                 for l in range(min(len(g), order + 1 - j - k)):
                     for s, u in product(f_layers[k], g_layers[l]):
+                        prod, drop = _product(f[k, s], g[l, u], degree)
+                        dropped[j + k + l] |= drop
                         if s + u < t_len:
-                            prod, drop = _product(f[k, s], g[l, u], degree)
                             out[j + k + l, s + u] += c * prod
-                            dropped[j + k + l] |= drop
+                        elif prod.any():
+                            raise DegreeOverflow(f"t-degree {s + u} product past the t cap {t_len - 1}")
         f, g = _dz(f), _dzbar(g)
     return (out if timed else out[:, 0]), dropped
 

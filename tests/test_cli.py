@@ -233,3 +233,15 @@ def test_console_entry_point():
         text=True,
     )
     assert proc.returncode == 0
+
+
+def test_cli_import_leaves_heavy_scipy_modules_unloaded():
+    # each of these costs start-up time in every fresh CLI process
+    code = (
+        "import sys\n"
+        "import bargspec.cli\n"
+        "loaded = [m for m in ('scipy.optimize', 'scipy.sparse', 'scipy.signal') if m in sys.modules]\n"
+        "assert not loaded, loaded\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

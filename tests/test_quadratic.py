@@ -4,11 +4,14 @@ convention (in particular the z*vbar coefficient d0)."""
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from bargspec.bargmann import assemble_toeplitz
 from bargspec.quadratic import (
     ComplexQuadraticForm,
     NoDeltaFound,
+    _arc_centre,
     ellipticity_check,
     exact_quadratic_spectrum,
     find_delta,
@@ -234,3 +237,214 @@ def test_zv_coefficients_round_trip():
     assert q2.a == pytest.approx(q.a)
     assert q2.b == pytest.approx(q.b)
     assert q2.c == pytest.approx(q.c)
+
+
+# ---------------------------------------------------------------------------
+# Cross-route arbiter.  `find_delta` and `ellipticity_check` take the
+# admissible rotation in closed form.  The reference below is the angle scan
+# they replaced: a 2048-point eigvalsh scan of Re(e^{i theta} f) with the arc
+# ends refined by bisection, and a 720-point scan plus ternary search for the
+# proper-range test.  It is kept here only as an independent route.
+
+_SCAN_GRID = 2048
+
+
+def _scan_min_eig(form, theta):
+    return float(np.linalg.eigvalsh((np.exp(1j * theta) * form.matrix).real)[0])
+
+
+def _scan_range_proper(form):
+    """(range_proper, the largest smallest eigenvalue the scan saw)."""
+    thetas = np.linspace(-np.pi, np.pi, 720, endpoint=False)
+    mins = np.array([_scan_min_eig(form, t) for t in thetas])
+    t0 = thetas[int(np.argmax(mins))]
+    lo, hi = t0 - np.pi / 720, t0 + np.pi / 720
+    for _ in range(60):
+        mid1 = lo + (hi - lo) / 3
+        mid2 = hi - (hi - lo) / 3
+        if _scan_min_eig(form, mid1) < _scan_min_eig(form, mid2):
+            lo = mid1
+        else:
+            hi = mid2
+    refined = _scan_min_eig(form, (lo + hi) / 2)
+    # the scan refines only when the grid alone fails the test
+    proper = bool(mins.max() > -1e-14 or refined > -1e-14)
+    return proper, max(float(mins.max()), refined)
+
+
+def _scan_arc(form):
+    """Ends of the longest run of positive definite grid angles, bisected."""
+    thetas = np.linspace(-np.pi, np.pi, _SCAN_GRID, endpoint=False)
+    good = np.array([_scan_min_eig(form, t) for t in thetas]) > 0.0
+    if not good.any():
+        raise NoDeltaFound("no grid angle is admissible")
+    n = _SCAN_GRID
+    runs = []
+    i = 0
+    while i < n:
+        if good[i]:
+            j = i
+            while good[j % n] and j - i < n:
+                j += 1
+            runs.append((i, j))
+            i = j
+        else:
+            i += 1
+    if len(runs) > 1 and runs[0][0] == 0 and runs[-1][1] >= n:
+        first = runs.pop(0)
+        runs[-1] = (runs[-1][0], n + first[1])
+    start, stop = max(runs, key=lambda r: r[1] - r[0])
+    step = 2 * np.pi / n
+
+    def refine(bad, ok):
+        for _ in range(80):
+            mid = 0.5 * (bad + ok)
+            if _scan_min_eig(form, mid) > 0:
+                ok = mid
+            else:
+                bad = mid
+        return ok
+
+    left = refine(thetas[0] + (start - 1) * step, thetas[0] + start * step)
+    right = refine(thetas[0] + stop * step, thetas[0] + (stop - 1) * step)
+    return left, right
+
+
+def _scan_find_delta(form):
+    """delta at the midpoint of the scanned arc."""
+    left, right = _scan_arc(form)
+    mid = 0.5 * (left + right)
+    if _scan_min_eig(form, mid) <= 0:
+        raise NoDeltaFound("admissible arc collapsed during refinement")
+    return complex(np.exp(1j * mid))
+
+
+def _scan_resolution(form, ulps):
+    """How far the scan's midpoint can sit from the true one.
+
+    Bisection places each end only where the smallest eigenvalue, rising
+    from 0 at slope s, clears the eigvalsh roundoff of `ulps`: to within
+    ulps / s.  s is taken as the mean slope over the outer quarter of the
+    arc, which is below the slope at the end where the profile bends down
+    toward the middle, so the window errs wide.  The slope is small where
+    the peak determinant is small against |f|^2: f = [[i, 1e-8 + i],
+    [1e-8 + i, i]] has s = 1e-8 at its arc end 3 pi / 2.
+    """
+    left, right = _scan_arc(form)
+    h = (right - left) / 4
+    windows = []
+    for inner in (left + h, right - h):
+        rise = _scan_min_eig(form, inner)
+        windows.append(ulps * h / rise if rise > 0 else right - left)
+    return sum(windows) / 2
+
+
+def _delta_or_none(find, form):
+    try:
+        return find(form)
+    except NoDeltaFound:
+        return None
+
+
+def _assert_routes_agree(form, centre=None):
+    """The closed form against the scan, where rounding does not decide.
+
+    A scan finds an angle that passes, or misses a peak narrower than its
+    grid.  So where the scan passes, the closed form must pass; where only
+    the closed form passes, eigvalsh at its angle must certify it.  Where
+    both find delta, they agree to 1e-12 plus the scan's own resolution
+    (`_scan_resolution`).  Where only the closed form finds one, the scan
+    must have stepped over an arc narrower than its grid step.  `centre`,
+    when the form was built around a known arc centre, is a third route for
+    delta, to 1e-12 at any width.
+    """
+    scan_proper, scan_best = _scan_range_proper(form)
+    arc_centre = _arc_centre(form)
+    best = max(scan_best, _scan_min_eig(form, arc_centre))
+    # within a few ulps of the thresholds 0 (an arc exists) and -1e-14
+    # (range_proper), rounding in either route decides: nothing to compare
+    ulps = 32 * np.finfo(float).eps * np.abs(form.matrix).max()
+    assume(abs(best) > ulps and abs(best + 1e-14) > ulps)
+    if ellipticity_check(form)["range_proper"]:
+        assert _scan_min_eig(form, arc_centre) > -1e-14
+    else:
+        assert not scan_proper
+    ref = _delta_or_none(_scan_find_delta, form)
+    new = _delta_or_none(find_delta, form)
+    if new is None:
+        assert ref is None
+        return
+    theta = np.angle(new)
+    assert _scan_min_eig(form, theta) > 0
+    if ref is not None:
+        assert abs(new - ref) < 1e-12 + _scan_resolution(form, ulps)
+    else:
+        half_step = np.pi / _SCAN_GRID
+        assert _scan_min_eig(form, theta - half_step) <= 0
+        assert _scan_min_eig(form, theta + half_step) <= 0
+    if centre is not None:
+        assert abs(new - np.exp(1j * centre)) < 1e-12
+
+
+def _form_with_arc(centre, peak, t_diag, t_off, turn, scale):
+    """scale e^{-i centre} U (S + iT) U^T, U a rotation by `turn`.
+
+    S = diag(1, top) and T = [[t_diag, t_off], [t_off, -top t_diag]] have
+    mixed discriminant 0, so with top = peak / scale^2,
+    det Re(e^{i theta} F) peaks at theta = centre with value A + rho = peak.
+    peak > 0 gives an arc centred there, of half-width about
+    sqrt(top) / t_off; peak <= 0 gives no arc.
+    """
+    top = peak / scale**2
+    u = np.array([[np.cos(turn), -np.sin(turn)], [np.sin(turn), np.cos(turn)]])
+    s = np.diag([1.0, top])
+    t = np.array([[t_diag, t_off], [t_off, -top * t_diag]])
+    m = scale * np.exp(-1j * centre) * (u @ (s + 1j * t) @ u.T)
+    return ComplexQuadraticForm(m[0, 0], m[1, 1], m[0, 1])
+
+
+class TestClosedFormAgainstScan:
+    entry = st.floats(-2.0, 2.0, allow_nan=False)
+
+    @settings(max_examples=100, deadline=None)
+    @given(re=st.lists(entry, min_size=3, max_size=3), im=st.lists(entry, min_size=3, max_size=3))
+    def test_random_forms(self, re, im):
+        m = np.array(re) + 1j * np.array(im)
+        _assert_routes_agree(ComplexQuadraticForm(m[0], m[1], m[2]))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        centre=st.floats(-np.pi, np.pi),
+        peak=st.one_of(st.floats(-1e-12, 1e-12), st.floats(-12.0, -2.0).map(lambda u: 10.0**u)),
+        t_diag=st.floats(-2.0, 2.0),
+        t_off=st.floats(0.5, 2.0),
+        turn=st.floats(0.0, np.pi),
+        scale=st.floats(0.5, 2.0),
+    )
+    def test_narrow_and_boundary_arcs(self, centre, peak, t_diag, t_off, turn, scale):
+        form = _form_with_arc(centre, peak, t_diag, t_off, turn, scale)
+        _assert_routes_agree(form, centre=centre)
+
+    def test_hyperbolic_boundary(self):
+        # det Re(e^{i theta} f) = -cos^2 theta peaks at 0, at theta = pi/2:
+        # no arc, but Re(e^{i pi/2} f) = 0 is semidefinite, so the range is proper
+        form = ComplexQuadraticForm(1, -1, 0)
+        assert ellipticity_check(form)["range_proper"] is True
+        assert _scan_range_proper(form)[0] is True
+        for find in (find_delta, _scan_find_delta):
+            with pytest.raises(NoDeltaFound):
+                find(form)
+
+    @pytest.mark.parametrize(
+        "form, theta",
+        [
+            (ComplexQuadraticForm(1, 1j, 0), -np.pi / 4),
+            (ComplexQuadraticForm(np.exp(1j * np.pi / 3), np.exp(1j * np.pi / 3), 0), -np.pi / 3),
+        ],
+    )
+    def test_pinned_arcs(self, form, theta):
+        delta = find_delta(form)
+        assert abs(delta - np.exp(1j * theta)) < 1e-15
+        assert abs(delta - _scan_find_delta(form)) < 1e-12
+        assert ellipticity_check(form)["range_proper"] is True
+        assert _scan_range_proper(form)[0] is True

@@ -65,6 +65,16 @@ class TestEigenSpectrum:
         assert not err.value.result.converged
         assert np.isnan(err.value.result.convergence_gap)
 
+    def test_tied_pair_swapping_order_is_no_gap(self, monkeypatch):
+        # a conjugate pair has equal modulus, so its order in the modulus sort
+        # is arbitrary; the flip between n = 8 and n = 16 moves nothing
+        spectra = {8: [1 + 1j, 1 - 1j, 3.0], 16: [1 - 1j, 1 + 1j, 3.0]}
+        monkeypatch.setattr(np.linalg, "eigvals", lambda mat: np.array(spectra[len(mat)]))
+        m = assemble_toeplitz(ROT.to_symbol(), 0.1, 8)
+        spec = eigen_spectrum(m, 3, 1e-8, n_cap=16)
+        assert spec.converged and spec.n_max_used == 16
+        assert spec.convergence_gap == 0.0
+
 
 class TestResolventGrid:
     def test_normal_case_exactness(self):

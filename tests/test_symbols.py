@@ -160,6 +160,13 @@ class TestSharpKernel:
             ref = plain(self.at_time(ft, tau), self.at_time(gt, tau))
             assert (self.at_time(timed, tau) - ref).norm_inf() <= 1e-12 * ref.norm_inf()
 
+    def test_t_product_past_the_cap_raises(self):
+        # t^2 # t^2 = t^4 does not fit a 3-layer t-axis (t-degree at most 2)
+        x = np.zeros((1, 3, 3, 3), dtype=complex)
+        x[0, 2, 0, 0] = 1.0
+        with pytest.raises(DegreeOverflow):
+            _sharp(x, x, 0, 2)
+
     def test_table_product_matches_definition(self):
         # out[a, b] = sum x[i, j] y[a-i, b-j] over a + b <= degree, for unequal sizes
         rng = np.random.default_rng(8)
