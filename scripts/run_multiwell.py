@@ -41,8 +41,12 @@ def main():
     print(f"max residual: {rep.residuals.max():.3e}  (1e-3 hbar = {1e-3 * args.hbar:.1e})")
     if rep.jordan_pairs:
         print("near-degenerate pairs (Jordan-block candidates, reported only):")
+        sector = dict(zip(rep.spectrum.eigenvalues.tolist(), rep.spectrum.sectors.tolist()))
         for i, j, gap, nn in rep.jordan_pairs:
-            print(f"  ({i},{j}): gap {gap:.2e}, subspace nonnormality {nn:.2e}")
+            if sector[rep.eigenvalues[i]] != sector[rep.eigenvalues[j]]:
+                print(f"  ({i},{j}): gap {gap:.2e}, different sectors (normal by structure, nonnormality 0.0)")
+            else:
+                print(f"  ({i},{j}): gap {gap:.2e}, subspace nonnormality {nn:.2e}")
     else:
         print("no near-degenerate pairs flagged")
 

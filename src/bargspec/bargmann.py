@@ -6,9 +6,12 @@ acts on e_k with the single nonzero matrix element
 
     <e_{k+a-b}, T(z^a zbar^b) e_k> = hbar^{(a+b)/2} (k+a)! / sqrt(k! (k+a-b)!)
 
-so every assembled matrix is banded, with one band per monomial.
-Factorial ratios are evaluated through log-gamma differences; entries stay
-finite up to n_max ~ 1e3 and beyond.
+so it fills the one diagonal a - b.  `ToeplitzMatrix` stores the truncated
+operator by diagonal and owns its split into banded blocks by index mod the
+gcd g of the offsets, which never couple (parity blocks for symbols in z^2,
+zbar^2 and |z|^2).  The dense n x n matrix is built only on request
+(`entries`).  Factorial ratios are products of linear factors, exact to a
+few ulp far beyond n_max ~ 1e3.
 
 `inner_product_oracle` recomputes any entry by 2-D numerical quadrature
 (Gauss-Laguerre in the radius, trapezoid in the angle) and is kept fully
@@ -18,8 +21,9 @@ independent of the closed form above; it is the arbiter used by the tests.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.special import gammaln
@@ -143,36 +147,66 @@ class MonomialSymbol:
 
 @dataclass(frozen=True)
 class ToeplitzMatrix:
-    """Compression P_N T_hbar(f) P_N to the first n basis states."""
+    """Compression P_N T_hbar(f) P_N to the first n basis states, stored by
+    diagonal: diags[d][k] = M[k + d, k], zero where k + d lies outside."""
 
-    entries: np.ndarray
+    diags: dict[int, np.ndarray]
+    dim: int
     hbar: float
     symbol: MonomialSymbol | None = field(default=None, compare=False)
 
-    def __post_init__(self):
-        m = np.asarray(self.entries, dtype=complex)
+    @classmethod
+    def from_dense(cls, entries, hbar: float) -> "ToeplitzMatrix":
+        """The operator of a square matrix, one diagonal per nonzero offset."""
+        m = np.asarray(entries, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"square matrix expected, got shape {m.shape}")
-        object.__setattr__(self, "entries", m)
+        n = m.shape[0]
+        rows, cols = np.nonzero(m)
+        diags = {d: np.zeros(n, dtype=complex) for d in np.unique(rows - cols).tolist()}
+        for d, vals in diags.items():
+            vals[max(-d, 0) : n - max(d, 0)] = np.diagonal(m, -d)
+        return cls(diags, n, hbar)
 
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
+    @cached_property
+    def entries(self) -> np.ndarray:
+        """The dense n x n matrix, built on first access."""
+        m = np.zeros((self.dim, self.dim), dtype=complex)
+        for d, vals in self.diags.items():
+            k = np.arange(max(-d, 0), self.dim - max(d, 0))
+            m[k + d, k] = vals[k]
+        return m
+
+    def blocks(self) -> tuple[np.ndarray, np.ndarray, int]:
+        """The blocks by index mod g, in band form.
+
+        With g the gcd of the offsets of the nonzero diagonals, block r holds
+        the indices r + g i, i < m = ceil(n / g), with kl = max(offset)/g sub-
+        and ku = max(-offset)/g superdiagonals.  With no nonzero offset, g = n.
+        Returns band (m, g, kl+ku+1), band[i, r, c] = B_r[i, i - kl + c] (zero
+        outside the matrix), `pad` (m, g), true on the rows r + g i >= n that
+        make every block m x m, and kl.
+        """
+        n = self.dim
+        offsets = [d for d, vals in self.diags.items() if vals.any()]
+        if not any(offsets):
+            g, kl, ku = n, 0, 0
+        else:
+            g = math.gcd(*offsets)
+            kl, ku = max(max(offsets), 0) // g, max(-min(offsets), 0) // g
+        m = -(-n // g)
+        row = g * np.arange(m)[:, None] + np.arange(g)[None, :]
+        band = np.zeros((m, g, kl + ku + 1), dtype=complex)
+        for d in offsets:
+            col = row - d
+            inside = (row < n) & (col >= 0) & (col < n)
+            band[:, :, kl - d // g] = np.where(inside, self.diags[d][np.clip(col, 0, n - 1)], 0.0)
+        return band, row >= n, kl
 
     def to_csv(self) -> str:
-        lines = []
         rows, cols = np.nonzero(self.entries)
-        for r, c in zip(rows, cols):
-            v = self.entries[r, c]
-            lines.append(f"{r},{c},{float(v.real)!r},{float(v.imag)!r}")
-        return "\n".join(lines) + ("\n" if lines else "")
-
-
-def _band_guard(n_max: int, alpha: int) -> None:
-    if n_max + alpha > _FACTORIAL_SAFE:
-        raise OverflowError(
-            f"n_max + alpha = {n_max + alpha} exceeds the factorial-safe range"
-        )
+        vals = self.entries[rows, cols]
+        return "".join(f"{r},{c},{float(v.real)!r},{float(v.imag)!r}\n" for r, c, v in zip(rows, cols, vals))
 
 
 def monomial_band_entries(alpha: int, beta: int, hbar: float, n_max: int) -> np.ndarray:
@@ -188,7 +222,8 @@ def monomial_band_entries(alpha: int, beta: int, hbar: float, n_max: int) -> np.
     """
     hbar = check_hbar(hbar)
     n_max = check_truncation(n_max)
-    _band_guard(n_max, alpha)
+    if n_max + alpha > _FACTORIAL_SAFE:
+        raise OverflowError(f"n_max + alpha = {n_max + alpha} exceeds the factorial-safe range")
     k = np.arange(n_max, dtype=float)
     l = k + alpha - beta
     prod = np.ones(n_max)
@@ -204,30 +239,18 @@ def monomial_band_entries(alpha: int, beta: int, hbar: float, n_max: int) -> np.
 
 def monomial_matrix(alpha: int, beta: int, hbar: float, n_max: int) -> ToeplitzMatrix:
     """Matrix of T_hbar(z^alpha zbar^beta) in the truncated basis."""
-    alpha, beta = int(alpha), int(beta)
-    if alpha < 0 or beta < 0:
-        raise ValueError("monomial exponents must be nonnegative")
-    vals = monomial_band_entries(alpha, beta, hbar, n_max)
-    m = np.zeros((n_max, n_max), dtype=complex)
-    k = np.arange(n_max)
-    rows = k + alpha - beta
-    ok = (rows >= 0) & (rows < n_max)
-    m[rows[ok], k[ok]] = vals[ok]
-    return ToeplitzMatrix(m, check_hbar(hbar), MonomialSymbol({(alpha, beta): 1.0}))
+    return assemble_toeplitz(MonomialSymbol({(alpha, beta): 1.0}), hbar, n_max)
 
 
 def assemble_toeplitz(symbol: MonomialSymbol, hbar: float, n_max: int) -> ToeplitzMatrix:
     """Linear combination of monomial bands; edge rows past n_max are dropped."""
     hbar = check_hbar(hbar)
     n_max = check_truncation(n_max)
-    m = np.zeros((n_max, n_max), dtype=complex)
+    diags: dict[int, np.ndarray] = {}
     for (a, b), c in symbol.coeffs.items():
         vals = monomial_band_entries(a, b, hbar, n_max)
-        k = np.arange(n_max)
-        rows = k + a - b
-        ok = (rows >= 0) & (rows < n_max)
-        m[rows[ok], k[ok]] += c * vals[ok]
-    return ToeplitzMatrix(m, hbar, symbol)
+        diags[a - b] = diags.get(a - b, np.zeros(n_max, dtype=complex)) + c * vals
+    return ToeplitzMatrix(diags, n_max, hbar, symbol)
 
 
 def radial_diagonal(moments: np.ndarray, hbar: float, n_max: int) -> np.ndarray:
@@ -252,7 +275,7 @@ def toeplitz_radial(moments, hbar: float, n_max: int) -> ToeplitzMatrix:
     moments = np.asarray(moments, dtype=complex)
     sym = MonomialSymbol({(j, j): g for j, g in enumerate(moments) if g != 0})
     diag = radial_diagonal(moments, hbar, n_max)
-    return ToeplitzMatrix(np.diag(diag), check_hbar(hbar), sym)
+    return ToeplitzMatrix({0: diag}, diag.size, check_hbar(hbar), sym)
 
 
 def inner_product_oracle(

@@ -238,18 +238,24 @@ def ellipticity_check(form: ComplexQuadraticForm) -> dict:
     """Evaluate the ellipticity condition and the proper-range condition.
 
     condition_value E = det(Re f) + det(Im f) + i sqrt(|Im(det f)^2
-    - 4 det(Re f) det(Im f)|); elliptic iff E is not in (-inf, 0].
+    - 4 det(Re f) det(Im f)|); elliptic iff E is not in (-inf, 0].  The
+    discriminant cancels exactly for e^{i theta}(p^2 - q^2), and the root would
+    blow its rounding up to sqrt(eps): within 32 eps of its terms' magnitudes,
+    or below the underflow threshold, it counts as zero.
     range_proper: some delta on the circle makes Re(delta f) positive
     semidefinite.  det Re(e^{i theta} f) is largest at the centre of the
     admissible arc (`_arc_centre`), also when the arc is empty, so the test
     is the closed-form smallest eigenvalue there against -1e-14.
     """
-    re_det = float(np.linalg.det(form.re_matrix))
-    im_det = float(np.linalg.det(form.im_matrix))
+    a, b, c = form.a, form.b, form.c  # explicit: np.linalg.det loses |log det| ulps
+    re_det, im_det = a.real * b.real - c.real**2, a.imag * b.imag - c.imag**2
     disc = np.imag(form.det_f) ** 2 - 4.0 * re_det * im_det
-    value = re_det + im_det + 1j * np.sqrt(abs(disc))
-    on_negative_axis = value.imag == 0.0 and value.real <= 0.0
-    elliptic = not on_negative_axis
+    # the terms of disc in absolute value bound its rounding
+    cross = abs(a.real * b.imag) + abs(b.real * a.imag) + 2 * abs(c.real * c.imag)
+    scale = cross**2 + 4 * (abs(a.real * b.real) + c.real**2) * (abs(a.imag * b.imag) + c.imag**2)
+    real_value = abs(disc) <= 32 * np.finfo(float).eps * scale + np.finfo(float).tiny
+    value = re_det + im_det + 1j * (0.0 if real_value else np.sqrt(abs(disc)))
+    elliptic = not (real_value and value.real <= 0.0)
 
     range_proper = _lambda_min(form, _arc_centre(form)) > -1e-14
     return {"elliptic": elliptic, "range_proper": range_proper, "condition_value": value}

@@ -3,15 +3,15 @@ matrices, resolvent-norm grids and c-analytic pseudospectra, action integrals
 on complexified energy levels, Bohr-Sommerfeld index residuals, and multi-well
 lattice matching.
 
-Resolvent grids are one batched computation in one thread, not a loop over
-lambda.  A monomial z^a zbar^b fills the diagonal a - b of a truncated
-Toeplitz matrix, so the matrix splits into blocks by index mod the gcd g of
-its diagonal offsets (parity blocks for symbols in z^2, zbar^2 and |z|^2),
-each banded.  Every block of every shifted matrix M - lambda gets a pivoted
-banded LU, and block inverse iteration on A^H A runs vectorised over all of
-them with a per-pair convergence mask (Trefethen, Computation of
-pseudospectra, Acta Numerica 1999).  `sigma_min` at a single point keeps the
-dense SVD up to its cutoff, the route the tests compare the grid against.
+The solvers read the banded blocks of `ToeplitzMatrix.blocks()`, never the
+dense matrix.  `eigen_spectrum` solves block by block and labels each
+eigenvalue with its block.  A resolvent grid is one batched computation: every
+block of every M - lambda gets a pivoted banded LU, and block inverse
+iteration on A^H A runs vectorised over all of them with a per-pair
+convergence mask (Trefethen, Computation of pseudospectra, Acta Numerica
+1999).  `multiwell_compare` takes its 2-norm and Jordan-pair test from the
+blocks.  `sigma_min` at one point keeps the dense SVD up to its cutoff, the
+route the tests compare the grid against.
 
 Every adaptive loop ends with an explicit status: a loop that runs out of
 steps raises (NoConvergence, or InversionFailed for the Bohr-Sommerfeld
@@ -85,6 +85,7 @@ class SpectrumResult:
     n_max_used: int
     convergence_gap: float
     converged: bool = True
+    sectors: np.ndarray | None = None  # block (index class mod g) of each eigenvalue
 
 
 def _matched_gap(ev: np.ndarray, prev: np.ndarray) -> float:
@@ -111,28 +112,33 @@ def eigen_spectrum(
     tol: float = 1e-8,
     n_cap: int = 4096,
 ) -> SpectrumResult:
-    """Smallest-|lambda| eigenvalues with truncation adaptivity: n_max doubles
-    until the reported eigenvalues move by less than tol."""
-    if m.symbol is None:
-        ev = np.linalg.eigvals(m.entries)
-        ev = ev[np.argsort(np.abs(ev))][:k_wanted]
-        return SpectrumResult(ev, m.dim, 0.0)
+    """Smallest-|lambda| eigenvalues, solved block by block (`ToeplitzMatrix.
+    blocks`), with truncation adaptivity: n_max doubles until the reported
+    eigenvalues move by less than tol.  A raw matrix (no symbol) is solved
+    once, at its own size."""
     n = m.dim
-    hbar = m.hbar
     prev = None
     while True:
-        mat = assemble_toeplitz(m.symbol, hbar, n).entries if n != m.dim else m.entries
-        ev = np.linalg.eigvals(mat)
-        ev = ev[np.argsort(np.abs(ev))][:k_wanted]
+        band, pad, kl = (m if n == m.dim else assemble_toeplitz(m.symbol, m.hbar, n)).blocks()
+        g = band.shape[1]
+        if band.shape[0] == 1:  # diagonal: the eigenvalues are the entries
+            ev, sec = band[0, :, 0], np.arange(g)
+        else:
+            evs = [np.linalg.eigvals(_band_dense(band[~pad[:, r], r], kl)) for r in range(g)]
+            ev, sec = np.concatenate(evs), np.repeat(np.arange(g), [len(e) for e in evs])
+        order = np.argsort(np.abs(ev))[:k_wanted]
+        ev, sec = ev[order], sec[order]
+        if m.symbol is None:
+            return SpectrumResult(ev, n, 0.0, sectors=sec)
         # nan until two truncations report the same number of eigenvalues
         gap = float("nan")
         if prev is not None and len(prev) == len(ev):
             gap = _matched_gap(ev, prev)
             if gap < tol:
-                return SpectrumResult(ev, n, gap)
+                return SpectrumResult(ev, n, gap, sectors=sec)
         prev = ev
         if n >= n_cap:
-            result = SpectrumResult(ev, n, gap, converged=False)
+            result = SpectrumResult(ev, n, gap, converged=False, sectors=sec)
             if np.isnan(gap):
                 raise NoConvergence(f"truncation cap {n_cap} reached at n = {n} before a comparison", result)
             raise NoConvergence(f"eigenvalues still moving by {gap:.3e} at n = {n}", result)
@@ -148,44 +154,12 @@ def sigma_min(mat: np.ndarray, lam: complex, dense_cutoff: int = 512) -> float:
     the batched banded kernel of `resolvent_grid` at this one point above it."""
     if mat.shape[0] <= dense_cutoff:
         return float(sla.svdvals(mat - lam * np.eye(mat.shape[0]))[-1])
-    return float(_sigma_min_banded(mat, np.array([lam], dtype=complex))[0])
+    return float(_sigma_min_banded(ToeplitzMatrix.from_dense(mat, 1.0), np.array([lam], dtype=complex))[0])
 
 
 # band entries (grid points x blocks x rows x band width) per chunk of grid
 # points: bounds the memory of the batched LU and the iteration vectors
 _CHUNK_ENTRIES = 1 << 18
-
-
-def _band_blocks(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-    """The blocks of mat by index mod g, in band form.
-
-    Entry (i, j) lies on diagonal i - j; a monomial z^a zbar^b fills diagonal
-    a - b.  With g the gcd of the nonzero offsets, indices in different
-    classes mod g never couple, so block r holds the indices r + g i,
-    i < m = ceil(n / g), and is banded with kl = max(offset)/g sub- and
-    ku = max(-offset)/g superdiagonals.  With no nonzero offset, g = n and
-    every index is its own 1x1 block.
-
-    Returns band (m, g, kl+ku+1) with band[i, r, c] = B_r[i, i - kl + c] (zero
-    outside the matrix), `pad` (m, g), true on the rows r + g i >= n that make
-    every block m x m, and kl.
-    """
-    n = mat.shape[0]
-    rows, cols = np.nonzero(mat)
-    offsets = np.unique(rows - cols)
-    if not offsets.any():
-        g, kl, ku = n, 0, 0
-    else:
-        g = int(np.gcd.reduce(offsets))
-        kl, ku = max(int(offsets.max()), 0) // g, max(-int(offsets.min()), 0) // g
-    m = -(-n // g)
-    i = np.arange(m)[:, None, None]
-    r = np.arange(g)[None, :, None]
-    row = r + g * i
-    col = row + g * (np.arange(kl + ku + 1)[None, None, :] - kl)
-    inside = (row < n) & (col >= 0) & (col < n)
-    band = np.where(inside, mat[np.minimum(row, n - 1), np.clip(col, 0, n - 1)], 0.0)
-    return band, row[:, :, 0] >= n, kl
 
 
 class _BandLU(NamedTuple):
@@ -333,20 +307,20 @@ def _band_matvec(a: np.ndarray, v: np.ndarray, kl: int) -> np.ndarray:
 
 
 def _sigma_min_banded(
-    mat: np.ndarray,
+    op: ToeplitzMatrix,
     lams: np.ndarray,
     max_iter: int = 60,
     rtol: float = 1e-9,
 ) -> np.ndarray:
-    """sigma_min(mat - lam I) at every lam, batched over the points and the
-    blocks of `_band_blocks`.
+    """sigma_min(M - lam I) at every lam, batched over the points and the
+    blocks of `op.blocks()`.
 
     Each block of each shifted matrix (a point-block pair) gets a pivoted
     banded LU; then block (size 2) inverse iteration on A^H A with
     Rayleigh-Ritz extraction runs on all pairs at once, each with its own
     convergence test (`_block_inverse_iteration`).  From the third step a
     pair is also done once its estimate sits below the roundoff floor
-    1e-12 ||mat - lam||_1: deep inside the pseudospectrum many singular
+    1e-12 ||M - lam||_1: deep inside the pseudospectrum many singular
     values are at that floor, the iteration would crawl, and the value only
     needs to be tiny there.  An exactly zero pivot makes a block singular, so
     its sigma is 0.  sigma_min is the minimum over the blocks; a diagonal
@@ -356,12 +330,16 @@ def _sigma_min_banded(
     or an iterate is not finite.  Grid points go through in chunks of
     _CHUNK_ENTRIES band entries, so memory stays bounded."""
     lams = np.asarray(lams, dtype=complex).ravel()
-    band, pad, kl = _band_blocks(mat)
+    band, pad, kl = op.blocks()
     m, g, w = band.shape
-    absm = np.abs(mat)
-    diag = np.diagonal(mat)
-    off_colsum = absm.sum(axis=0) - np.abs(diag)
-    norm = max(absm.sum(axis=0).max(), absm.sum(axis=1).max())
+    # column and row sums of |M| from the diagonals: diags[d][k] = M[k+d, k],
+    # and np.roll(diags[d], d) puts M[i, i-d] at i (zero where it wraps)
+    offsets = sorted(op.diags)
+    colsum = sum((np.abs(op.diags[d]) for d in offsets), np.zeros(op.dim))
+    rowsum = sum((np.roll(np.abs(op.diags[d]), d) for d in offsets[::-1]), np.zeros(op.dim))
+    diag = op.diags.get(0, np.zeros(op.dim))
+    off_colsum = colsum - np.abs(diag)
+    norm = max(colsum.max(), rowsum.max())
     out = np.empty(lams.size)
     chunk = max(1, _CHUNK_ENTRIES // band.size)
     for s in range(0, lams.size, chunk):
@@ -493,10 +471,10 @@ def resolvent_grid(
     workers: int | None = None,
 ) -> PseudospectrumField:
     """sigma_min(M - lambda) over a rectangle, every point in one batched
-    banded computation (`_sigma_min_banded`): the blocks of M by index mod the
-    gcd of its diagonal offsets, one pivoted LU per block and point, and block
-    inverse iteration vectorised over all of them.  `workers` is accepted and
-    ignored: the batch runs in one thread."""
+    banded computation (`_sigma_min_banded`): the blocks of M (`m.blocks()`),
+    one pivoted LU per block and point, and block inverse iteration
+    vectorised over all of them.  `workers` is accepted and ignored: the
+    batch runs in one thread."""
     x0, x1, y0, y1 = rect
     nx, ny = resolution
     if nx < 2 or ny < 2:
@@ -504,7 +482,7 @@ def resolvent_grid(
     xs = np.linspace(x0, x1, nx)
     ys = np.linspace(y0, y1, ny)
     lam = xs[None, :] + 1j * ys[:, None]
-    sigma = _sigma_min_banded(m.entries, lam).reshape(ny, nx)
+    sigma = _sigma_min_banded(m, lam).reshape(ny, nx)
     return PseudospectrumField(xs=xs, ys=ys, sigma=sigma, n_max=m.dim, hbar=m.hbar)
 
 
@@ -709,11 +687,8 @@ def quantisation_curve(
     # quadratic-level shift acts inside the oscillator argument:
     # lambda ~ m(hbar(l+1) + hbar (tr-d0)/(2 d0)), so the linear correction
     # carries nu'(s)/d0 = mu0'(d0 s)
-    nu_prime = (
-        np.array([(j + 1) * nu[j + 1] / d0 for j in range(len(nu) - 1)])
-        if len(nu) > 1
-        else np.array([0.0])
-    )
+    der = np.polynomial.polynomial.polyder
+    nu_prime = der(nu) / d0
 
     def poly(p, s):
         return np.polynomial.polynomial.polyval(s, np.asarray(p, dtype=complex))
@@ -725,17 +700,8 @@ def quantisation_curve(
 
     def mu_c_prime(xi):
         s = hbar * (xi + 1.0)
-        total = 0.0 + 0.0j
-        for k, p in enumerate(m_profiles):
-            dp = np.array([(j + 1) * p[j + 1] for j in range(len(p) - 1)]) if len(p) > 1 else np.array([0.0])
-            total += hbar**k * poly(dp, s)
-        ddnu = (
-            np.array([(j + 1) * nu_prime[j + 1] for j in range(len(nu_prime) - 1)])
-            if len(nu_prime) > 1
-            else np.array([0.0])
-        )
-        total += hbar * (tr - d0) / 2.0 * poly(ddnu, s)
-        return hbar * total
+        total = sum(hbar**k * poly(der(p), s) for k, p in enumerate(m_profiles))
+        return hbar * (total + hbar * (tr - d0) / 2.0 * poly(der(nu_prime), s))
 
     return mu_c, mu_c_prime
 
@@ -870,9 +836,11 @@ def multiwell_compare(
     m = assemble_toeplitz(symbol, hbar, n_start)
     total_pred = sum(np.sum(np.abs(p.lattice - centre) <= radius) for p in preds)
     spec = eigen_spectrum(m, k_wanted=max(int(total_pred) + 6, 10), tol=tol)
-    in_window = spec.eigenvalues[np.abs(spec.eigenvalues - centre) <= radius]
+    near = np.abs(spec.eigenvalues - centre) <= radius
+    in_window, sectors = spec.eigenvalues[near], spec.sectors[near]
     # stable order: by modulus (ties in the greedy matching break this way)
-    in_window = in_window[np.argsort(np.abs(in_window))]
+    order = np.argsort(np.abs(in_window))
+    in_window, sectors = in_window[order], sectors[order]
 
     spacing = min(abs(hbar * p.d0) for p in preds)
     # greedy by distance over (eigenvalue, prediction) pairs
@@ -902,16 +870,21 @@ def multiwell_compare(
     matches.sort(key=lambda t: t[0])
     residuals = np.array([t[3] for t in matches])
 
-    # near-degenerate pairs and their departure from normality
-    mat = assemble_toeplitz(symbol, hbar, spec.n_max_used).entries
-    norm_m = np.linalg.norm(mat, 2)
+    # near-degenerate pairs and their departure from normality.  The blocks
+    # are orthogonal invariant subspaces, so ||M||_2 is the largest block norm
+    # and a pair split across two blocks has a diagonal compression: 0.0
+    band, pad, kl = assemble_toeplitz(symbol, hbar, spec.n_max_used).blocks()
+    blocks = [_band_dense(band[~pad[:, r], r], kl) for r in range(band.shape[1])]
+    norm_m = max(np.linalg.norm(b, 2) for b in blocks)
     eps = np.finfo(float).eps
     jordan: list[tuple[int, int, float, float]] = []
     for i in range(len(in_window)):
         for j in range(i + 1, len(in_window)):
             gap = abs(in_window[i] - in_window[j])
             if gap < jordan_gap_factor * eps * norm_m:
-                jordan.append((i, j, float(gap), _cluster_nonnormality(mat, in_window[[i, j]])))
+                same = sectors[i] == sectors[j]
+                nonnormal = _cluster_nonnormality(blocks[sectors[i]], in_window[[i, j]]) if same else 0.0
+                jordan.append((i, j, float(gap), nonnormal))
     return MultiwellReport(
         wells=preds,
         eigenvalues=in_window,
@@ -924,8 +897,8 @@ def multiwell_compare(
 
 
 def _cluster_nonnormality(mat: np.ndarray, cluster: np.ndarray) -> float:
-    """|| B*B - BB* || for the compression B of mat to the invariant subspace
-    spanned by the cluster's eigenvectors (orthonormalised)."""
+    """|| B*B - BB* || for the compression B of mat (one block) to the
+    invariant subspace spanned by the cluster's eigenvectors (orthonormalised)."""
     w, v = np.linalg.eig(mat)
     taken: list[int] = []
     for ev in cluster:

@@ -38,7 +38,7 @@ from math import factorial
 
 import numpy as np
 
-from .bargmann import MonomialSymbol, NoConvergence
+from .bargmann import MonomialSymbol, NoConvergence, radial_diagonal
 
 __all__ = [
     "TaylorTable2D",
@@ -957,14 +957,7 @@ def radial_toeplitz_eigenvalues(
     profiles: list[np.ndarray], hbar: float, count: int
 ) -> np.ndarray:
     """Exact diagonal of T(sum_k hbar^k R_k(|z|^2)): entry l equals
-    sum_k hbar^k sum_j (R_k)_j hbar^j (l+j)!/l!."""
-    from scipy.special import gammaln
-
-    lam = np.zeros(count, dtype=complex)
-    ls = np.arange(count)
-    for k, prof in enumerate(profiles):
-        for j, c in enumerate(np.asarray(prof, dtype=complex)):
-            if c == 0:
-                continue
-            lam += c * hbar ** (k + j) * np.exp(gammaln(ls + j + 1) - gammaln(ls + 1))
-    return lam
+    sum_k hbar^k sum_j (R_k)_j hbar^j (l+j)!/l!, one `radial_diagonal` per
+    profile."""
+    terms = (hbar**k * radial_diagonal(prof, hbar, count) for k, prof in enumerate(profiles))
+    return sum(terms, np.zeros(count, dtype=complex))

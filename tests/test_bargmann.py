@@ -1,4 +1,7 @@
-"""Toeplitz assembly against the independent quadrature oracle."""
+"""Toeplitz assembly against the independent quadrature oracle, and the
+banded operator against the dense matrix it stands for."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,12 +11,70 @@ from hypothesis import strategies as st
 from bargspec.bargmann import (
     MonomialSymbol,
     QuadratureError,
+    ToeplitzMatrix,
     assemble_toeplitz,
     inner_product_oracle,
+    monomial_band_entries,
     monomial_matrix,
     radial_diagonal,
     toeplitz_radial,
 )
+
+# monomials z^a zbar^b on each diagonal offset a - b of the offset sets; the
+# last set has gcd 1 and an unsymmetric band
+BAND_MONOMIALS = {
+    "0": [(0, 0), (1, 1), (2, 2)],
+    "0,+-2": [(1, 1), (2, 0), (0, 2), (3, 1)],
+    "+-1,+-3": [(1, 0), (0, 1), (3, 0), (0, 3), (2, 1)],
+    "0,+-3": [(0, 0), (1, 1), (3, 0), (0, 3)],
+    "0,+1,-2": [(1, 1), (1, 0), (0, 2), (2, 2)],
+}
+
+
+@st.composite
+def band_symbols(draw, hermitian=False):
+    """(symbol, hbar, n) over the offset sets; hermitian adds the adjoint
+    monomial conj(c) z^b zbar^a to every c z^a zbar^b."""
+    monomials = BAND_MONOMIALS[draw(st.sampled_from(sorted(BAND_MONOMIALS)))]
+    values = draw(st.lists(st.complex_numbers(max_magnitude=2.0), min_size=len(monomials), max_size=len(monomials)))
+    coeffs: dict[tuple[int, int], complex] = {}
+    for (a, b), c in zip(monomials, values):
+        coeffs[(a, b)] = coeffs.get((a, b), 0.0) + c
+        if hermitian:
+            coeffs[(b, a)] = coeffs.get((b, a), 0.0) + np.conj(c)
+    return MonomialSymbol(coeffs), draw(st.sampled_from([0.05, 0.1, 0.3])), draw(st.integers(5, 64))
+
+
+def _dense_scatter(symbol, hbar, n):
+    """The dense assembly the banded operator replaced: each band scattered
+    into an n x n array."""
+    m = np.zeros((n, n), dtype=complex)
+    for (a, b), c in symbol.coeffs.items():
+        vals = monomial_band_entries(a, b, hbar, n)
+        k = np.arange(n)
+        rows = k + a - b
+        ok = (rows >= 0) & (rows < n)
+        m[rows[ok], k[ok]] += c * vals[ok]
+    return m
+
+
+def _dense_blocks(mat):
+    """The mod-g split found by scanning the dense matrix for its nonzero
+    diagonals, in the layout of `ToeplitzMatrix.blocks`."""
+    n = mat.shape[0]
+    rows, cols = np.nonzero(mat)
+    offsets = np.unique(rows - cols)
+    if not offsets.any():
+        g, kl, ku = n, 0, 0
+    else:
+        g = int(np.gcd.reduce(offsets))
+        kl, ku = max(int(offsets.max()), 0) // g, max(-int(offsets.min()), 0) // g
+    m = -(-n // g)
+    row = np.arange(g)[None, :, None] + g * np.arange(m)[:, None, None]
+    col = row + g * (np.arange(kl + ku + 1)[None, None, :] - kl)
+    inside = (row < n) & (col >= 0) & (col < n)
+    band = np.where(inside, mat[np.minimum(row, n - 1), np.clip(col, 0, n - 1)], 0.0)
+    return band, row[:, :, 0] >= n, kl
 
 
 def test_monomial_zz_diagonal():
@@ -173,3 +234,67 @@ def test_radial_diagonal_formula():
     k = np.arange(4)
     expect = 1.0 + 2.0 * 0.5 * (k + 1) + 3.0 * 0.25 * (k + 1) * (k + 2)
     assert np.allclose(got, expect)
+
+
+class TestBandedOperator:
+    """The diagonal storage and its mod-g blocks against the dense matrix."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=band_symbols())
+    def test_entries_match_dense_scatter(self, case):
+        sym, hbar, n = case
+        assert np.array_equal(assemble_toeplitz(sym, hbar, n).entries, _dense_scatter(sym, hbar, n))
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=band_symbols())
+    def test_blocks_match_dense_scan(self, case):
+        op = assemble_toeplitz(*case)
+        band, pad, kl = op.blocks()
+        ref_band, ref_pad, ref_kl = _dense_blocks(op.entries)
+        assert kl == ref_kl and band.shape == ref_band.shape
+        assert np.array_equal(band, ref_band) and np.array_equal(pad, ref_pad)
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=band_symbols())
+    def test_dense_constructor_round_trip(self, case):
+        op = assemble_toeplitz(*case)
+        back = ToeplitzMatrix.from_dense(op.entries, op.hbar)
+        assert back.dim == op.dim and np.array_equal(back.entries, op.entries)
+        for a, b in zip(back.blocks(), op.blocks()):
+            assert np.array_equal(a, b)
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=band_symbols())
+    def test_blocks_are_the_index_classes(self, case):
+        op = assemble_toeplitz(*case)
+        band, pad, kl = op.blocks()
+        m, g, w = band.shape
+        i, j = np.indices(op.entries.shape)
+        assert np.all(op.entries[(i - j) % g != 0] == 0)  # no entry joins two classes
+        for r in range(g):
+            rows = np.count_nonzero(~pad[:, r])
+            assert rows == len(range(r, op.dim, g)) and not pad[:rows, r].any()
+            block = np.zeros((m, m), dtype=complex)
+            for c in range(w):
+                k = np.arange(m)
+                ok = (k - kl + c >= 0) & (k - kl + c < m)
+                block[k[ok], k[ok] - kl + c] = band[ok, r, c]
+            assert np.array_equal(block[:rows, :rows], op.entries[r::g, r::g])
+            assert not block[rows:].any() and not block[:, rows:].any()
+
+    def test_raw_matrix_rejects_non_square(self):
+        with pytest.raises(ValueError):
+            ToeplitzMatrix.from_dense(np.zeros((3, 4)), 0.1)
+
+    def test_assembly_stays_banded_at_the_cap(self):
+        # the dense 4096 x 4096 complex matrix would take 268 MB
+        c = 1.0 + 0.3j
+        sym = MonomialSymbol({(2, 2): c, (2, 0): -c, (0, 2): -c, (0, 0): c})
+        tracemalloc.start()
+        try:
+            band, _, _ = assemble_toeplitz(sym, 0.02, 4096).blocks()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert band.shape == (2048, 2, 3)
+        assert peak < 8 * 2**20

@@ -60,6 +60,33 @@ class TestEllipticity:
         # rotated by e^{-i pi/4}, all values lie in the closed right half-plane
         assert np.all((np.exp(-1j * np.pi / 4) * vals).real >= -1e-12)
 
+    def test_rotated_forms(self):
+        # e^{i theta}(p^2 - q^2) has a discriminant that cancels to 0 exactly;
+        # its rounding must not push E off the negative axis
+        for theta in np.linspace(0.0, 2 * np.pi, 64, endpoint=False):
+            rot = np.exp(1j * theta)
+            hyperbolic = ellipticity_check(ComplexQuadraticForm(rot, -rot, 0))
+            assert not hyperbolic["elliptic"] and hyperbolic["condition_value"].imag == 0.0
+            assert ellipticity_check(ComplexQuadraticForm(rot, rot, 0))["elliptic"]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        theta=st.floats(0.0, 2 * np.pi),
+        turn=st.floats(0.0, np.pi),
+        scales=st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
+    )
+    def test_rotated_scaled_hyperbolic(self, theta, turn, scales):
+        # e^{i theta} K diag(s, -t) K^T, K a real rotation: never elliptic
+        k = np.array([[np.cos(turn), -np.sin(turn)], [np.sin(turn), np.cos(turn)]])
+        f = np.exp(1j * theta) * (k @ np.diag([np.exp(scales[0]), -np.exp(scales[1])]) @ k.T)
+        assert not ellipticity_check(ComplexQuadraticForm(f[0, 0], f[1, 1], f[0, 1]))["elliptic"]
+
+    def test_tiny_discriminant_stays_elliptic(self):
+        # F = [[1, 1], [1, 1e-10 i]]: disc = 1e-20 is real, not rounding
+        r = ellipticity_check(ComplexQuadraticForm(1, 1e-10j, 1))
+        assert r["elliptic"]
+        assert r["condition_value"] == pytest.approx(-1 + 1e-10j, rel=1e-12)
+
 
 class TestDelta:
     def test_pure_rotation(self):

@@ -26,6 +26,7 @@ from bargspec.spectral import (
     sigma_min,
 )
 from bargspec.symbols import birkhoff_normal_form, table_from_dict
+from test_bargmann import BAND_MONOMIALS, band_symbols
 
 ROT = ComplexQuadraticForm(1.0, np.exp(0.9j * np.pi / 2), 0.0)
 
@@ -70,10 +71,35 @@ class TestEigenSpectrum:
         # is arbitrary; the flip between n = 8 and n = 16 moves nothing
         spectra = {8: [1 + 1j, 1 - 1j, 3.0], 16: [1 - 1j, 1 + 1j, 3.0]}
         monkeypatch.setattr(np.linalg, "eigvals", lambda mat: np.array(spectra[len(mat)]))
-        m = assemble_toeplitz(ROT.to_symbol(), 0.1, 8)
+        m = assemble_toeplitz(MonomialSymbol({(1, 1): 1.0, (1, 0): 0.5}), 0.1, 8)  # offsets gcd 1: one block
         spec = eigen_spectrum(m, 3, 1e-8, n_cap=16)
         assert spec.converged and spec.n_max_used == 16
         assert spec.convergence_gap == 0.0
+
+
+class TestBlockSpectrum:
+    """Block-by-block eigenvalues against the full Hermitian eigensolve."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=band_symbols(hermitian=True))
+    def test_block_eigenvalues_match_eigvalsh(self, case):
+        op = assemble_toeplitz(*case)
+        full = np.linalg.eigvalsh(op.entries)
+        atol = 1e-10 * np.linalg.norm(op.entries, 2)
+        spec = eigen_spectrum(ToeplitzMatrix.from_dense(op.entries, op.hbar), op.dim)
+        assert spec.n_max_used == op.dim and len(spec.eigenvalues) == op.dim
+        assert np.all(np.abs(spec.eigenvalues.imag) <= atol)
+        assert np.allclose(np.sort(spec.eigenvalues.real), full, rtol=0.0, atol=atol)
+        g = op.blocks()[0].shape[1]
+        for r in range(g):  # each eigenvalue is labelled with its own block
+            block = np.linalg.eigvalsh(op.entries[r::g, r::g])
+            assert np.allclose(np.sort(spec.eigenvalues[spec.sectors == r].real), block, rtol=0.0, atol=atol)
+
+    def test_parity_sectors(self):
+        # the rotated oscillator couples indices two apart: eigenvalue l lies
+        # in the parity block l mod 2
+        spec = eigen_spectrum(assemble_toeplitz(ROT.to_symbol(), 0.1, 64), 5, 1e-8)
+        assert list(spec.sectors) == [0, 1, 0, 1, 0]
 
 
 class TestResolventGrid:
@@ -131,15 +157,6 @@ class TestResolventGrid:
             assert s > 0.3  # order one away from the range
 
 
-# monomials z^a zbar^b on each diagonal offset a - b of the offset sets
-BAND_MONOMIALS = {
-    "0": [(0, 0), (1, 1), (2, 2)],
-    "0,+-2": [(1, 1), (2, 0), (0, 2), (3, 1)],
-    "+-1,+-3": [(1, 0), (0, 1), (3, 0), (0, 3), (2, 1)],
-    "0,+-3": [(0, 0), (1, 1), (3, 0), (0, 3)],
-}
-
-
 def _dense_sigma(mat, lam):
     return float(sla.svdvals(mat - lam * np.eye(mat.shape[0]))[-1])
 
@@ -193,9 +210,9 @@ class TestBandedKernel:
         assert sigma_min(mat, lam, dense_cutoff=0) == pytest.approx(_dense_sigma(mat, lam), rel=1e-8)
 
     def test_unconverged_raises(self):
-        mat = assemble_toeplitz(ROT.to_symbol(), 0.05, 256).entries
+        m = assemble_toeplitz(ROT.to_symbol(), 0.05, 256)
         with pytest.raises(NoConvergence, match="1 grid point.*after 1 steps"):
-            spectral._sigma_min_banded(mat, np.array([0.2 + 0.1j]), max_iter=1)
+            spectral._sigma_min_banded(m, np.array([0.2 + 0.1j]), max_iter=1)
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_non_finite_iterate_raises(self):
@@ -360,6 +377,14 @@ class TestMultiwell:
         )
         assert gaps[0] < 1e-10  # exponentially small splitting at machine scale
         assert all(w.corrected for w in rep.wells)
+        # each tunnelling pair is one even and one odd state: two orthogonal
+        # invariant subspaces, normal by structure
+        spec = rep.spectrum
+        assert rep.jordan_pairs
+        for i, j, _, nonnormality in rep.jordan_pairs:
+            members = np.isin(spec.eigenvalues, rep.eigenvalues[[i, j]])
+            assert len(set(spec.sectors[members].tolist())) == 2
+            assert nonnormality == 0.0
 
     def test_single_well_reduces_to_lattice(self):
         sym = MonomialSymbol({(1, 1): 1.0, (2, 2): 0.1})
@@ -398,5 +423,5 @@ class TestMultiwell:
 class TestRawMatrixSpectrum:
     def test_raw_matrix_no_adaptivity(self):
         mat = np.diag([3.0, 1.0, 2.0]).astype(complex)
-        spec = eigen_spectrum(ToeplitzMatrix(mat, 0.1), 2, 1e-10)
+        spec = eigen_spectrum(ToeplitzMatrix.from_dense(mat, 0.1), 2, 1e-10)
         assert np.allclose(spec.eigenvalues, [1.0, 2.0])

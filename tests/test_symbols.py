@@ -2,8 +2,10 @@
 theta calculus, cohomology, inverses, Moser, oscillator functions, and the
 degree-by-degree normal forms."""
 
+import math
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -518,6 +520,22 @@ class TestOscillatorFunctions:
         for orig, rec in zip(mu, back):
             assert np.allclose(rec[: len(orig)], orig, atol=1e-13)
             assert np.abs(rec[len(orig) :]).max(initial=0.0) < 1e-13
+
+    def test_radial_eigenvalues_exact_rational(self):
+        # sum_k hbar^k sum_j (R_k)_j hbar^j (l+j)!/l! in exact rational
+        # arithmetic of the same floats: within 4 ulps up to l = 2000
+        profiles = [np.array([0.3, 1.0, 0.1, 0.02]), np.array([0.5, -0.25, 0.125]), np.array([0.0, 0.7])]
+        for hbar in (0.2, 0.05, 0.013):
+            got = radial_toeplitz_eigenvalues(profiles, hbar, 2001)
+            h = Fraction(hbar)
+            for l in range(2001):
+                exact = sum(
+                    Fraction(float(c)) * h ** (k + j) * math.perm(l + j, j)
+                    for k, prof in enumerate(profiles)
+                    for j, c in enumerate(prof)
+                )
+                assert got[l].imag == 0.0
+                assert abs(Fraction(got[l].real) - exact) <= 4 * Fraction(np.spacing(float(exact)))
 
 
 class TestBirkhoff:
