@@ -170,11 +170,14 @@ class ToeplitzMatrix:
 
     @cached_property
     def entries(self) -> np.ndarray:
-        """The dense n x n matrix, built on first access."""
+        """The dense n x n matrix, built on first access.  Read-only: the
+        solvers read `diags` and `blocks()`, so a write here would change
+        nothing they compute."""
         m = np.zeros((self.dim, self.dim), dtype=complex)
         for d, vals in self.diags.items():
             k = np.arange(max(-d, 0), self.dim - max(d, 0))
             m[k + d, k] = vals[k]
+        m.flags.writeable = False
         return m
 
     def blocks(self) -> tuple[np.ndarray, np.ndarray, int]:

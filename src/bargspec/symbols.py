@@ -12,8 +12,10 @@ Implemented here: the sharp product  f # g = sum_j (-hbar)^j / j! d^j f dbar^j g
 Boutet de Monvel-Kree style formal norms, the Poisson bracket
 {f, g} = i (df/dz~ dfbar ... see `poisson_bracket`), theta-averaging and the
 cohomology solve, sharp inverses, the time-dependent Moser iteration, functions
-of the harmonic oscillator in both directions, and degree-by-degree normal
-forms (classical and hbar-exact).
+of the harmonic oscillator in both directions, and the degree-by-degree normal
+form.  One routine, `quantum_normal_form`, computes it: the classical Birkhoff
+normal form is its hbar^0 slice after the linear reduction of the quadratic
+part, and `lie_transport` is the hbar^0 slice of `quantum_lie_transport`.
 
 One kernel, `_sharp`, sums the sharp series.  It works on the stacked arrays
 themselves, and for the Moser iteration on stacks with an extra polynomial
@@ -25,7 +27,7 @@ are numpy-only: a full 2-D product is one 1-D convolution.
 Degree and hbar-order caps are independent; any operation that drops a
 nonzero coefficient marks its result `truncated` and callers that need
 coefficient-exact output must check the flag (or pad degrees beforehand).
-The Lie series raise `NoConvergence` when their term cap is reached with a
+The Lie series raises `NoConvergence` when its term cap is reached with a
 term that is not negligible.
 """
 
@@ -34,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
-from math import factorial
+from math import comb, factorial
 
 import numpy as np
 
@@ -223,26 +225,30 @@ def table_product(a: TaylorTable2D, b: TaylorTable2D, degree: int | None = None)
 
 
 def pullback_linear(tab: TaylorTable2D, m: np.ndarray, degree: int | None = None) -> TaylorTable2D:
-    """Table of (z, vbar) -> f(M (z, vbar)): exact polynomial substitution."""
-    from math import comb
+    """Table of (z, vbar) -> f(M (z, vbar)): exact polynomial substitution.
 
+    z^a vbar^b becomes (m00 z + m01 vbar)^a (m10 z + m11 vbar)^b, homogeneous
+    of degree a + b: at vbar = 1 it is the 1-D product of the powers of
+    m00 z + m01 and m10 z + m11, laid along the anti-diagonal a + b.
+    """
     if degree is None:
         degree = tab.degree
     m = np.asarray(m, dtype=complex)
     n = degree + 1
-    # pows[r, p]: the table of (m_r0 z + m_r1 v)^p, p <= degree
-    pows = np.zeros((2, tab.degree + 1, n, n), dtype=complex)
-    for r, p in product(range(2), range(min(tab.degree, degree) + 1)):
-        for j in range(p + 1):
-            pows[r, p, j, p - j] = comb(p, j) * m[r, 0] ** j * m[r, 1] ** (p - j)
-    out = TaylorTable2D(np.zeros((n, n), dtype=complex), tab.truncated)
+    # pows[r][p]: coefficients in z of (m_r0 z + m_r1)^p, p <= degree
+    pows = [
+        [np.array([comb(p, j) * m[r, 0] ** j * m[r, 1] ** (p - j) for j in range(p + 1)]) for p in range(n)]
+        for r in range(2)
+    ]
+    out = np.zeros((n, n), dtype=complex)
+    truncated = tab.truncated
     for a, b in zip(*np.nonzero((tab.t != 0) & ~_beyond_degree(tab.degree + 1))):
         if a + b > degree:
-            out.truncated = True
+            truncated = True
         else:
-            term = table_product(TaylorTable2D(pows[0, a]), TaylorTable2D(pows[1, b]), degree)
-            out = out + tab.t[a, b] * term
-    return out
+            j = np.arange(a + b + 1)
+            out[j, a + b - j] += tab.t[a, b] * np.convolve(pows[0][a], pows[1][b])
+    return TaylorTable2D(out, truncated)
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +417,8 @@ def _sharp(
                             out[j + k + l, s + u] += c * prod
                         elif prod.any():
                             raise DegreeOverflow(f"t-degree {s + u} product past the t cap {t_len - 1}")
-        f, g = _dz(f), _dzbar(g)
+        if j < order:
+            f, g = _dz(f), _dzbar(g)
     return (out if timed else out[:, 0]), dropped
 
 
@@ -540,10 +547,8 @@ def reciprocal_profile(profile: np.ndarray, n_terms: int) -> np.ndarray:
     inv = np.zeros(n_terms, dtype=complex)
     inv[0] = 1.0 / p[0]
     for n in range(1, n_terms):
-        acc = 0.0
-        for k in range(1, min(n, p.size - 1) + 1):
-            acc += p[k] * inv[n - k]
-        inv[n] = -acc / p[0]
+        k = min(n, p.size - 1)
+        inv[n] = -(p[1 : k + 1] @ inv[n - 1 :: -1][:k]) / p[0]
     return inv
 
 
@@ -794,11 +799,11 @@ def oscillator_function_from_symbol(mu_b: FormalSymbol) -> list[np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# normal forms (classical and hbar-exact)
+# normal forms: one hbar-graded routine; the classical form is its hbar^0 slice
 
 
-def _lie_series(f, ad, cap: int):
-    """exp(ad) f = f + ad f + ad^2 f / 2! + ... for tables or formal symbols.
+def _lie_series(f: FormalSymbol, ad, cap: int) -> FormalSymbol:
+    """exp(ad) f = f + ad f + ad^2 f / 2! + ... for formal symbols.
 
     Stops at an exactly vanishing term.  At term `cap` it stops if that term
     is below 1e-15 relative to the sum, and raises NoConvergence if not.
@@ -822,13 +827,14 @@ def _lie_series(f, ad, cap: int):
 def lie_transport(f: TaylorTable2D, gen: TaylorTable2D, degree: int | None = None) -> TaylorTable2D:
     """exp(ad_G) f = f + {G, f} + {G, {G, f}}/2! + ... (classical flow at time 1).
 
-    Terminates under the degree cap when deg(G) >= 3, since ad_G raises degree
-    by deg(G) - 2; otherwise the term cap is 4 * degree.
+    The hbar^0 slice of `quantum_lie_transport`: at hbar-order 0 the bracket
+    i hbar^{-1} [G, X]_# is the Poisson bracket {G, X}.  Terminates under the
+    degree cap when deg(G) >= 3, since ad_G raises degree by deg(G) - 2;
+    otherwise the term cap is 8 (degree + 1).
     """
     if degree is None:
         degree = f.degree
-    gen = gen.resized(degree)
-    return _lie_series(f.resized(degree), lambda x: poisson_bracket(gen, x), 4 * degree)
+    return quantum_lie_transport(FormalSymbol([f]), FormalSymbol([gen]), 0, degree).term(0)
 
 
 def quantum_lie_transport(
@@ -836,11 +842,14 @@ def quantum_lie_transport(
 ) -> FormalSymbol:
     """exp(ad) f with ad X = i hbar^{-1} [G, X]_#: the conjugation symbol of
     e^{i T(G)/hbar} T(f) e^{-i T(G)/hbar}, exact to the truncation caps.  The
-    term cap is 8 (degree + order + 1)."""
+    term cap is 8 (degree + order + 1).
+
+    The j = 0 part of [G, X]_#, G_k X_l - X_l G_k, vanishes, so the bracket
+    series starts at j = 1."""
     gen = gen.resized(order, degree)
     return _lie_series(
         f.resized(order, degree),
-        lambda x: 1j * sharp_bracket(gen, x, order + 1, degree).shift_down(1),
+        lambda x: 1j * sharp_bracket_tail(gen, x, 1, order + 1, degree).shift_down(1),
         8 * (degree + order + 1),
     )
 
@@ -848,10 +857,9 @@ def quantum_lie_transport(
 @dataclass
 class BirkhoffResult:
     mu0: np.ndarray  # radial profile: transported symbol = mu0(d0 z zbar)
-    generators: list[TaylorTable2D]
+    generators: list[TaylorTable2D]  # the nonzero generators, in the order applied
     d0: complex
     linear_map: np.ndarray  # composed (z, vbar) map of the quadratic reduction
-    transported: TaylorTable2D  # radial table after all generators
     normal_form: object  # NormalFormData of the quadratic part
 
 
@@ -867,10 +875,13 @@ def _nonradial(t: np.ndarray, m: int) -> np.ndarray:
 
 def birkhoff_normal_form(f: TaylorTable2D, degree: int | None = None) -> BirkhoffResult:
     """Classical degree-by-degree normal form of f with f(0) = 0, df(0) = 0 and
-    elliptic Hessian: after the linear symplectic reduction of the quadratic
-    part to d0 z vbar, homogeneous generators of degree 3..D remove all
-    non-radial terms; returns mu0 with mu0(s) = s + O(s^2) such that the
-    transported symbol equals mu0(d0 z zbar) up to degree D."""
+    elliptic Hessian: the hbar^0 slice of `quantum_normal_form`.
+
+    The linear symplectic reduction of the quadratic part takes it to
+    d0 z vbar; `quantum_normal_form` at hbar-order 0 then removes all
+    non-radial terms with homogeneous generators of degree 3..D.  Returns mu0
+    with mu0(s) = s + O(s^2) such that the transported symbol equals
+    mu0(d0 z zbar) up to degree D."""
     from .quadratic import ComplexQuadraticForm, reduce_quadratic
 
     if degree is None:
@@ -883,30 +894,15 @@ def birkhoff_normal_form(f: TaylorTable2D, degree: int | None = None) -> Birkhof
         nf = reduce_quadratic(form)
     except Exception as exc:
         raise NonEllipticHessian(str(exc)) from exc
-    d0 = nf.d0
-    current = pullback_linear(f, np.linalg.inv(nf.composed), degree)
-    generators: list[TaylorTable2D] = []
-    n = degree + 1
-    offdiag = ~np.eye(n, dtype=bool)
-    for m in range(3, degree + 1):
-        nonrad = _nonradial(current.t, m)
-        if np.max(np.abs(nonrad)) < 1e-14:
-            generators.append(TaylorTable2D(np.zeros((n, n))))
-            continue
-        gen = theta_antiderivative(TaylorTable2D(nonrad)) * (1.0 / d0)
-        generators.append(gen)
-        current = lie_transport(current, gen, degree)
-    resid = np.where(offdiag, current.t, 0.0)
-    assert np.max(np.abs(resid)) < 1e-9 * max(1.0, np.max(np.abs(current.t)))
-    profile_s = radial_average(current)  # series in s' = z zbar (reduced frame)
-    # express as mu0(d0 s'): mu0(x) = sum_a profile_s[a] (x/d0)^a
-    mu0 = np.array([profile_s[a] / d0**a for a in range(len(profile_s))])
+    pulled = pullback_linear(f, np.linalg.inv(nf.composed), degree)
+    profiles, gens = quantum_normal_form(FormalSymbol([pulled]), 0, degree)
+    # the profile is a series in s' = z zbar (reduced frame); as mu0(d0 s'):
+    # mu0(x) = sum_a profile[a] (x/d0)^a
     return BirkhoffResult(
-        mu0=mu0,
-        generators=generators,
-        d0=d0,
+        mu0=profiles[0] / nf.d0 ** np.arange(degree + 1),
+        generators=[g.term(0) for g in gens],
+        d0=nf.d0,
         linear_map=nf.composed,
-        transported=TaylorTable2D(np.where(~offdiag, current.t, 0.0)),
         normal_form=nf,
     )
 
@@ -919,8 +915,8 @@ def quantum_normal_form(
     repeatedly conjugates T(f) with e^{i T(G)/hbar} (via quantum_lie_transport),
     G taken at increasing (hbar-order, degree), until the symbol is radial at
     every hbar-order up to the caps.  Requires the quadratic part to be
-    c * z zbar already (diagonal Hessian): the theta-cohomology is then
-    solvable for every non-radial term.
+    c * z zbar already (diagonal Hessian, up to 1e-12 |c|): the
+    theta-cohomology is then solvable for every non-radial term.
 
     Returns (radial profiles R_k by hbar-order, list of generators).  The
     eigenvalues of T(f) near the bottom well are the exact diagonal values of
@@ -931,7 +927,7 @@ def quantum_normal_form(
     if abs(t0.t[0, 0]) > 1e-12 or abs(t0.t[1, 0]) > 1e-12 or abs(t0.t[0, 1]) > 1e-12:
         raise ValueError("expected f(0) = 0 and df(0) = 0 at hbar-order 0")
     d0 = complex(t0.t[1, 1])
-    if abs(t0.t[2, 0]) > 1e-12 or abs(t0.t[0, 2]) > 1e-12:
+    if max(abs(t0.t[2, 0]), abs(t0.t[0, 2])) > 1e-12 * abs(d0):
         raise ValueError("quadratic part must be proportional to z zbar")
     if d0 == 0:
         raise NonEllipticHessian("vanishing z zbar coefficient")

@@ -286,6 +286,13 @@ class TestBandedOperator:
         with pytest.raises(ValueError):
             ToeplitzMatrix.from_dense(np.zeros((3, 4)), 0.1)
 
+    def test_entries_are_read_only(self):
+        # the solvers read the diagonals, so a write to the dense view must fail
+        op = assemble_toeplitz(MonomialSymbol({(1, 1): 1.0}), 0.1, 6)
+        with pytest.raises(ValueError, match="read-only"):
+            op.entries[0, 0] = 5.0
+        assert op.entries[0, 0] == op.blocks()[0][0, 0, 0] == 0.1
+
     def test_assembly_stays_banded_at_the_cap(self):
         # the dense 4096 x 4096 complex matrix would take 268 MB
         c = 1.0 + 0.3j

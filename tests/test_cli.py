@@ -124,6 +124,27 @@ class TestSubcommands:
         doc = json.loads(capsys.readouterr().out)
         assert max(abs(x[0]) + abs(x[1]) for p in doc["r_final"] for x in p) < 1e-12
 
+    def test_birkhoff_pinned_output(self, capsys):
+        # a well with a non-diagonal Hessian; the values of the classical
+        # degree-by-degree loop with its Poisson Lie series
+        sym = '{"1,1":[1,0.2],"2,0":[0.2,0.1],"0,2":[-0.1,0.05],"3,0":[0.3,0],"2,1":[0.1,-0.2],"1,3":[0,0.1],"2,2":[0.05,0]}'
+        assert main(["birkhoff", "--symbol", sym, "--degree", "8"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        mu0 = [
+            [0.0, 0.0],
+            [1.0000000000000004, 0.0],
+            [0.07583571455774536, -0.06442215503711947],
+            [0.032450918924785604, -0.0630367514683322],
+            [-0.018310634744134996, 0.007815601362532487],
+        ] + [[0.0, 0.0]] * 4
+        linear_map = [
+            [[-0.8196620256432064, 0.5384365636654485], [0.03481238090505498, -0.09929273644028773]],
+            [[-0.1390378840578403, -0.16295811818292988], [-0.8297843919075881, -0.5550077156498451]],
+        ]
+        np.testing.assert_allclose(doc["mu0"], mu0, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(doc["d0"], [1.0471295820149202, 0.1909983286071945], rtol=0, atol=1e-14)
+        np.testing.assert_allclose(doc["linear_map"], linear_map, rtol=0, atol=1e-14)
+
 
 class TestConfigRunner:
     def make_config(self, tmp_path, tasks):
@@ -200,6 +221,7 @@ EXIT_CONTRACT = {
     "symbol-is-directory": (["spectrum", "--symbol", ".", "--hbar", "0.1"], 1),
     "moser-negative-order": (["moser", "--symbol", "z", "--order", "-1"], 1),
     "birkhoff-negative-degree": (["birkhoff", "--symbol", "|z|^2+|z|^4", "--degree", "-1"], 1),
+    "birkhoff-nonzero-constant": (["birkhoff", "--symbol", "1+|z|^2"], 1),
     "verify-index-13": (["verify", "--only", "13"], 1),
     "missing-argument": (["spectrum", "--hbar", "0.1"], 1),
     "run-symbol-path-missing": (_config({**_BASE, "symbol": {"path": "missing.json"}, "tasks": _SPECTRUM}), 1),

@@ -216,7 +216,7 @@ class TestBandedKernel:
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_non_finite_iterate_raises(self):
-        mat = assemble_toeplitz(ROT.to_symbol(), 0.1, 32).entries
+        mat = assemble_toeplitz(ROT.to_symbol(), 0.1, 32).entries.copy()
         mat[5, 5] = np.nan
         with pytest.raises(NoConvergence, match="non-finite"):
             sigma_min(mat, 0.3, dense_cutoff=0)

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bargspec.bargmann import MonomialSymbol, assemble_toeplitz
+from bargspec.quadratic import ComplexQuadraticForm, reduce_quadratic
 from bargspec.spectral import NoConvergence
 from bargspec.symbols import (
     DegreeOverflow,
@@ -39,6 +40,7 @@ from bargspec.symbols import (
     radial_average,
     radial_table,
     radial_toeplitz_eigenvalues,
+    reciprocal_profile,
     sharp_bracket,
     sharp_bracket_tail,
     sharp_inverse,
@@ -285,6 +287,19 @@ class TestFormalNorm:
         # [f,g]_# + i hbar {f,g} = j>=2 tail   (with the eq_Poisson sign)
         assert (br - pois - tail).norm_inf() < 1e-12
 
+    def test_bracket_tail_from_one_is_the_bracket(self):
+        # the j = 0 part f_k g_l - g_l f_k of [f, g]_# vanishes at every hbar-order
+        rng = np.random.default_rng(18)
+        for _ in range(10):
+            deg = int(rng.integers(1, 5))
+            f = rand_symbol(rng, int(rng.integers(0, 3)), deg, 2 * deg)
+            g = rand_symbol(rng, int(rng.integers(0, 3)), deg, 2 * deg)
+            order = f.order + g.order + 1
+            full = sharp_bracket(f, g, order, 2 * deg)
+            tail = sharp_bracket_tail(f, g, 1, order, 2 * deg)
+            assert (tail - full).norm_inf() <= 1e-14 * full.norm_inf()
+            assert not tail.c[0].any()
+
 
 def _product(a, b):
     from bargspec.symbols import table_product
@@ -342,6 +357,16 @@ class TestThetaCalculus:
 
 
 class TestCohomology:
+    def test_reciprocal_profile(self):
+        # p * (1/p) = 1 as power series, through the requested length
+        rng = np.random.default_rng(19)
+        for n in range(1, 9):
+            p = np.concatenate([[1.0 + 0.2j], 0.3 * (rng.normal(size=n - 1) + 1j * rng.normal(size=n - 1))])
+            one = np.convolve(p, reciprocal_profile(p, n))[:n]
+            assert np.abs(one - np.eye(1, n)[0]).max() <= 1e-14
+        with pytest.raises(ZeroDivisionError):
+            reciprocal_profile(np.array([0.0, 1.0]), 3)
+
     def test_simple(self):
         b, r = cohomology_solve(table_from_dict({(1, 2): 1}, 6))
         assert np.abs(r).max() == 0.0
@@ -538,6 +563,47 @@ class TestOscillatorFunctions:
                 assert abs(Fraction(got[l].real) - exact) <= 4 * Fraction(np.spacing(float(exact)))
 
 
+def poisson_lie_series(f, gen, degree, cap=None):
+    """exp(ad_G) f with ad_G X = {G, X} by the Poisson bracket: the classical
+    series `lie_transport` once ran, with the stop rule of the quantum one."""
+    cap = 8 * (degree + 1) if cap is None else cap
+    gen = gen.resized(degree)
+    out = term = f.resized(degree)
+    for n in range(1, cap + 1):
+        term = poisson_bracket(gen, term) * (1.0 / n)
+        if term.norm_inf() < 1e-300:
+            break
+        out = out + term
+    return out
+
+
+def classical_birkhoff_mu0(f, degree):
+    """The classical degree-by-degree loop: after the linear reduction, one
+    homogeneous generator per degree 3..D, applied by the Poisson series."""
+    nf = reduce_quadratic(ComplexQuadraticForm.from_zv_coefficients(f.t[2, 0], f.t[1, 1], f.t[0, 2]))
+    current = pullback_linear(f, np.linalg.inv(nf.composed), degree)
+    a = np.arange(degree + 1)
+    for m in range(3, degree + 1):
+        nonrad = np.where((a[:, None] + a[None, :] == m) & (a[:, None] != a[None, :]), current.t, 0.0)
+        if np.abs(nonrad).max() >= 1e-14:
+            gen = theta_antiderivative(TaylorTable2D(nonrad)) * (1.0 / nf.d0)
+            current = poisson_lie_series(current, gen, degree, 4 * degree)
+    return radial_average(current) / nf.d0**a
+
+
+def random_well(rng, degree, scale=1.0):
+    """scale * f with f(0) = 0, df(0) = 0, a non-diagonal Hessian with
+    |t[2, 0]| + |t[0, 2]| < Re t[1, 1] (so its real part is positive definite:
+    elliptic) and decaying random terms of degree 3..degree."""
+    coeffs = {(1, 1): complex(1.0, rng.uniform(-0.3, 0.3))}
+    for key in ((2, 0), (0, 2)):
+        coeffs[key] = 0.4 * rng.uniform(0.05, 1.0) * np.exp(2j * np.pi * rng.uniform())
+    for m in range(3, degree + 1):
+        for a in range(m + 1):
+            coeffs[(a, m - a)] = 0.3 ** (m - 2) * complex(rng.normal(), rng.normal())
+    return table_from_dict({key: scale * c for key, c in coeffs.items()}, degree)
+
+
 class TestBirkhoff:
     def test_harmonic_trivial(self):
         br = birkhoff_normal_form(table_from_dict({(1, 1): 1.0}, 8))
@@ -584,6 +650,20 @@ class TestBirkhoff:
         with pytest.raises(NonEllipticHessian):
             birkhoff_normal_form(table_from_dict({(2, 0): 1.0, (0, 2): 1.0}, 6))
 
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        degree=st.integers(4, 10),
+        scale=st.sampled_from([1e-2, 1.0, 1e4]),
+    )
+    def test_matches_classical_loop(self, seed, degree, scale):
+        # the hbar^0 slice of the quantum normal form against the Poisson-series loop;
+        # at scale 1e4 the reduced Hessian keeps off-diagonal roundoff above 1e-12
+        tab = random_well(np.random.default_rng(seed), degree, scale)
+        ref = classical_birkhoff_mu0(tab, degree)
+        got = birkhoff_normal_form(tab, degree).mu0
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
 
 class TestLieSeries:
     """exp(ad_G) for G = c |z|^2 rotates: t[a, b] -> t[a, b] e^{i c (a - b)}
@@ -606,6 +686,18 @@ class TestLieSeries:
         for k in range(3):
             exact = self.rotated(f.term(k).t, 0.3)
             assert np.abs(out.term(k).t - exact).max() <= 1e-12 * np.abs(exact).max()
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), degree=st.integers(3, 10), gen_degree=st.integers(2, 10))
+    def test_classical_matches_poisson_series(self, seed, degree, gen_degree):
+        rng = np.random.default_rng(seed)
+        f = rand_table(rng, degree)
+        m = min(gen_degree, degree)
+        gen = table_from_dict({(a, m - a): 0.1 * complex(*rng.normal(size=2)) for a in range(m + 1)}, degree)
+        got = lie_transport(f, gen, degree)
+        ref = poisson_lie_series(f, gen, degree)
+        assert np.abs(got.t - ref.t).max() <= 1e-13 * np.abs(ref.t).max()
+        assert got.truncated == ref.truncated
 
     def test_large_rotation_raises(self):
         f = rand_table(np.random.default_rng(16), 8)
@@ -650,9 +742,18 @@ class TestSerialization:
     def test_pullback_linear_exact(self):
         rng = np.random.default_rng(12)
         tab = rand_table(rng, 4, 8)
-        m = np.array([[1.1, 0.2 - 0.1j], [0.05j, 0.9]])
-        moved = pullback_linear(tab, m, 8)
-        for _ in range(10):
-            z, v = rng.normal(size=2) + 1j * rng.normal(size=2)
-            zz, vv = m @ np.array([z, v])
-            assert moved(z, v) == pytest.approx(tab(zz, vv), rel=1e-11, abs=1e-11)
+        maps = [np.array([[1.1, 0.2 - 0.1j], [0.05j, 0.9]])]
+        maps += [rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(5)]
+        for m in maps:
+            moved = pullback_linear(tab, m, 8)
+            assert not moved.truncated
+            for _ in range(10):
+                z, v = rng.normal(size=2) + 1j * rng.normal(size=2)
+                zz, vv = m @ np.array([z, v])
+                assert moved(z, v) == pytest.approx(tab(zz, vv), rel=1e-11, abs=1e-11)
+            # a linear map keeps homogeneous degrees: a lower cap cuts the same table
+            for degree in (3, 4):
+                cut = pullback_linear(tab, m, degree)
+                assert cut.truncated == (degree < 4)
+                keep = np.add.outer(np.arange(degree + 1), np.arange(degree + 1)) <= degree
+                assert np.array_equal(cut.t, np.where(keep, moved.t[: degree + 1, : degree + 1], 0.0))
