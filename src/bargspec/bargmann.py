@@ -20,13 +20,13 @@ independent of the closed form above; it is the arbiter used by the tests.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.special import gammaln
 
 __all__ = [
     "MonomialSymbol",
@@ -92,6 +92,8 @@ class MonomialSymbol:
             if a < 0 or b < 0:
                 raise ValueError(f"negative monomial exponents ({a},{b})")
             c = complex(c)
+            if not cmath.isfinite(c):
+                raise ValueError(f"non-finite coefficient {c} of ({a},{b})")
             if c != 0:
                 clean[(a, b)] = clean.get((a, b), 0.0) + c
         object.__setattr__(self, "coeffs", clean)
@@ -313,7 +315,7 @@ def inner_product_oracle(
         # measure: e^{-s} ds dtheta/(2 pi) after substitution, Laguerre eats e^{-s}
         ang = integrand.mean(axis=1)
         total = np.dot(w, ang)
-        norm = np.exp(-0.5 * (gammaln(k + 1) + gammaln(l + 1)) - 0.5 * (k + l) * np.log(hbar))
+        norm = np.exp(-0.5 * (math.lgamma(k + 1) + math.lgamma(l + 1)) - 0.5 * (k + l) * np.log(hbar))
         return total * norm
 
     n_rad, n_ang = 24, 16

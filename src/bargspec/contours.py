@@ -10,7 +10,7 @@ in (-pi, pi] and mapped to (-pi/2, pi/2], i.e. the principal square root.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial
+from math import factorial, lgamma
 
 import numpy as np
 
@@ -229,9 +229,7 @@ def gaussian_expansion(
 
 
 def _factorial_float(n: int) -> float:
-    from scipy.special import gammaln
-
-    return float(np.exp(gammaln(n + 1)))
+    return float(np.exp(lgamma(n + 1)))
 
 
 def critical_point_data(

@@ -24,8 +24,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg as sla
-from scipy import ndimage
 
 from .bargmann import MonomialSymbol, NoConvergence, ToeplitzMatrix, assemble_toeplitz, check_hbar
 from .quadratic import NormalFormData
@@ -153,6 +151,8 @@ def sigma_min(mat: np.ndarray, lam: complex, dense_cutoff: int = 512) -> float:
     """Smallest singular value of (mat - lam I): full SVD up to dense_cutoff,
     the batched banded kernel of `resolvent_grid` at this one point above it."""
     if mat.shape[0] <= dense_cutoff:
+        import scipy.linalg as sla
+
         return float(sla.svdvals(mat - lam * np.eye(mat.shape[0]))[-1])
     return float(_sigma_min_banded(ToeplitzMatrix.from_dense(mat, 1.0), np.array([lam], dtype=complex))[0])
 
@@ -420,8 +420,11 @@ def _block_inverse_iteration(a, kl, g, floor, max_iter, rtol) -> np.ndarray:
         done = live & (((it >= 3) & settled) | ((it >= 2) & (est <= floor)))
         slow = live & ~done & (it >= 4) & np.all(rates > 0.5, axis=0)
         sigma[idx[done]] = est[done]
-        for j in np.flatnonzero(slow):
-            sigma[idx[j]] = sla.svdvals(_band_dense(a[:, j], kl))[-1]
+        if slow.any():
+            import scipy.linalg as sla
+
+            for j in np.flatnonzero(slow):
+                sigma[idx[j]] = sla.svdvals(_band_dense(a[:, j], kl))[-1]
         live &= ~(done | slow)
         if not live.any():
             return sigma
@@ -506,6 +509,8 @@ def analytic_pseudospectrum(
     at least one)."""
     h = field.hbar if hbar is None else hbar
     mask = field.sigma <= np.exp(-c / h)
+    from scipy import ndimage
+
     structure = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]])
     labels, n_comp = ndimage.label(mask, structure=structure)
     counts: dict[int, int] = {k: 0 for k in range(1, n_comp + 1)}

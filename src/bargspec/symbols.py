@@ -109,12 +109,11 @@ class TaylorTable2D:
         return self.t.shape[0] - 1
 
     def resized(self, degree: int) -> "TaylorTable2D":
-        n = degree + 1
-        out = np.zeros((n, n), dtype=complex)
-        m = min(n, self.t.shape[0])
-        out[:m, :m] = self.t[:m, :m]
-        dropped = bool(np.any(self.t[m:, :] != 0) or np.any(self.t[:, m:] != 0))
-        return TaylorTable2D(out, self.truncated or dropped)
+        """Pad or cut to total degree a + b <= degree; the result is flagged
+        when the cut drops a nonzero coefficient."""
+        out = np.zeros((degree + 1, degree + 1), dtype=complex)
+        dropped = _copy_to_degree(self.t, out)
+        return TaylorTable2D(out, self.truncated or bool(dropped))
 
     def __call__(self, z: complex, vbar: complex | None = None) -> complex:
         """Evaluate; vbar defaults to conj(z) (the real locus)."""
@@ -143,12 +142,24 @@ class TaylorTable2D:
 
 
 @lru_cache(maxsize=64)
-def _beyond_degree(n: int) -> np.ndarray:
-    """Mask of the entries a + b > n - 1 of an n x n table (read-only)."""
+def _beyond_degree(n: int, degree: int | None = None) -> np.ndarray:
+    """Mask of the entries a + b > degree (default n - 1) of an n x n table
+    (read-only)."""
     a = np.arange(n)
-    mask = a[:, None] + a[None, :] > n - 1
+    mask = a[:, None] + a[None, :] > (n - 1 if degree is None else degree)
     mask.flags.writeable = False
     return mask
+
+
+def _copy_to_degree(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Copy the stacked tables x (..., n, n) into the zeroed tables `out` up
+    to their total degree; per table, whether a nonzero coefficient of x was
+    left out."""
+    degree = out.shape[-1] - 1
+    m = min(x.shape[-1], degree + 1)
+    keep = ~_beyond_degree(x.shape[-1], degree)
+    np.copyto(out[..., :m, :m], x[..., :m, :m], where=keep[:m, :m])
+    return ((x != 0) > keep).any(axis=(-2, -1))
 
 
 def _radial_part(x: np.ndarray) -> np.ndarray:
@@ -286,16 +297,15 @@ class FormalSymbol:
         return bool(self.flags.any())
 
     def resized(self, order: int | None = None, degree: int | None = None) -> "FormalSymbol":
-        """Pad or cut to (order, degree): a term that loses degree is flagged,
-        and dropping nonzero higher orders flags the last order."""
+        """Pad or cut to (order, degree), degree meaning total degree a + b:
+        a term whose cut drops a nonzero coefficient is flagged, and dropping
+        nonzero higher orders flags the last order."""
         order = self.order if order is None else order
         degree = self.degree if degree is None else degree
         kept = self.c[: order + 1]
-        m = min(degree, self.degree) + 1
         c = np.zeros((order + 1, degree + 1, degree + 1), dtype=complex)
-        c[: len(kept), :m, :m] = kept[:, :m, :m]
+        lost = _copy_to_degree(kept, c[: len(kept)])
         flags = np.zeros(order + 1, dtype=bool)
-        lost = kept[:, m:].any(axis=(1, 2)) | kept[:, :, m:].any(axis=(1, 2))
         flags[: len(kept)] = self.flags[: order + 1] | lost
         flags[-1] |= bool(self.c[order + 1 :].any())
         return FormalSymbol._wrap(c, flags)

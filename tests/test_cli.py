@@ -1,12 +1,16 @@
 """CLI surface: symbol parsing, subcommands, config runner, determinism."""
 
+import contextlib
 import hashlib
+import io
 import json
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bargspec.cli import ParseError, main, parse_symbol
 
@@ -218,6 +222,9 @@ EXIT_CONTRACT = {
     "action-d-nan": (["action", "--d", "nan", "--energy", "1"], 1),
     "action-d-inf": (["action", "--d", "inf", "--energy", "1"], 1),
     "action-energy-inf": (["action", "--d", "1,0", "--energy", "inf,0"], 1),
+    "pseudospec-inf-coefficient": (
+        ["pseudospec", "--symbol", "1e400*p^2", "--hbar", "0.1", "--rect", "0,1,0,1", "--res", "2,2"], 1
+    ),
     "symbol-is-directory": (["spectrum", "--symbol", ".", "--hbar", "0.1"], 1),
     "moser-negative-order": (["moser", "--symbol", "z", "--order", "-1"], 1),
     "birkhoff-negative-degree": (["birkhoff", "--symbol", "|z|^2+|z|^4", "--degree", "-1"], 1),
@@ -248,6 +255,55 @@ def test_exit_code_contract(argv, code, tmp_path, monkeypatch, capsys):
     assert err.startswith("config error: ") and err.count("\n") == 1, err
 
 
+_QUAD = json.dumps({"2,0": [0.3, 0.1], "1,1": [1.0, 0.0], "0,2": [0.3, -0.1]})
+_TEXT = st.text(max_size=8)
+_JOINED = st.lists(st.floats(), max_size=5).map(lambda v: ",".join(map(repr, v)))
+# option -> (valid values, malformed values); n_max stays small
+_VALUES = {
+    "--symbol": (
+        st.sampled_from(["p^2+q^2", "|z|^2+0.3*z^2", _QUAD, "(1+0.3j)*|z|^4 - z^2", "z^2", "p^2 + 2*q^2"]),
+        st.sampled_from(["p^3", "{", '{"1,1": [1]}', "", "2*", "nan*|z|^2", "1e400*p^2", '{"a,b": [1, 0]}',
+                         '{"-1,2": [1, 0]}', '{"1,1": [NaN, 0]}', "p^2+", "((p^2"]) | _TEXT,
+    ),
+    "--hbar": (st.sampled_from(["0.1", "0.05", "0.3", "1", "1e-3"]), st.floats().map(repr) | _TEXT),
+    "--count": (st.integers(1, 6).map(str), st.integers(-3, 0).map(str) | _TEXT),
+    "--n-max": (st.integers(1, 40).map(str), st.integers(-3, 0).map(str) | st.floats().map(repr) | _TEXT),
+    "--rect": (st.lists(st.floats(-1, 1), min_size=4, max_size=4).map(lambda v: ",".join(map(repr, v))),
+               _JOINED | _TEXT),
+    "--res": (st.lists(st.integers(2, 6), min_size=2, max_size=2).map(lambda v: ",".join(map(str, v))),
+              st.lists(st.integers(-2, 6), max_size=3).map(lambda v: ",".join(map(str, v))) | _TEXT),
+}
+_OPTIONS = {
+    "spectrum": ["--symbol", "--hbar", "--count", "--n-max"],
+    "pseudospec": ["--symbol", "--hbar", "--rect", "--res", "--n-max"],
+    "normal-form": ["--symbol"],
+}
+
+
+@st.composite
+def _argv(draw):
+    """A subcommand with every option valid but at most one, which is
+    malformed or missing."""
+    command = draw(st.sampled_from(sorted(_OPTIONS)))
+    bad = draw(st.sampled_from([None, *_OPTIONS[command]]))
+    argv = [command]
+    for opt in _OPTIONS[command]:
+        valid, malformed = _VALUES[opt]
+        if opt != bad:
+            argv += [opt, draw(valid)]
+        elif draw(st.booleans()):
+            argv += [opt, draw(malformed)]
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=_argv())
+def test_exit_code_contract_fuzzed(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)  # an exception escaping main fails the test
+    assert code in (0, 1, 2, 3)
+
+
 def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "bargspec.cli", "action", "--d", "1,0", "--energy", "0,0"],
@@ -257,13 +313,36 @@ def test_console_entry_point():
     assert proc.returncode == 0
 
 
-def test_cli_import_leaves_heavy_scipy_modules_unloaded():
-    # each of these costs start-up time in every fresh CLI process
+def test_cli_tasks_leave_scipy_unloaded(tmp_path):
+    # scipy costs more start-up time than the rest of the package, and no CLI
+    # task needs it: the package imports it only inside the functions that
+    # call it.  One fresh interpreter runs the job mix of the benchmark's cli
+    # workload in process.
+    quad = json.dumps({"2,0": [0.3, 0.1], "1,1": [1.0, 0.0], "0,2": [0.3, -0.1]})
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({
+        "out_dir": str(tmp_path / "run"), "hbar": [0.1], "n_max": 64, "symbol": {"inline": json.loads(quad)},
+        "tasks": [{"type": "spectrum", "count": 4}, {"type": "normal-form"},
+                  {"type": "action", "d": [1.0, 0.0], "energy": [0.3, 0.0]}],
+    }))
+    runs = [
+        ["spectrum", "--symbol", quad, "--hbar", "0.1", "--count", "5"],
+        ["normal-form", "--symbol", quad],
+        ["birkhoff", "--symbol", '{"1,1": [1, 0], "2,2": [0.2, 0], "2,1": [0.1, 0.05], "1,2": [0.1, -0.05]}',
+         "--degree", "8"],
+        ["moser", "--symbol", '{"1,0": [0.5, 0.2], "2,1": [0.1, 0.3]}', "--order", "3", "--degree", "4"],
+        ["action", "--d", "1,0", "--energy", "0.3,0.1"],
+        ["pseudospec", "--symbol", quad, "--hbar", "0.1", "--rect", "0.05,0.2,0.05,0.17", "--res", "6,6",
+         "--n-max", "64", "--c", "0.3"],
+        ["run", "--config", str(config)],
+    ]
     code = (
-        "import sys\n"
-        "import bargspec.cli\n"
-        "loaded = [m for m in ('scipy.optimize', 'scipy.sparse', 'scipy.signal') if m in sys.modules]\n"
+        "import json, sys\n"
+        "from bargspec import cli\n"
+        "codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]\n"
+        "assert codes == [0] * len(codes), codes\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' and m.count('.') <= 1)\n"
         "assert not loaded, loaded\n"
     )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps(runs)], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr

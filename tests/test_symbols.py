@@ -88,6 +88,18 @@ class TestFormalSymbolStack:
         assert list(f.resized(4, 5).flags) == [False] * 5
         assert f.resized(4, 5).term(0).t[3, 0] == 1
 
+    def test_resized_cuts_total_degree(self):
+        # z^2 zbar^2 fits the 4 x 4 square of a degree-3 table but has degree 4
+        tab = table_from_dict({(2, 2): 1.0, (2, 1): 0.5}, 4)
+        cut = tab.resized(3)
+        assert cut.truncated and cut.t[2, 2] == 0 and cut(1.0) == 0.5
+        assert not tab.resized(4).truncated and not tab.resized(6).truncated
+        assert not table_from_dict({(2, 1): 1.0}, 4).resized(3).truncated
+        f = FormalSymbol([table_from_dict({(2, 1): 1.0}, 4), tab])
+        cut = f.resized(1, 3)
+        assert list(cut.flags) == [False, True] and cut.term(1).t[2, 2] == 0
+        assert list(f.resized(1, 6).flags) == [False, False]
+
     def test_shifts(self):
         f = rand_symbol(np.random.default_rng(18), 1, 3)
         up = f.shift_up(2)
@@ -501,8 +513,11 @@ class TestMoser:
         for s in (res.a_final, res.a_at(0.4), res.r_symbol(0.4)):
             assert list(s.flags) == [False, False, True, True]
             assert s.truncated
-        padded = moser_normal_form(self.MU.resized(0, 16), g, 3, 16)
-        assert np.abs(res.a_final.term(3).t - padded.a_final.term(3).resized(10).t).max() > 0.1
+        # padding to D = 16 shows what the cap drops: hbar-order 3 has weight
+        # above degree 10, and up to degree 10 the two runs agree
+        top = moser_normal_form(self.MU.resized(0, 16), g, 3, 16).a_final.term(3)
+        assert np.abs(top.t - top.resized(10).resized(16).t).max() > 0.1
+        assert np.abs(res.a_final.term(3).t - top.resized(10).t).max() < 1e-12
         # nothing is dropped for a linear g
         linear = moser_normal_form(self.MU, FormalSymbol([table_from_dict({(1, 0): 1}, 10)]), 3, 10)
         assert not linear.a_final.truncated and not linear.r_symbol().truncated
@@ -753,7 +768,6 @@ class TestSerialization:
                 assert moved(z, v) == pytest.approx(tab(zz, vv), rel=1e-11, abs=1e-11)
             # a linear map keeps homogeneous degrees: a lower cap cuts the same table
             for degree in (3, 4):
-                cut = pullback_linear(tab, m, degree)
-                assert cut.truncated == (degree < 4)
-                keep = np.add.outer(np.arange(degree + 1), np.arange(degree + 1)) <= degree
-                assert np.array_equal(cut.t, np.where(keep, moved.t[: degree + 1, : degree + 1], 0.0))
+                cut, ref = pullback_linear(tab, m, degree), moved.resized(degree)
+                assert cut.truncated == ref.truncated == (degree < 4)
+                assert np.array_equal(cut.t, ref.t)
