@@ -104,7 +104,7 @@ def parse_symbol(text: str) -> MonomialSymbol:
             depth += 1
         elif ch == ")":
             depth -= 1
-        if ch in "+-" and depth == 0 and i > 0 and text[i - 1] not in "eE({*":
+        if ch in "+-" and depth == 0 and (i == 0 or text[i - 1] not in "eE({*"):
             if cur.strip():
                 terms.append((sign, cur.strip(), start))
             sign = 1.0 if ch == "+" else -1.0
@@ -427,6 +427,22 @@ def _csv(text: str) -> list[str]:
     return text.split(",") if text else []
 
 
+# options whose value may start with "-" without being a plain number, as in
+# --rect -0.5,0.5,0,1 or --symbol -p^2-q^2, which argparse would read as an
+# unknown option; such a value is attached to its option, --rect=-0.5,...
+_DASH_VALUE_OPTIONS = ("--symbol", "--rect", "--res", "--d", "--energy")
+
+
+def _attach_dash_values(argv: list[str]) -> list[str]:
+    out: list[str] = []
+    for tok in argv:
+        if out and out[-1] in _DASH_VALUE_OPTIONS and tok.startswith("-") and not tok.startswith("--"):
+            out[-1] = f"{out[-1]}={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="bargspec", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
@@ -476,7 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     """The one place where failures become exit codes."""
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser().parse_args(_attach_dash_values(sys.argv[1:] if argv is None else argv))
         return {"run": cmd_run, "verify": cmd_verify}.get(args.command, cmd_task)(args)
     except (NoConvergence, NonClosedContour, InversionFailed) as exc:
         print(f"convergence failure: {exc}", file=sys.stderr)

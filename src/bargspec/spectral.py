@@ -6,12 +6,13 @@ lattice matching.
 The solvers read the banded blocks of `ToeplitzMatrix.blocks()`, never the
 dense matrix.  `eigen_spectrum` solves block by block and labels each
 eigenvalue with its block.  A resolvent grid is one batched computation: every
-block of every M - lambda gets a pivoted banded LU, and block inverse
-iteration on A^H A runs vectorised over all of them with a per-pair
-convergence mask (Trefethen, Computation of pseudospectra, Acta Numerica
-1999).  `multiwell_compare` takes its 2-norm and Jordan-pair test from the
-blocks.  `sigma_min` at one point keeps the dense SVD up to its cutoff, the
-route the tests compare the grid against.
+block A of every M - lambda gets a banded Householder QR, of which only R is
+kept, and block inverse iteration on A^H A = R^H R, two triangular sweeps a
+step, runs vectorised over all of them with a per-pair convergence mask
+(Trefethen, Computation of pseudospectra, Acta Numerica 1999, sections 3-4).
+`multiwell_compare` takes its 2-norm and Jordan-pair test from the blocks.
+`sigma_min` at one point keeps the dense SVD up to its cutoff, the route the
+tests compare the grid against.
 
 Every adaptive loop ends with an explicit status: a loop that runs out of
 steps raises (NoConvergence, or InversionFailed for the Bohr-Sommerfeld
@@ -158,152 +159,144 @@ def sigma_min(mat: np.ndarray, lam: complex, dense_cutoff: int = 512) -> float:
 
 
 # band entries (grid points x blocks x rows x band width) per chunk of grid
-# points: bounds the memory of the batched LU and the iteration vectors
+# points: bounds the memory of the batched QR and the iteration vectors
 _CHUNK_ENTRIES = 1 << 18
 
 
-class _BandLU(NamedTuple):
-    """Partial-pivoting LU of a batch of B banded m x m matrices, in LAPACK
-    gbtrf order: step j swaps row j with row j + piv[j], then subtracts
-    lo[j, r] times row j from row j + 1 + r.  The coefficients are laid out
-    to broadcast against rows of the right-hand sides (m, B, k):
-    up[j, c - 1] = U[j, j + c], uh[j, c] = conj(U[j - wu + 1 + c, j]) (the
-    row of U^H below the diagonal, wu = kl + ku + 1), dinv = 1 / U[j, j].
-    `swaps[j]` says whether any row moved at step j."""
+class _BandR(NamedTuple):
+    """The triangular factor of A = QR for a batch of B banded m x m
+    matrices, written R = D U with D diagonal and U unit upper triangular
+    with p = kl + ku superdiagonals, so that A^H A = U^H |D|^2 U.  Each sweep
+    reads U in the layout it needs, broadcast against rows of the right-hand
+    sides (m, k, B): rowh[j, c] = conj(U[j, j + 1 + c]) (a conjugated row,
+    for the U^H sweep), col[j, c] = U[j - p + c, j] (a column, for the U
+    sweep), and d2inv = 1 / |R[j, j]|^2."""
 
-    up: np.ndarray  # (m, wu - 1, B, 1)
-    uh: np.ndarray  # (m, wu - 1, B, 1)
-    lo: np.ndarray  # (m, kl, B, 1)
-    dinv: np.ndarray  # (m, B, 1)
-    piv: np.ndarray  # (m, B)
-    swaps: list[bool]
+    rowh: np.ndarray  # (m, p, 1, B)
+    col: np.ndarray  # (m, p, 1, B)
+    d2inv: np.ndarray  # (m, 1, B)
 
-    def take(self, keep: np.ndarray) -> "_BandLU":
-        piv = self.piv[:, keep]
-        return _BandLU(
-            self.up[:, :, keep], self.uh[:, :, keep], self.lo[:, :, keep], self.dinv[:, keep], piv, list(piv.any(axis=1))
-        )
+    def take(self, keep: np.ndarray) -> "_BandR":
+        return _BandR(self.rowh[..., keep], self.col[..., keep], self.d2inv[..., keep])
 
 
-def _band_lu(a: np.ndarray, kl: int) -> tuple[_BandLU, np.ndarray]:
-    """Factor the batch a (m, B, kl+ku+1), a[i, b, c] = A_b[i, i - kl + c].
+def _band_qr(a: np.ndarray, kl: int) -> tuple[_BandR, np.ndarray]:
+    """Householder QR of the batch a (m, kl+ku+1, B), a[i, c, b] =
+    A_b[i, i - kl + c] (zero outside the matrix).
 
-    Returns the factors and a (B,) mask of the matrices with an exactly zero
-    pivot.  Partial pivoting meets a zero pivot only when a whole remaining
-    column is zero, so those matrices are singular; their zero pivots are
-    replaced by 1 so the batch stays finite."""
-    m, nb, w = a.shape
-    ar = np.arange(nb)
-    u = np.empty((m, w, nb), dtype=complex)
-    lo = np.empty((m, kl, nb, 1), dtype=complex)
-    piv = np.zeros((m, nb), dtype=np.intp)
-    singular = np.zeros(nb, dtype=bool)
-    # rows j..j+kl of the partly eliminated matrix, columns j..j+kl+ku
-    front = np.zeros((kl + 1, nb, w), dtype=complex)
-    for i in range(min(kl + 1, m)):
-        front[i, :, : w - kl + i] = a[i, :, kl - i :]
-    for j in range(m):
-        p = np.argmax(np.abs(front[:, :, 0]), axis=0)
-        top = front[p, ar]
-        front[p, ar] = front[0]
-        zero = top[:, 0] == 0
-        singular |= zero
-        top[zero, 0] = 1.0
-        mult = front[1:, :, 0] / top[:, 0]
-        front[1:] -= mult[:, :, None] * top
-        u[j], lo[j, :, :, 0], piv[j] = top.T, mult, p
-        front[:-1, :, :-1] = front[1:, :, 1:]
-        front[:-1, :, -1] = 0.0
-        front[-1] = a[j + kl + 1] if j + kl + 1 < m else 0.0
-    uh = np.zeros((m, w - 1, nb), dtype=complex)
-    for c in range(1, min(w, m)):
-        uh[c:, w - 1 - c] = u[: m - c, c].conj()
-    up = u[:, 1:, :, None].copy()
-    return _BandLU(up, uh[..., None], lo, 1.0 / u[:, 0, :, None], piv, list(piv.any(axis=1))), singular
-
-
-def _swap_rows(win: np.ndarray, p: np.ndarray) -> None:
-    """Swap row 0 with row p[b] of win (rows, B, k), batch member by member."""
-    ar = np.arange(win.shape[1])
-    top = win[p, ar]
-    win[p, ar] = win[0]
-    win[0] = top
-
-
-def _solve(f: _BandLU, b: np.ndarray) -> np.ndarray:
-    """x with A x = b for every matrix of the batch; b is (m, B, k)."""
-    m, wu1, kl = f.up.shape[0], f.up.shape[1], f.lo.shape[1]
-    x = np.zeros((m + max(kl, wu1), *b.shape[1:]), dtype=complex)
-    x[:m] = b
-    if kl:
+    Step j reflects rows j..j+kl of the partly reduced matrix, the only ones
+    with an entry in column j, so that column j becomes R[j, j] e_j (LAPACK
+    zlarfg): one reflector of length kl + 1 per column, for kl = 1 the work
+    of a Givens rotation.  Q is not kept.  Returns R and a (B,) mask of the matrices with
+    R[j, j] = 0 for some j, which happens exactly when a whole remaining
+    column is zero: those matrices are singular, and the rest of their factor
+    is not finite."""
+    m, w, nb = a.shape
+    wr = w + kl  # the rows of R reach kl columns further than those of A
+    work = np.zeros((m + kl, wr, nb), dtype=complex)
+    work[:m, :w] = a  # work[i, kl + c] = R[i, i + c] once row i is done
+    # front[j, i, c] is the entry in row j + i, column j + c
+    item = work.itemsize
+    front = np.lib.stride_tricks.as_strided(
+        work.reshape(-1)[kl * nb :], (m, kl + 1, w, nb), (item * wr * nb, item * (wr - 1) * nb, item * nb, item)
+    )
+    diag = np.empty((m, nb))  # -R[j, j]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for j in range(m):
-            if f.swaps[j]:
-                _swap_rows(x[j : j + kl + 1], f.piv[j])
-            x[j + 1 : j + kl + 1] -= f.lo[j] * x[j]
-    for j in range(m - 1, -1, -1):
-        x[j] = (x[j] - (f.up[j] * x[j + 1 : j + 1 + wu1]).sum(axis=0)) * f.dinv[j]
-    return x[:m]
+            lead, rest = front[j, :, 0], front[j, :, 1:]
+            alpha = lead[0]
+            beta = np.copysign(_norm(lead), alpha.real, out=diag[j])
+            # H^H = I - conj(tau) u u^H with u = (1, x / (alpha + beta)) and
+            # tau = 1 + alpha / beta maps the column (alpha, x) to -beta e_0
+            u = lead[1:] / (alpha + beta)
+            s = (rest[0] + np.add.reduce(u.conj()[:, None] * rest[1:], axis=0)) * (1.0 + alpha.conj() / beta)
+            rest[0] -= s
+            rest[1:] -= u[:, None] * s
+        up = work[:m, kl + 1 :] / -diag[:, None]  # up[j, c] = U[j, j + 1 + c]
+        d2inv = 1.0 / diag[:, None] ** 2
+    p = w - 1
+    col = np.zeros((m, p, 1, nb), dtype=complex)
+    for c in range(max(0, p - m + 1), p):
+        col[p - c :, c, 0] = up[: m - p + c, p - 1 - c]
+    return _BandR(up.conj()[:, :, None], col, d2inv), (diag == 0).any(axis=0)
 
 
-def _solve_h(f: _BandLU, b: np.ndarray) -> np.ndarray:
-    """x with A^H x = b for every matrix of the batch; b is (m, B, k)."""
-    m, wu1, kl = f.uh.shape[0], f.uh.shape[1], f.lo.shape[1]
-    x = np.zeros((wu1 + m + kl, *b.shape[1:]), dtype=complex)
-    x[wu1 : wu1 + m] = b
-    dinvh, loh = f.dinv.conj(), f.lo.conj()
-    for j in range(m):
-        x[j + wu1] = (x[j + wu1] - (f.uh[j] * x[j : j + wu1]).sum(axis=0)) * dinvh[j]
-    x = x[wu1:]
-    if kl:
+def _inverse_gram(f: _BandR, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(A^H A)^-1 b for every matrix of the batch, b (m, k, B): a forward
+    sweep with U^H, the diagonal |D|^-2, and a back sweep with U, each sweep
+    column by column.  Each column of the iterate is scaled to largest entry
+    1 after each sweep, which keeps the next pass in range and leaves the
+    span of the columns, all inverse iteration needs, unchanged.  Also
+    returns a (B,) mask of the matrices whose passes overflowed, which
+    leaves their columns not finite."""
+    m, p = f.col.shape[:2]
+    x = np.zeros((m + 2 * p, *b.shape[1:]), dtype=complex)
+    x[p : p + m] = b
+    rows, y, prod = list(x), x[p : p + m], np.empty((p, *b.shape[1:]), dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(m):
+            x[p + j + 1 : 2 * p + j + 1] -= np.multiply(f.rowh[j], rows[p + j], out=prod)
+        y *= f.d2inv
+        y /= np.abs(y).max(axis=0)
         for j in range(m - 1, -1, -1):
-            x[j] -= (loh[j] * x[j + 1 : j + kl + 1]).sum(axis=0)
-            if f.swaps[j]:
-                _swap_rows(x[j : j + kl + 1], f.piv[j])
-    return x[:m]
+            x[j : p + j] -= np.multiply(f.col[j], rows[p + j], out=prod)
+        top = np.abs(y).max(axis=0)
+        y /= top
+    # a non-finite entry after the first sweep makes top NaN here
+    return y, ~np.isfinite(top).all(axis=0)
+
+
+def _norm(x: np.ndarray) -> np.ndarray:
+    """2-norms over the first axis of x (m, ...), whose last axis is
+    contiguous: one pass over its real view."""
+    sq = np.einsum("i...,i...->...", x.view(np.float64), x.view(np.float64))
+    return np.sqrt(sq[..., 0::2] + sq[..., 1::2])
 
 
 def _project_out(q: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """y minus its component along the unit vectors q, both (m, B), and the
     coefficient removed; projected twice, so the result is orthogonal to q
     to roundoff."""
-    coef = 0.0
+    qc, coef = q.conj(), 0.0
     for _ in range(2):
-        proj = np.einsum("ib,ib->b", q.conj(), y)
+        proj = np.einsum("ib,ib->b", qc, y)
         y = y - q * proj
         coef = coef + proj
     return y, coef
 
 
 def _orthonormal_pair(w: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the two columns of each (m, 2) slice of w (m, B, 2)."""
-    q0 = w[:, :, 0] / np.linalg.norm(w[:, :, 0], axis=0)
-    q1, _ = _project_out(q0, w[:, :, 1] / np.linalg.norm(w[:, :, 1], axis=0))
-    return np.stack([q0, q1 / np.linalg.norm(q1, axis=0)], axis=2)
+    """Orthonormal basis of the two columns of each (m, 2) slice of w (m, 2, B)."""
+    q = np.empty_like(w)
+    np.divide(w[:, 0], _norm(w[:, 0]), out=q[:, 0])
+    y, _ = _project_out(q[:, 0], w[:, 1])
+    np.divide(y, _norm(y), out=q[:, 1])
+    return q
 
 
 def _sigma_min_pair(x: np.ndarray) -> np.ndarray:
-    """Smallest singular value of each (m, 2) slice of x (m, B, 2).
+    """Smallest singular value of each (m, 2) slice of x (m, 2, B).
 
     Column-pivoted Gram-Schmidt gives the triangular factor [[f, g], [0, h]],
     whose singular values satisfy s_max +- s_min = sqrt((f +- h)^2 + |g|^2);
     s_min = f h / s_max then carries no cancellation, as the eigenvalues of
     x^H x would for s_min << s_max."""
-    norms = np.linalg.norm(x, axis=0)
-    big = norms[:, 0] >= norms[:, 1]
-    f = np.where(big, norms[:, 0], norms[:, 1])
-    q = np.where(big, x[:, :, 0], x[:, :, 1]) / np.where(f > 0, f, 1.0)
-    y, g = _project_out(q, np.where(big, x[:, :, 1], x[:, :, 0]))
-    h = np.linalg.norm(y, axis=0)
+    norms = _norm(x)
+    big = norms[0] >= norms[1]
+    f = np.where(big, norms[0], norms[1])
+    q = np.where(big, x[:, 0], x[:, 1]) / np.where(f > 0, f, 1.0)
+    y, g = _project_out(q, np.where(big, x[:, 1], x[:, 0]))
+    h = _norm(y)
     s_max = 0.5 * (np.hypot(f + h, np.abs(g)) + np.hypot(f - h, np.abs(g)))
     return np.divide(f * h, s_max, out=np.zeros_like(f), where=s_max != 0)  # NaN stays NaN
 
 
 def _band_matvec(a: np.ndarray, v: np.ndarray, kl: int) -> np.ndarray:
-    """A v for the batch a (m, B, w) in band form and v (m, B, k)."""
-    m, nb, w = a.shape
-    vp = np.zeros((m + w - 1, nb, v.shape[2]), dtype=complex)
+    """A v for the batch a (m, w, B) in band form and v (m, k, B)."""
+    m, w, nb = a.shape
+    vp = np.zeros((m + w - 1, v.shape[1], nb), dtype=complex)
     vp[kl : kl + m] = v
-    return sum(a[:, :, c, None] * vp[c : c + m] for c in range(w))
+    return sum(a[:, c, None] * vp[c : c + m] for c in range(w))
 
 
 def _sigma_min_banded(
@@ -315,23 +308,24 @@ def _sigma_min_banded(
     """sigma_min(M - lam I) at every lam, batched over the points and the
     blocks of `op.blocks()`.
 
-    Each block of each shifted matrix (a point-block pair) gets a pivoted
-    banded LU; then block (size 2) inverse iteration on A^H A with
-    Rayleigh-Ritz extraction runs on all pairs at once, each with its own
-    convergence test (`_block_inverse_iteration`).  From the third step a
-    pair is also done once its estimate sits below the roundoff floor
-    1e-12 ||M - lam||_1: deep inside the pseudospectrum many singular
-    values are at that floor, the iteration would crawl, and the value only
-    needs to be tiny there.  An exactly zero pivot makes a block singular, so
-    its sigma is 0.  sigma_min is the minimum over the blocks; a diagonal
-    matrix (1x1 blocks) is exact without iteration.
+    Each block of each shifted matrix (a point-block pair) gets a banded
+    Householder QR, of which only R is kept; then block (size 2) inverse
+    iteration on A^H A = R^H R with Rayleigh-Ritz extraction runs on all
+    pairs at once, each with its own convergence test
+    (`_block_inverse_iteration`).  From the third step a pair is also done
+    once its estimate sits below the roundoff floor 1e-12 ||M - lam||_1:
+    deep inside the pseudospectrum many singular values are at that floor,
+    the iteration would crawl, and the value only needs to be tiny there.
+    An exactly zero R[j, j] makes a block singular, so its sigma is 0.
+    sigma_min is the minimum over the blocks; a diagonal matrix (1x1 blocks)
+    is exact without iteration.
 
     Raises NoConvergence when a pair is still unsettled after max_iter steps
-    or an iterate is not finite.  Grid points go through in chunks of
+    or a matrix entry is not finite.  Grid points go through in chunks of
     _CHUNK_ENTRIES band entries, so memory stays bounded."""
     lams = np.asarray(lams, dtype=complex).ravel()
     band, pad, kl = op.blocks()
-    m, g, w = band.shape
+    m, g, _ = band.shape
     # column and row sums of |M| from the diagonals: diags[d][k] = M[k+d, k],
     # and np.roll(diags[d], d) puts M[i, i-d] at i (zero where it wraps)
     offsets = sorted(op.diags)
@@ -348,14 +342,16 @@ def _sigma_min_banded(
             out[s : s + chunk] = np.abs(band[0, :, 0][None, :] - lam[:, None]).min(axis=1)
             continue
         floor = 1e-12 * np.max(off_colsum + np.abs(diag - lam[:, None]), axis=1)
-        a = np.repeat(band[:, None], lam.size, axis=1)
+        # pair b = point b // g, block b % g, on the last axis
+        a = np.tile(band.transpose(0, 2, 1), lam.size)
+        lam_b = np.repeat(lam, g)
         # padding rows get a decoupled diagonal entry above every singular value
-        a[..., kl] = np.where(
-            pad[:, None, :],
-            (norm + np.abs(lam) + 1.0)[None, :, None],
-            a[..., kl] - lam[None, :, None],
-        )
-        sig = _block_inverse_iteration(a.reshape(m, -1, w), kl, g, np.repeat(floor, g), max_iter, rtol)
+        a[:, kl] = np.where(np.tile(pad, lam.size), norm + np.abs(lam_b) + 1.0, a[:, kl] - lam_b)
+        # each pair scaled by a power of 2 to largest entry below 1: exact, and
+        # the squares in the column norms stay in the double range
+        scale = 2.0 ** -np.frexp(np.abs(a).max(axis=(0, 1)))[1]
+        a *= scale
+        sig = _block_inverse_iteration(a, kl, g, np.repeat(floor, g) * scale, max_iter, rtol) / scale
         out[s : s + chunk] = sig.reshape(-1, g).min(axis=1)
     return out
 
@@ -371,7 +367,7 @@ def _band_dense(a: np.ndarray, kl: int) -> np.ndarray:
 
 
 def _block_inverse_iteration(a, kl, g, floor, max_iter, rtol) -> np.ndarray:
-    """sigma_min of each banded matrix of the batch a (m, B, w), B = points x g.
+    """sigma_min of each banded matrix of the batch a (m, w, B), B = points x g.
 
     Convergence is judged from the relative steps s_t of a pair's estimate
     and their ratio r_t = s_t / s_{t-1}, the contraction rate.  From the
@@ -387,29 +383,32 @@ def _block_inverse_iteration(a, kl, g, floor, max_iter, rtol) -> np.ndarray:
     would need hundreds of steps; its block gets a dense SVD instead.  (A
     single rate is no guide early on: the block often settles near sigma_2
     before it finds sigma_1.)"""
-    f, singular = _band_lu(a, kl)
-    m, nb, _ = a.shape
+    f, singular = _band_qr(a, kl)
+    m, _, nb = a.shape
     sigma = np.zeros(nb)
     # the working batch: pairs not yet done, plus done ones not yet dropped
     # (the batch is compacted once half of it is done)
     idx = np.flatnonzero(~singular)
     if idx.size < nb:
-        a, f = a[:, idx], f.take(idx)
+        a, f = a[..., idx], f.take(idx)
     floor = floor[idx]
     live = np.ones(idx.size, dtype=bool)
-    v = np.ones((m, idx.size, 2), dtype=complex)
-    v[1::2, :, 1] = -1.0
+    v = np.ones((m, 2, idx.size), dtype=complex)
+    v[1::2, 1] = -1.0
     v = _orthonormal_pair(v)
     prev = np.full(idx.size, np.inf)
     steps = np.full((4, idx.size), np.inf)  # the last four relative steps, newest first
     for it in range(max_iter):
-        x = _solve_h(f, v)
-        x /= np.abs(x).max(axis=(0, 2))[None, :, None]  # keeps (A^H A)^-1 v in range
-        v = _orthonormal_pair(_solve(f, x))
+        x, over = _inverse_gram(f, v)
+        # a sweep overflows only when ||A^-1|| is beyond the double range:
+        # sigma_min is then below the floor, and is reported as 0
+        x[..., over] = v[..., over]
+        v = _orthonormal_pair(x)
         est = _sigma_min_pair(_band_matvec(a, v, kl))
-        if not np.all(np.isfinite(est)):
+        if not np.all(np.isfinite(est)):  # a matrix entry is not finite
             bad = np.unique(idx[~np.isfinite(est)] // g).size
             raise NoConvergence(f"inverse iteration: non-finite iterate at {bad} grid point(s) after {it + 1} step(s)")
+        est[over] = 0.0
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             steps = np.roll(steps, 1, axis=0)
             steps[0] = np.abs(est - prev) / est
@@ -417,14 +416,14 @@ def _block_inverse_iteration(a, kl, g, floor, max_iter, rtol) -> np.ndarray:
             # a rate >= 1 is roundoff jitter of a settled estimate, or a jump:
             # then only a step below rtol 1e-6 counts as settled
             settled = (steps[0] <= rtol * np.maximum(1.0 - rates[0], 1e-6)) & (rates[0] * rates[1] <= 0.25)
-        done = live & (((it >= 3) & settled) | ((it >= 2) & (est <= floor)))
+        done = live & (over | ((it >= 3) & settled) | ((it >= 2) & (est <= floor)))
         slow = live & ~done & (it >= 4) & np.all(rates > 0.5, axis=0)
         sigma[idx[done]] = est[done]
         if slow.any():
             import scipy.linalg as sla
 
             for j in np.flatnonzero(slow):
-                sigma[idx[j]] = sla.svdvals(_band_dense(a[:, j], kl))[-1]
+                sigma[idx[j]] = sla.svdvals(_band_dense(a[..., j], kl))[-1]
         live &= ~(done | slow)
         if not live.any():
             return sigma
@@ -432,7 +431,7 @@ def _block_inverse_iteration(a, kl, g, floor, max_iter, rtol) -> np.ndarray:
         if 2 * np.count_nonzero(live) <= live.size:
             keep = np.flatnonzero(live)
             a, f, v, idx, floor, prev, steps = (
-                a[:, keep], f.take(keep), v[:, keep], idx[keep], floor[keep], prev[keep], steps[:, keep]
+                a[..., keep], f.take(keep), v[..., keep], idx[keep], floor[keep], prev[keep], steps[:, keep]
             )
             live = np.ones(keep.size, dtype=bool)
     raise NoConvergence(
@@ -475,7 +474,7 @@ def resolvent_grid(
 ) -> PseudospectrumField:
     """sigma_min(M - lambda) over a rectangle, every point in one batched
     banded computation (`_sigma_min_banded`): the blocks of M (`m.blocks()`),
-    one pivoted LU per block and point, and block inverse iteration
+    one banded QR per block and point, and block inverse iteration
     vectorised over all of them.  `workers` is accepted and ignored: the
     batch runs in one thread."""
     x0, x1, y0, y1 = rect

@@ -38,6 +38,10 @@ class TestParseSymbol:
         sym = parse_symbol("(1+0.3j)*|z|^4")
         assert sym.coeffs[(2, 2)] == 1 + 0.3j
 
+    def test_leading_sign(self):
+        assert parse_symbol("-p^2-q^2").coeffs == {(1, 1): -2.0}
+        assert parse_symbol("+z^2").coeffs == {(2, 0): 1.0}
+
     def test_malformed_complex_raises(self):
         with pytest.raises(ParseError):
             parse_symbol('{"1,1":[1]}')
@@ -92,6 +96,20 @@ class TestSubcommands:
     def test_normal_form_hyperbolic_tolerance_exit(self, capsys):
         sym = '{"2,0":[1,0],"0,2":[1,0]}'  # p^2 - q^2 in z coordinates
         assert main(["normal-form", "--symbol", sym]) == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["pseudospec", "--symbol", "|z|^2+z^2", "--hbar", "0.1", "--rect", "-0.5,0.5,0,1", "--res", "3,3"],
+            ["normal-form", "--symbol", "-p^2-q^2"],
+            ["action", "--d", "-1,0", "--energy", "-0.3,0.1"],
+            # a shift operator: the iterates of the normal equations once overflowed
+            ["pseudospec", "--symbol", "z^2", "--hbar", "1", "--rect=0.51,-0.0,-0.0,-0.109", "--res", "2,2"],
+        ],
+        ids=["rect", "symbol", "action", "shift-operator"],
+    )
+    def test_values_starting_with_dash(self, argv, capsys):
+        assert main(argv) == 0, capsys.readouterr().err
 
     def test_pseudospec_csv(self, tmp_path):
         out = tmp_path / "field.csv"
@@ -261,7 +279,8 @@ _JOINED = st.lists(st.floats(), max_size=5).map(lambda v: ",".join(map(repr, v))
 # option -> (valid values, malformed values); n_max stays small
 _VALUES = {
     "--symbol": (
-        st.sampled_from(["p^2+q^2", "|z|^2+0.3*z^2", _QUAD, "(1+0.3j)*|z|^4 - z^2", "z^2", "p^2 + 2*q^2"]),
+        st.sampled_from(["p^2+q^2", "|z|^2+0.3*z^2", _QUAD, "(1+0.3j)*|z|^4 - z^2", "z^2", "p^2 + 2*q^2",
+                         "-p^2-q^2"]),
         st.sampled_from(["p^3", "{", '{"1,1": [1]}', "", "2*", "nan*|z|^2", "1e400*p^2", '{"a,b": [1, 0]}',
                          '{"-1,2": [1, 0]}', '{"1,1": [NaN, 0]}', "p^2+", "((p^2"]) | _TEXT,
     ),
@@ -283,25 +302,32 @@ _OPTIONS = {
 @st.composite
 def _argv(draw):
     """A subcommand with every option valid but at most one, which is
-    malformed or missing."""
+    malformed or missing, as (option, value) pairs."""
     command = draw(st.sampled_from(sorted(_OPTIONS)))
     bad = draw(st.sampled_from([None, *_OPTIONS[command]]))
-    argv = [command]
+    pairs = []
     for opt in _OPTIONS[command]:
         valid, malformed = _VALUES[opt]
         if opt != bad:
-            argv += [opt, draw(valid)]
+            pairs.append((opt, draw(valid)))
         elif draw(st.booleans()):
-            argv += [opt, draw(malformed)]
-    return argv
+            pairs.append((opt, draw(malformed)))
+    return command, pairs
 
 
 @settings(max_examples=150, deadline=None)
 @given(argv=_argv())
 def test_exit_code_contract_fuzzed(argv):
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        code = main(argv)  # an exception escaping main fails the test
-    assert code in (0, 1, 2, 3)
+    # every value is passed in the space form (--rect -0.5,...) and in the
+    # = form (--rect=-0.5,...); a value that starts with "-" is a value in both
+    command, pairs = argv
+    codes = []
+    for spaced in (True, False):
+        tokens = [t for o, v in pairs for t in ((o, v) if spaced else (f"{o}={v}",))]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            codes.append(main([command, *tokens]))  # an exception escaping main fails the test
+    assert codes[0] in (0, 1, 2, 3)
+    assert codes[0] == codes[1]
 
 
 def test_console_entry_point():

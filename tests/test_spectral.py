@@ -222,8 +222,9 @@ class TestBandedKernel:
             sigma_min(mat, 0.3, dense_cutoff=0)
 
     def test_zero_leading_pivot_needs_row_exchange(self):
-        # lambda = M[0, 0] zeroes the first pivot of the even block, which is
-        # not singular: the subdiagonal entry below it becomes the pivot
+        # lambda = M[0, 0] zeroes the leading diagonal entry of the even
+        # block, which is not singular: the first reflector takes R[0, 0]
+        # from the subdiagonal entry below it
         mat = assemble_toeplitz(ROT.to_symbol(), 0.1, 40).entries
         lam = mat[0, 0]
         assert sigma_min(mat, lam, dense_cutoff=0) == pytest.approx(_dense_sigma(mat, lam), rel=1e-8)
@@ -233,6 +234,72 @@ class TestBandedKernel:
         # column of the shifted block, which is then exactly singular
         m = assemble_toeplitz(MonomialSymbol({(1, 1): 1.0, (0, 2): 0.5}), 0.1, 20)
         assert sigma_min(m.entries, m.entries[3, 3], dense_cutoff=0) == 0.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kl=st.integers(0, 3),
+        ku=st.integers(0, 3),
+        m=st.integers(1, 40),
+        nb=st.integers(1, 5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_band_qr_against_dense(self, kl, ku, m, nb, seed):
+        # the factor gives R^H R = A^H A, and its two sweeps solve
+        # A^H A x = b as a dense solve does, up to the scale of each column
+        rng = np.random.default_rng(seed)
+        w = kl + ku + 1
+        a = rng.normal(size=(m, w, nb)) + 1j * rng.normal(size=(m, w, nb))
+        i, c = np.indices((m, w))
+        a[(i - kl + c < 0) | (i - kl + c >= m)] = 0.0
+        f, singular = spectral._band_qr(a, kl)
+        b = rng.normal(size=(m, 2, nb)) + 1j * rng.normal(size=(m, 2, nb))
+        x, over = spectral._inverse_gram(f, b)
+        assert not singular.any() and not over.any()
+        for k in range(nb):
+            dense = spectral._band_dense(a[..., k], kl)
+            gram = dense.conj().T @ dense
+            u = spectral._band_dense(np.concatenate([np.ones((m, 1)), f.rowh[:, :, 0, k].conj()], axis=1), 0)
+            r_h_r = u.conj().T @ (u / f.d2inv[:, :, k])
+            assert np.abs(r_h_r - gram).max() <= 1e-12 * np.linalg.norm(dense, 2) ** 2
+            kappa = np.linalg.cond(dense)
+            if kappa < 1e6:  # both solves are accurate to about eps kappa^2
+                ref = np.linalg.solve(gram, b[..., k])
+                ref /= np.abs(ref).max(axis=0)
+                assert np.abs(x[..., k] - ref).max() <= 1e-13 * kappa**2
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "hbar, n, lam", [(0.05, 256, 0.1), (0.05, 256, 0.05 + 0.02j), (1.0, 128, -0.109j), (0.1, 256, 0.3)]
+    )
+    def test_shift_operator_at_the_floor(self, hbar, n, lam):
+        # T(z^2) - lambda is lambda plus a weighted shift, whose sigma_min is
+        # far below the roundoff floor; the iterates of the normal equations
+        # once overflowed at these points
+        m = assemble_toeplitz(MonomialSymbol({(2, 0): 1.0}), hbar, n)
+        sigma = spectral._sigma_min_banded(m, np.array([lam]))[0]
+        floor = 1e-12 * float(np.abs(m.entries - lam * np.eye(n)).sum(axis=0).max())
+        assert 0.0 <= sigma <= floor
+        assert abs(sigma - _dense_sigma(m.entries, lam)) <= floor
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale", [1e-160, 1e160])
+    def test_scale_invariant(self, scale):
+        # the column norms square the entries, which would leave the double
+        # range here; the kernel scales each pair by a power of 2 first
+        sym = ROT.to_symbol()
+        lams = np.array([0.2 + 0.1j, 1.0, -0.5j])
+        ref = spectral._sigma_min_banded(assemble_toeplitz(sym, 0.1, 64), lams)
+        scaled = MonomialSymbol({k: scale * v for k, v in sym.coeffs.items()})
+        got = spectral._sigma_min_banded(assemble_toeplitz(scaled, 0.1, 64), scale * lams)
+        assert got == pytest.approx(scale * ref, rel=1e-10)
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_sweep_is_at_the_floor(self):
+        # I + 1000 S has ||A^-1|| ~ 1000^127: the U^H sweep overflows, and
+        # sigma_min, below 1e-300, is reported as 0 without an error
+        mat = np.eye(128) + 1000.0 * np.eye(128, k=1)
+        for lam in (0.0, 0.5):
+            assert sigma_min(mat, lam, dense_cutoff=0) == 0.0
 
 
 @pytest.fixture(scope="module")
