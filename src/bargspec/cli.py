@@ -10,7 +10,12 @@ Exit codes: 0 success, 1 config error (bad argument, config, symbol or file),
 stop `run`: the remaining tasks run, the manifest is written and the run
 exits 2.  `action` exits 2 when the quadrature misses the closed form by more
 than 1e-8 relative, and 1 on a non-finite d or energy; `verify --only` takes
-criterion indices 1 to 12.
+criterion indices 1 to 12.  `birkhoff` exits 3 when a Lie term or a
+coefficient of mu0 is not finite, or when the cancellations of the Lie
+transport leave a non-radial residual (the message names the hbar-order, the
+degree and the digits lost); `moser` exits 3 when a(1) or r(1) is not
+finite, and names the hbar-order.  A symbol with a run of signs (--p^2,
+p^2 +- q^2) or a trailing sign exits 1.
 
 Floats are printed with repr (shortest round-trip representation); identical
 config + seed therefore yields byte-identical artifacts.
@@ -83,7 +88,9 @@ _UNITS = {
 def parse_symbol(text: str) -> MonomialSymbol:
     """JSON map {"alpha,beta": [re, im]} or shorthand sums of the documented
     built-ins (p^2, q^2, p*q, |z|^2, |z|^4, z, zbar, z^2, zbar^2, 1), each with
-    an optional complex coefficient prefix like 2* or (1+0.3j)*."""
+    an optional complex coefficient prefix like 2* or (1+0.3j)*.  One sign
+    separates two terms and may lead the first; a run of signs (--p^2,
+    p^2 +- q^2) or a trailing sign is a ParseError."""
     text = text.strip()
     if text.startswith("{"):
         try:
@@ -107,6 +114,8 @@ def parse_symbol(text: str) -> MonomialSymbol:
         if ch in "+-" and depth == 0 and (i == 0 or text[i - 1] not in "eE({*"):
             if cur.strip():
                 terms.append((sign, cur.strip(), start))
+            elif i > 0:  # only the first term may go without one before its sign
+                raise ParseError("a sign with no term after it", 1, start - 1)
             sign = 1.0 if ch == "+" else -1.0
             cur = ""
             start = i + 1

@@ -24,11 +24,21 @@ Moser t-products pass the arrays straight to it.  Shifts in hbar, changes of
 order or degree and sums are slices and pads of the stack.  Table products
 are numpy-only: a full 2-D product is one 1-D convolution.
 
+The Lie transport is the one place that bypasses the kernel.  For a fixed
+generator G, X -> i hbar^{-1} [G, X]_# is linear in X, so
+`quantum_lie_transport` builds it once per generator as K+1 blocks (one per
+hbar-order step) gathered from G's coefficients, and runs each Lie term as
+one matrix product.  The kernel still runs a term whose operands are both
+unflagged, since only it finds which hbar-orders a degree cut touched; once
+either operand is flagged every order is flagged, and the operator runs.
+
 Degree and hbar-order caps are independent; any operation that drops a
 nonzero coefficient marks its result `truncated` and callers that need
 coefficient-exact output must check the flag (or pad degrees beforehand).
 The Lie series raises `NoConvergence` when its term cap is reached with a
-term that is not negligible.
+term that is not negligible, or at a term that is not finite; the normal
+form raises it when the cancellations of its transports leave a non-radial
+residual, and the Moser iteration when a(1) or r(1) is not finite.
 """
 
 from __future__ import annotations
@@ -36,7 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
-from math import comb, factorial
+from math import comb, factorial, log10, perm
 
 import numpy as np
 
@@ -299,9 +309,13 @@ class FormalSymbol:
     def resized(self, order: int | None = None, degree: int | None = None) -> "FormalSymbol":
         """Pad or cut to (order, degree), degree meaning total degree a + b:
         a term whose cut drops a nonzero coefficient is flagged, and dropping
-        nonzero higher orders flags the last order."""
+        nonzero higher orders flags the last order.  A symbol already at
+        those caps with nothing past the degree is returned as it is (no
+        caller writes into a stack)."""
         order = self.order if order is None else order
         degree = self.degree if degree is None else degree
+        if order == self.order and degree == self.degree and not self.c[:, _beyond_degree(degree + 1)].any():
+            return self
         kept = self.c[: order + 1]
         c = np.zeros((order + 1, degree + 1, degree + 1), dtype=complex)
         lost = _copy_to_degree(kept, c[: len(kept)])
@@ -330,8 +344,11 @@ class FormalSymbol:
 
     def shift_up(self, by: int = 1) -> "FormalSymbol":
         """Multiply by hbar^by (pure index shift)."""
-        pad = ((by, 0), (0, 0), (0, 0))
-        return FormalSymbol._wrap(np.pad(self.c, pad), np.pad(self.flags, (by, 0)))
+        c = np.zeros((self.order + 1 + by,) + self.c.shape[1:], dtype=complex)
+        c[by:] = self.c
+        flags = np.zeros(self.order + 1 + by, dtype=bool)
+        flags[by:] = self.flags
+        return FormalSymbol._wrap(c, flags)
 
     def shift_down(self, by: int = 1) -> "FormalSymbol":
         """Divide by hbar^by; the removed leading terms must vanish (up to
@@ -350,10 +367,6 @@ class FormalSymbol:
         out = np.zeros((order + 1, degree + 1, degree + 1), dtype=complex)
         out[0, 0, 0] = c
         return cls._wrap(out, np.zeros(order + 1, dtype=bool))
-
-    @classmethod
-    def from_table(cls, tab: TaylorTable2D, order: int = 0) -> "FormalSymbol":
-        return cls([tab]).resized(order)
 
     @classmethod
     def from_monomials(cls, sym: MonomialSymbol, degree: int | None = None) -> "FormalSymbol":
@@ -677,6 +690,7 @@ class MoserResult:
         return list(np.diagonal(self.r_symbol(tau).c, axis1=1, axis2=2).copy())
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite result raises below
 def moser_normal_form(
     mu: FormalSymbol, g: FormalSymbol, order: int, degree: int | None = None
 ) -> MoserResult:
@@ -692,7 +706,8 @@ def moser_normal_form(
     is integrated exactly: every coefficient is polynomial in t.  corr is the
     j >= 2 tail of hbar^{-1}[mu, i b]_# (the j = 1 part cancels {mu, b}).
     The order-k flags of the result mark a dropped coefficient in a kernel
-    product of orders <= k, or a truncated input.
+    product of orders <= k, or a truncated input.  Raises NoConvergence,
+    naming the first such hbar-order, when a(1) or r(1) is not finite.
     """
     if degree is None:
         degree = max(mu.degree, g.degree)
@@ -751,7 +766,11 @@ def moser_normal_form(
         b[k] = _theta_inverse(_at(_sharp(resid, inv_mu0_prime[None, None], 0, degree), 0, drops))
         flags[k] |= any(drops) or (k > 0 and flags[k - 1])
 
-    return MoserResult(a, rdot, flags, order, degree)
+    result = MoserResult(a, rdot, flags, order, degree)
+    for k in range(order + 1):
+        if not (np.isfinite(result.a_final.c[k]).all() and np.isfinite(result.r_final[k]).all()):
+            raise NoConvergence(f"Moser iteration: a(1) or r(1) is not finite at hbar-order {k}")
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -812,26 +831,109 @@ def oscillator_function_from_symbol(mu_b: FormalSymbol) -> list[np.ndarray]:
 # normal forms: one hbar-graded routine; the classical form is its hbar^0 slice
 
 
-def _lie_series(f: FormalSymbol, ad, cap: int) -> FormalSymbol:
-    """exp(ad) f = f + ad f + ad^2 f / 2! + ... for formal symbols.
+def _lie_series(f: FormalSymbol, ad, cap: int) -> tuple[FormalSymbol, float]:
+    """exp(ad) f = f + ad f + ad^2 f / 2! + ... for formal symbols, and the
+    largest norm_inf of a term (f included).
 
     Stops at an exactly vanishing term.  At term `cap` it stops if that term
-    is below 1e-15 relative to the sum, and raises NoConvergence if not.
+    is below 1e-15 relative to the sum, and raises NoConvergence if not, or
+    at once on a term that is not finite.
     """
-    out = term = f
+    # every term has the caps of f, so the sum accumulates in place
+    out = FormalSymbol._wrap(f.c.copy(), f.flags.copy())
+    term = f
+    largest = f.norm_inf()
     n = 1
     while True:
         term = ad(term) * (1.0 / n)
         size = term.norm_inf()
+        if not np.isfinite(size):
+            raise NoConvergence(f"Lie series: term {n} is not finite (the sum had size {out.norm_inf():.3e})")
         if size < 1e-300:
-            return out
+            return out, largest
         if n > cap:
             total = out.norm_inf()
             if not (np.isfinite(total) and size <= 1e-15 * total):
                 raise NoConvergence(f"Lie series: term {n} of size {size:.3e} against a sum of size {total:.3e}")
-            return out
-        out = out + term
+            return out, largest
+        largest = max(largest, size)
+        out.c += term.c
+        out.flags |= term.flags
         n += 1
+
+
+@lru_cache(maxsize=32)
+def _ad_indices(n: int, order: int) -> tuple[np.ndarray, np.ndarray, list]:
+    """Index arrays of `_ad_operator` on n x n tables up to hbar-order `order`
+    (read-only).
+
+    A table is the vector of its N entries with a + b <= n - 1 (`keep`, their
+    row-major positions).  The operator's K+1 blocks B_d, d = 1..order+1, sit
+    side by side in one N x (K+1) N matrix, and `layout` gathers a flat stack
+    X (with a zero appended) into the (K+1) N x (K+1) matrix whose column o
+    holds X_o, X_{o-1}, ..., X_0 and then zeros.  `terms[j - 1]`, for
+    j = 1..order+1, is the j-th term of X -> i c_j (d^j G dbar^j X -
+    d^j X dbar^j G), c_j = (-1)^j / j!, products cut at total degree n - 1,
+    as a gather from the flat table G: the positions of its nonzero entries
+    in block 0 of the block row, their sources in G and their weights.  In
+    both products, output (a, b) and input (p, q) meet G at
+    (a - p + j, b - q + j), with the weights ff(a - p + j) ff(q) and
+    ff(b - q + j) ff(p), where ff(x) = x! / (x - j)! is zero for x < j.
+    """
+    keep = np.flatnonzero(~_beyond_degree(n)).astype(np.int32)
+    size = len(keep)
+    d, o = np.indices((order + 1, order + 1), dtype=np.int32)
+    start = np.where(o >= d, (o - d) * n * n, -1)[:, None, :]
+    layout = np.where(start >= 0, start + keep[:, None], (order + 1) * n * n).reshape((order + 1) * size, order + 1)
+    a, b = np.divmod(keep, n)
+    terms = []
+    for j in range(1, order + 2):
+        ga = a[:, None] - a[None, :] + j
+        gb = b[:, None] - b[None, :] + j
+        inside = (ga >= 0) & (gb >= 0) & (ga + gb < n)
+        ga, gb = np.where(inside, ga, 0), np.where(inside, gb, 0)
+        ff = np.array([float(perm(x, j)) for x in range(n)])
+        weight = np.where(inside, ff[ga] * ff[b] - ff[gb] * ff[a], 0.0)
+        rows, cols = np.nonzero(weight)
+        terms.append((
+            (rows * (order + 1) * size + cols).astype(np.int32),
+            (ga[rows, cols] * n + gb[rows, cols]).astype(np.int32),
+            weight[rows, cols] * (1j * (-1.0) ** j / factorial(j)),
+        ))
+    for arr in (keep, layout, *(x for term in terms for x in term)):
+        arr.flags.writeable = False
+    return keep, layout, terms
+
+
+def _ad_operator(gen: np.ndarray):
+    """X -> i hbar^{-1} [G, X]_# (the j >= 1 tail of the bracket, shifted down
+    one hbar-order) for the generator stack gen (K+1, D+1, D+1), as a function
+    on stacks of the same shape.
+
+    The map is linear in X, and the block that takes X_l to output order o
+    depends only on d = o + 1 - l: B_d = sum_{j+k=d, j>=1} of the j-th term
+    of `_ad_indices` with G = G_k.  Each application is one matrix product
+    of the blocks, side by side, with the stack laid out block-Toeplitz.
+    """
+    order, n = gen.shape[0] - 1, gen.shape[1]
+    keep, layout, terms = _ad_indices(n, order)
+    size = len(keep)
+    blocks = np.zeros((size, (order + 1) * size), dtype=complex)
+    flat = gen.reshape(order + 1, n * n)
+    for k in range(order + 1):
+        if flat[k].any():
+            for j in range(1, order + 2 - k):
+                pos, src, weight = terms[j - 1]
+                blocks.reshape(-1)[(j + k - 1) * size :][pos] += weight * flat[k, src]
+
+    def apply(x: np.ndarray) -> np.ndarray:
+        ext = np.zeros(x.size + 1, dtype=complex)
+        ext[:-1] = x.ravel()
+        out = np.zeros((order + 1, n * n), dtype=complex)
+        out[:, keep] = (blocks @ ext[layout]).T
+        return out.reshape(order + 1, n, n)
+
+    return apply
 
 
 def lie_transport(f: TaylorTable2D, gen: TaylorTable2D, degree: int | None = None) -> TaylorTable2D:
@@ -855,13 +957,32 @@ def quantum_lie_transport(
     term cap is 8 (degree + order + 1).
 
     The j = 0 part of [G, X]_#, G_k X_l - X_l G_k, vanishes, so the bracket
-    series starts at j = 1."""
+    series starts at j = 1.  ad is built once, as `_ad_operator`, the first
+    time a term has a flagged operand, and each such term is one matrix
+    product.  A term whose operands are both unflagged goes through
+    `sharp_bracket_tail`, which also finds the hbar-orders a degree cut
+    touched; its flags are then exactly the kernel's.  In a normal form that
+    is typically the first term only: its product reaches past the degree
+    cap, which flags the sum."""
+    return _transport(f, gen, order, degree)[0]
+
+
+@np.errstate(over="ignore", invalid="ignore")  # the Lie series raises at a non-finite term
+def _transport(f: FormalSymbol, gen: FormalSymbol, order: int, degree: int) -> tuple[FormalSymbol, float]:
+    """`quantum_lie_transport` and the largest norm_inf of its Lie terms."""
     gen = gen.resized(order, degree)
-    return _lie_series(
-        f.resized(order, degree),
-        lambda x: 1j * sharp_bracket_tail(gen, x, 1, order + 1, degree).shift_down(1),
-        8 * (degree + order + 1),
-    )
+    operator = None
+
+    def ad(x: FormalSymbol) -> FormalSymbol:
+        nonlocal operator
+        if not (gen.truncated or x.truncated):
+            # the kernel also finds which orders a degree cut touched
+            return 1j * sharp_bracket_tail(gen, x, 1, order + 1, degree).shift_down(1)
+        if operator is None:
+            operator = _ad_operator(gen.c)
+        return FormalSymbol._wrap(operator(x.c), np.ones(order + 1, dtype=bool))
+
+    return _lie_series(f.resized(order, degree), ad, 8 * (degree + order + 1))
 
 
 @dataclass
@@ -891,7 +1012,8 @@ def birkhoff_normal_form(f: TaylorTable2D, degree: int | None = None) -> Birkhof
     d0 z vbar; `quantum_normal_form` at hbar-order 0 then removes all
     non-radial terms with homogeneous generators of degree 3..D.  Returns mu0
     with mu0(s) = s + O(s^2) such that the transported symbol equals
-    mu0(d0 z zbar) up to degree D."""
+    mu0(d0 z zbar) up to degree D; raises NoConvergence when a coefficient
+    of mu0 leaves the double range."""
     from .quadratic import ComplexQuadraticForm, reduce_quadratic
 
     if degree is None:
@@ -907,9 +1029,15 @@ def birkhoff_normal_form(f: TaylorTable2D, degree: int | None = None) -> Birkhof
     pulled = pullback_linear(f, np.linalg.inv(nf.composed), degree)
     profiles, gens = quantum_normal_form(FormalSymbol([pulled]), 0, degree)
     # the profile is a series in s' = z zbar (reduced frame); as mu0(d0 s'):
-    # mu0(x) = sum_a profile[a] (x/d0)^a
+    # mu0(x) = sum_a profile[a] (x/d0)^a, where a zero profile[a] gives 0
+    # even when d0^a leaves the double range
+    with np.errstate(all="ignore"):
+        mu0 = np.where(profiles[0] == 0, 0.0, profiles[0] / nf.d0 ** np.arange(degree + 1))
+    if not np.isfinite(mu0).all():
+        a = int(np.flatnonzero(~np.isfinite(mu0))[0])
+        raise NoConvergence(f"Birkhoff normal form: mu0 at degree {a} leaves the double range (d0 = {nf.d0:.3e})")
     return BirkhoffResult(
-        mu0=profiles[0] / nf.d0 ** np.arange(degree + 1),
+        mu0=mu0,
         generators=[g.term(0) for g in gens],
         d0=nf.d0,
         linear_map=nf.composed,
@@ -930,7 +1058,11 @@ def quantum_normal_form(
 
     Returns (radial profiles R_k by hbar-order, list of generators).  The
     eigenvalues of T(f) near the bottom well are the exact diagonal values of
-    T(R) up to the truncation error of the caps.
+    T(R) up to the truncation error of the caps.  Raises NoConvergence when
+    an hbar-order keeps a non-radial residual above 1e-9 relative after its
+    generators, which happens when the Lie terms grow so far past the result
+    that their cancellation leaves no digit of it; the message names the
+    order, the degree and log10 of the largest Lie term over the result.
     """
     f = f.resized(order, degree)
     t0 = f.term(0)
@@ -949,13 +1081,26 @@ def quantum_normal_form(
             nonrad = _nonradial(current.c[k], m)
             if np.max(np.abs(nonrad)) < 1e-13:
                 continue
-            gamma = theta_antiderivative(TaylorTable2D(nonrad)) * (1.0 / d0)
-            gen = FormalSymbol.from_table(gamma).shift_up(k).resized(order, degree)
+            gen = FormalSymbol._wrap(np.zeros_like(current.c), np.zeros(order + 1, dtype=bool))
+            gen.c[k] = _theta_inverse(nonrad) * (1.0 / d0)
             gens.append(gen)
             current = quantum_lie_transport(current, gen, order, degree)
-        # the order-k part is now radial through all degrees
-        resid = np.where(offdiag, current.c[k], 0.0)
-        assert np.max(np.abs(resid)) < 1e-9 * max(1.0, current.norm_inf())
+        # the order-k part is now radial through all degrees, unless the
+        # cancellations of the transport ate the digits that would show it
+        resid = float(np.abs(np.where(offdiag, current.c[k], 0.0)).max())
+        scale = max(1.0, current.norm_inf())
+        if not resid < 1e-9 * scale:
+            # the transports are deterministic: replay them for their largest Lie term
+            largest, replay = 0.0, f
+            for gen in gens:
+                replay, size = _transport(replay, gen, order, degree)
+                largest = max(largest, size)
+            lost = log10(max(largest / scale, 1.0))
+            raise NoConvergence(
+                f"normal form: hbar-order {k} keeps a non-radial residual {resid:.3e} at degree {degree}, "
+                f"against a result of size {scale:.3e}; the Lie terms reached {largest:.3e}, "
+                f"so {lost:.1f} digits are lost"
+            )
     return list(np.diagonal(current.c, axis1=1, axis2=2).copy()), gens
 
 

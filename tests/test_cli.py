@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import io
 import json
+import re
 import subprocess
 import sys
 
@@ -41,6 +42,11 @@ class TestParseSymbol:
     def test_leading_sign(self):
         assert parse_symbol("-p^2-q^2").coeffs == {(1, 1): -2.0}
         assert parse_symbol("+z^2").coeffs == {(2, 0): 1.0}
+
+    @pytest.mark.parametrize("text", ["--p^2", "p^2 +- q^2", "p^2 -+ q^2", "p^2 + -q^2", "p^2+", "-"])
+    def test_run_of_signs_raises(self, text):
+        with pytest.raises(ParseError, match="sign"):
+            parse_symbol(text)
 
     def test_malformed_complex_raises(self):
         with pytest.raises(ParseError):
@@ -146,6 +152,13 @@ class TestSubcommands:
         doc = json.loads(capsys.readouterr().out)
         assert max(abs(x[0]) + abs(x[1]) for p in doc["r_final"] for x in p) < 1e-12
 
+    def test_birkhoff_tiny_d0_prints_finite_json(self, capsys):
+        # d0^10 underflows to 0; the zero coefficients of mu0 stay 0, not NaN
+        assert main(["birkhoff", "--symbol", '{"1,1":[1e-40,0],"2,2":[1,0]}', "--degree", "10"]) == 0
+        doc = json.loads(capsys.readouterr().out, parse_constant=pytest.fail)
+        assert doc["mu0"][2] == [pytest.approx(1e80), 0.0]
+        assert doc["mu0"][3:] == [[0.0, 0.0]] * 8
+
     def test_birkhoff_pinned_output(self, capsys):
         # a well with a non-diagonal Hessian; the values of the classical
         # degree-by-degree loop with its Poisson Lie series
@@ -235,6 +248,7 @@ _BASE = {"out_dir": "out", "hbar": [0.1], "n_max": 32, "symbol": {"shorthand": "
 _SPECTRUM = [{"type": "spectrum"}]
 
 # every input exits with its documented code and a one-line message
+_PREFIX = {1: "config error: ", 3: "convergence failure: "}
 EXIT_CONTRACT = {
     "action-d-three-parts": (["action", "--d", "1,2,3", "--energy", "0.3,0"], 1),
     "action-d-nan": (["action", "--d", "nan", "--energy", "1"], 1),
@@ -247,6 +261,14 @@ EXIT_CONTRACT = {
     "moser-negative-order": (["moser", "--symbol", "z", "--order", "-1"], 1),
     "birkhoff-negative-degree": (["birkhoff", "--symbol", "|z|^2+|z|^4", "--degree", "-1"], 1),
     "birkhoff-nonzero-constant": (["birkhoff", "--symbol", "1+|z|^2"], 1),
+    # the Lie terms reach 2e17 and cancel to a residual of the result's size
+    "birkhoff-digits-lost": (["birkhoff", "--symbol", '{"1,1":[1,0],"3,0":[1e3,0],"0,4":[1e5,0]}', "--degree", "8"], 3),
+    "birkhoff-non-finite-term": (["birkhoff", "--symbol", '{"1,1":[1,0],"3,0":[1e300,0],"0,4":[1e300,0]}'], 3),
+    "moser-non-finite": (["moser", "--order", "3", "--degree", "6", "--symbol", '{"1,0":[1e200,0]}'], 3),
+    # mu0 at degree 5 is 1 / d0^5 = 1e350
+    "birkhoff-mu0-out-of-range": (["birkhoff", "--symbol", '{"1,1":[1e-70,0],"5,5":[1,0]}', "--degree", "10"], 3),
+    "symbol-run-of-signs": (["normal-form", "--symbol=--p^2"], 1),
+    "symbol-sign-pair": (["normal-form", "--symbol", "p^2 +- q^2"], 1),
     "verify-index-13": (["verify", "--only", "13"], 1),
     "missing-argument": (["spectrum", "--hbar", "0.1"], 1),
     "run-symbol-path-missing": (_config({**_BASE, "symbol": {"path": "missing.json"}, "tasks": _SPECTRUM}), 1),
@@ -270,7 +292,7 @@ def test_exit_code_contract(argv, code, tmp_path, monkeypatch, capsys):
         argv = ["run", "--config", "config.json"]
     assert main(argv) == code  # returns: no exception escapes main
     err = capsys.readouterr().err
-    assert err.startswith("config error: ") and err.count("\n") == 1, err
+    assert err.startswith(_PREFIX[code]) and err.count("\n") == 1, err
 
 
 _QUAD = json.dumps({"2,0": [0.3, 0.1], "1,1": [1.0, 0.0], "0,2": [0.3, -0.1]})
@@ -291,11 +313,29 @@ _VALUES = {
                _JOINED | _TEXT),
     "--res": (st.lists(st.integers(2, 6), min_size=2, max_size=2).map(lambda v: ",".join(map(str, v))),
               st.lists(st.integers(-2, 6), max_size=3).map(lambda v: ",".join(map(str, v))) | _TEXT),
+    "--order": (st.integers(0, 3).map(str), st.integers(-3, -1).map(str) | _TEXT),
+}
+# a well z zbar + ... with coefficients from 1e-300 to 1e300, where the
+# normal forms lose every digit or overflow
+_COEFF = st.tuples(st.floats(-300, 300), st.floats(-300, 300), st.booleans()).map(
+    lambda v: [10.0 ** v[0], (-1) ** v[2] * 10.0 ** v[1]]
+)
+_SCALED_WELL = st.fixed_dictionaries(
+    {"1,1": _COEFF}, optional={key: _COEFF for key in ("2,0", "0,2", "1,0", "3,0", "2,1", "1,2", "0,4", "2,2")}
+).map(json.dumps)
+# options whose draw depends on the subcommand
+_COMMAND_VALUES = {
+    ("birkhoff", "--symbol"): (_VALUES["--symbol"][0] | _SCALED_WELL, _VALUES["--symbol"][1]),
+    ("moser", "--symbol"): (_VALUES["--symbol"][0] | _SCALED_WELL, _VALUES["--symbol"][1]),
+    ("birkhoff", "--degree"): (st.integers(2, 10).map(str), st.integers(-3, 1).map(str) | _TEXT),
+    ("moser", "--degree"): (st.integers(0, 6).map(str), st.integers(-9, -1).map(str) | _TEXT),
 }
 _OPTIONS = {
     "spectrum": ["--symbol", "--hbar", "--count", "--n-max"],
     "pseudospec": ["--symbol", "--hbar", "--rect", "--res", "--n-max"],
     "normal-form": ["--symbol"],
+    "birkhoff": ["--symbol", "--degree"],
+    "moser": ["--symbol", "--order", "--degree"],
 }
 
 
@@ -307,7 +347,7 @@ def _argv(draw):
     bad = draw(st.sampled_from([None, *_OPTIONS[command]]))
     pairs = []
     for opt in _OPTIONS[command]:
-        valid, malformed = _VALUES[opt]
+        valid, malformed = _COMMAND_VALUES.get((command, opt)) or _VALUES[opt]
         if opt != bad:
             pairs.append((opt, draw(valid)))
         elif draw(st.booleans()):
@@ -324,8 +364,11 @@ def test_exit_code_contract_fuzzed(argv):
     codes = []
     for spaced in (True, False):
         tokens = [t for o, v in pairs for t in ((o, v) if spaced else (f"{o}={v}",))]
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
             codes.append(main([command, *tokens]))  # an exception escaping main fails the test
+        # no non-finite number in an artifact: repr's nan and inf, JSON's NaN and Infinity
+        assert not re.search(r"\bnan\b|\binf\b|NaN|Infinity", out.getvalue()), out.getvalue()
     assert codes[0] in (0, 1, 2, 3)
     assert codes[0] == codes[1]
 

@@ -280,10 +280,16 @@ def _scan_min_eig(form, theta):
     return float(np.linalg.eigvalsh((np.exp(1j * theta) * form.matrix).real)[0])
 
 
+def _scan_min_eigs(form, thetas):
+    """`_scan_min_eig` at every angle of a grid, by one stacked eigvalsh."""
+    rotated = (np.exp(1j * thetas)[:, None, None] * form.matrix).real
+    return np.linalg.eigvalsh(rotated)[:, 0]
+
+
 def _scan_range_proper(form):
     """(range_proper, the largest smallest eigenvalue the scan saw)."""
     thetas = np.linspace(-np.pi, np.pi, 720, endpoint=False)
-    mins = np.array([_scan_min_eig(form, t) for t in thetas])
+    mins = _scan_min_eigs(form, thetas)
     t0 = thetas[int(np.argmax(mins))]
     lo, hi = t0 - np.pi / 720, t0 + np.pi / 720
     for _ in range(60):
@@ -302,7 +308,7 @@ def _scan_range_proper(form):
 def _scan_arc(form):
     """Ends of the longest run of positive definite grid angles, bisected."""
     thetas = np.linspace(-np.pi, np.pi, _SCAN_GRID, endpoint=False)
-    good = np.array([_scan_min_eig(form, t) for t in thetas]) > 0.0
+    good = _scan_min_eigs(form, thetas) > 0.0
     if not good.any():
         raise NoDeltaFound("no grid angle is admissible")
     n = _SCAN_GRID
@@ -451,6 +457,17 @@ class TestClosedFormAgainstScan:
     def test_narrow_and_boundary_arcs(self, centre, peak, t_diag, t_off, turn, scale):
         form = _form_with_arc(centre, peak, t_diag, t_off, turn, scale)
         _assert_routes_agree(form, centre=centre)
+
+    @settings(max_examples=20, deadline=None)
+    @given(re=st.lists(entry, min_size=3, max_size=3), im=st.lists(entry, min_size=3, max_size=3))
+    def test_stacked_grid_is_the_per_angle_loop(self, re, im):
+        # the scans' grids take one stacked eigvalsh: bit for bit the loop
+        m = np.array(re) + 1j * np.array(im)
+        form = ComplexQuadraticForm(m[0], m[1], m[2])
+        for n in (720, _SCAN_GRID):
+            thetas = np.linspace(-np.pi, np.pi, n, endpoint=False)
+            loop = np.array([_scan_min_eig(form, t) for t in thetas])
+            assert np.array_equal(_scan_min_eigs(form, thetas), loop)
 
     def test_hyperbolic_boundary(self):
         # det Re(e^{i theta} f) = -cos^2 theta peaks at 0, at theta = pi/2:

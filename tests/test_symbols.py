@@ -3,6 +3,7 @@ theta calculus, cohomology, inverses, Moser, oscillator functions, and the
 degree-by-degree normal forms."""
 
 import math
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -20,7 +21,9 @@ from bargspec.symbols import (
     FormalSymbol,
     NonzeroAverage,
     TaylorTable2D,
+    _ad_operator,
     _bracket,
+    _lie_series,
     _sharp,
     _t_int,
     _t_shift,
@@ -99,6 +102,13 @@ class TestFormalSymbolStack:
         cut = f.resized(1, 3)
         assert list(cut.flags) == [False, True] and cut.term(1).t[2, 2] == 0
         assert list(f.resized(1, 6).flags) == [False, False]
+        # at its own caps a symbol comes back as it is, unless it holds a
+        # coefficient past its degree
+        assert f.resized(1, 4) is f and f.resized() is f
+        past = FormalSymbol._wrap(np.stack([tab.t, tab.t]), [False, False])
+        past.c[1, 3, 3] = 1.0
+        cut = past.resized()
+        assert list(cut.flags) == [False, True] and cut.c[1, 3, 3] == 0 and past.c[1, 3, 3] == 1.0
 
     def test_shifts(self):
         f = rand_symbol(np.random.default_rng(18), 1, 3)
@@ -448,6 +458,11 @@ class TestMoser:
         assert res.a_final.norm_inf() == 0.0
         assert res.r_final[0][2] == pytest.approx(1.0)
 
+    def test_non_finite_result_raises(self):
+        g = FormalSymbol([table_from_dict({(1, 0): 1e200}, 10)])
+        with pytest.raises(NoConvergence, match="not finite at hbar-order 2"):
+            moser_normal_form(self.MU, g, 3, 10)
+
     def test_linear_g(self):
         g = FormalSymbol([table_from_dict({(1, 0): 1}, 10)])
         res = moser_normal_form(self.MU, g, 3, 10)
@@ -722,6 +737,67 @@ class TestLieSeries:
         with pytest.raises(NoConvergence, match="Lie series"):
             quantum_lie_transport(FormalSymbol([f]), FormalSymbol([gen]), 2, 8)
 
+    def test_non_finite_term_raises_at_once(self):
+        f = table_from_dict({(1, 1): 1.0, (3, 0): 1e300, (0, 4): 1e300}, 8)
+        gen = table_from_dict({(2, 1): 1e300, (0, 3): 1e300}, 8)
+        with pytest.raises(NoConvergence, match="term 1 is not finite"):
+            lie_transport(f, gen, 8)
+
+
+def stack(rng, order, degree, truncated):
+    """A random symbol with every coefficient of total degree <= degree set."""
+    return FormalSymbol([TaylorTable2D(rand_table(rng, degree).t, truncated) for _ in range(order + 1)])
+
+
+def nilpotent_generator(rng, order, degree, truncated):
+    """Random homogeneous pieces hbar^k G_{k,m} with m >= 3 at k = 0 and
+    m >= 1 above: each application of ad raises 2 (hbar-order) + degree, so
+    the Lie series ends on an exactly zero term, as in the normal form."""
+    c = np.zeros((order + 1, degree + 1, degree + 1), dtype=complex)
+    a = np.arange(degree + 1)
+    for _ in range(2):
+        k = int(rng.integers(0, order + 1))
+        lowest = 3 if k == 0 else 1
+        if lowest <= degree:
+            m = int(rng.integers(lowest, degree + 1))
+            c[k] += np.where(a[:, None] + a[None, :] == m, 0.2 * (rng.normal(size=c[k].shape) + 1j), 0.0)
+    return FormalSymbol._wrap(c, np.full(order + 1, truncated))
+
+
+class TestLieOperator:
+    """The per-generator operator of `quantum_lie_transport` against the
+    sharp-product kernel it replaces on flagged inputs."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), order=st.integers(0, 3), degree=st.integers(2, 10))
+    def test_matches_bracket_tail(self, seed, order, degree):
+        rng = np.random.default_rng(seed)
+        gen, x = stack(rng, order, degree, False), stack(rng, order, degree, False)
+        ref = (1j * sharp_bracket_tail(gen, x, 1, order + 1, degree).shift_down(1)).c
+        got = _ad_operator(gen.c)(x.c)
+        assert got.shape == ref.shape
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        order=st.integers(0, 3),
+        degree=st.integers(2, 10),
+        flagged=st.sampled_from(["none", "f", "gen"]),
+    )
+    def test_transport_matches_kernel_route(self, seed, order, degree, flagged):
+        rng = np.random.default_rng(seed)
+        f = stack(rng, order, degree, flagged == "f")
+        gen = nilpotent_generator(rng, order, degree, flagged == "gen")
+        ref, _ = _lie_series(
+            f,
+            lambda x: 1j * sharp_bracket_tail(gen, x, 1, order + 1, degree).shift_down(1),
+            8 * (degree + order + 1),
+        )
+        got = quantum_lie_transport(f, gen, order, degree)
+        assert np.abs(got.c - ref.c).max() <= 1e-13 * np.abs(ref.c).max()
+        assert np.array_equal(got.flags, ref.flags)
+
 
 class TestQuantumNormalForm:
     def test_matches_eigensolver(self):
@@ -739,6 +815,19 @@ class TestQuantumNormalForm:
         f = FormalSymbol.from_monomials(MonomialSymbol({(1, 1): 1, (2, 0): 0.2, (0, 2): 0.1, (2, 1): 0.3}), 6)
         with pytest.raises(ValueError, match="proportional to z zbar"):
             quantum_normal_form(f, 1, 6)
+
+    def test_lost_digits_raise(self):
+        # after the linear reduction (whose map is the identity up to 2e-17)
+        # the Lie terms reach 2e17 at degree 8 and cancel to a non-radial
+        # residual as large as the result: no digit of it is left
+        coeffs = {(1, 1): 1.0, (3, 0): 1e3, (0, 4): 1e5}
+        with pytest.raises(NoConvergence, match=r"hbar-order 0 .* at degree 8, ") as err:
+            birkhoff_normal_form(table_from_dict(coeffs, 8), 8)
+        # the residual is roundoff, so only the lost digits' order is fixed
+        assert float(re.search(r"so ([\d.]+) digits are lost", str(err.value)).group(1)) > 15
+        # at degree 4 the terms stay small enough
+        br = birkhoff_normal_form(table_from_dict(coeffs, 4), 4)
+        assert np.isfinite(br.mu0).all()
 
     def test_radial_input_is_fixed_point(self):
         f = FormalSymbol([radial_table(np.array([0.0, 1.0, 0.3]), 8)])
