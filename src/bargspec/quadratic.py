@@ -277,6 +277,9 @@ def _kappa2_matrix(alpha: float, beta: float, gamma: float, Delta: float) -> np.
     The larger eigenvalue must land on the p-axis so that the reduced form
     reads r (zeta p^2 + q^2) with the branch-normalised zeta; when gamma = 0
     this means the identity if alpha >= beta and the quarter turn otherwise.
+    `eigh` returns the eigenvalues ascending with orthonormal eigenvectors,
+    so for finite S the rows diagonalise it, larger eigenvalue first, up to
+    roundoff of order eps |S| (checked by the tests).
     """
     if Delta == 0.0:
         return np.eye(2)
@@ -289,10 +292,6 @@ def _kappa2_matrix(alpha: float, beta: float, gamma: float, Delta: float) -> np.
     rows = np.array([vecs[:, 1], vecs[:, 0]])
     if np.linalg.det(rows) < 0:
         rows[1] = -rows[1]
-    lam_plus = (alpha + beta + Delta) / 2.0
-    lam_minus = (alpha + beta - Delta) / 2.0
-    diag = rows @ s @ rows.T
-    assert abs(diag[0, 0] - lam_plus) < 1e-9 and abs(diag[1, 1] - lam_minus) < 1e-9
     return rows
 
 
@@ -300,7 +299,10 @@ def reduce_quadratic(form: ComplexQuadraticForm, delta: complex | None = None) -
     """Full reduction to d0 * z * vbar on the complexification.
 
     `delta` may be forced (used by the delta-invariance tests); by default the
-    arc-midpoint rule picks it.
+    arc-midpoint rule picks it.  Raises NoDeltaFound when the form fails the
+    ellipticity or proper-range test, or when Re(delta f) is not positive
+    definite in floating point (a form within roundoff of degenerate), and
+    ValueError when a quantity of the reduction leaves the double range.
     """
     checks = ellipticity_check(form)
     if not (checks["elliptic"] and checks["range_proper"]):
@@ -316,7 +318,8 @@ def reduce_quadratic(form: ComplexQuadraticForm, delta: complex | None = None) -
     a0, b0, c0 = g.a.real, g.b.real, g.c.real
     ap, bp, cp = g.a.imag, g.b.imag, g.c.imag
     det0 = a0 * b0 - c0 * c0
-    assert a0 > 0 and det0 > 0, "Re(delta f) must be positive definite here"
+    if not (a0 > 0 and det0 > 0):
+        raise NoDeltaFound(f"Re(delta f) is not positive definite in floating point: a = {a0:.3e}, det = {det0:.3e}")
     d0_real = np.sqrt(det0)
 
     kappa1 = np.array(
@@ -329,11 +332,12 @@ def reduce_quadratic(form: ComplexQuadraticForm, delta: complex | None = None) -
     gamma = (cp * a0 - ap * c0) / (d0_real * a0)
     beta = (a0 * bp - 2 * cp * c0 + c0**2 * ap / a0) / det0
     Delta = float(np.sqrt((beta - alpha) ** 2 + 4.0 * gamma**2))
-    kappa2 = _kappa2_matrix(alpha, beta, gamma, Delta)
-
     zeta = (1 + 1j * (beta + alpha + Delta) / 2) / (1 + 1j * (beta + alpha - Delta) / 2)
-    w = zeta ** 0.25  # principal root; Re > 0 since zeta is never in R_-
-    assert w.real > 0
+    if not np.isfinite([d0_real, alpha, beta, gamma, Delta, zeta]).all():
+        raise ValueError(f"the reduction of {form} leaves the double range")
+    kappa2 = _kappa2_matrix(alpha, beta, gamma, Delta)
+    # principal root of a finite zeta != 0 (|1 + i x| >= 1): |arg w| <= pi/4, so Re w > 0
+    w = zeta ** 0.25
     kappa3 = 0.5 * np.array([[w + 1 / w, w - 1 / w], [w - 1 / w, w + 1 / w]])
 
     composed = kappa3 @ real_map_extension(kappa2) @ real_map_extension(kappa1)
@@ -372,14 +376,17 @@ def reduce_quadratic(form: ComplexQuadraticForm, delta: complex | None = None) -
 
 def phase_and_weights(nf: NormalFormData) -> tuple[PhaseQuadratic, QuadraticWeightPair]:
     """Phase function data and the transformed-weight pair of Theorem-level
-    formulas: (r + ij)^2 = zeta/|zeta|, W = (r-1)/r |x|^2 + (2j/r) Re x Im x."""
+    formulas: (r + ij)^2 = zeta/|zeta|, W = (r-1)/r |x|^2 + (2j/r) Re x Im x.
+
+    Raises PhaseConditionViolated when |b/d| >= 1.  r > 0 needs no check:
+    `reduce_quadratic` returns a finite zeta != 0, and the principal square
+    root of zeta/|zeta| has r >= cos(pi/2) > 0 in floating point."""
     if abs(nf.phase.b_over_d) >= 1.0:
         raise PhaseConditionViolated(
             f"|b/d| = {abs(nf.phase.b_over_d):.6f} >= 1: phase condition fails"
         )
     root = (nf.zeta / abs(nf.zeta)) ** 0.5
     pair = QuadraticWeightPair(r=float(root.real), j=float(root.imag))
-    assert pair.r > 0
     return nf.phase, pair
 
 

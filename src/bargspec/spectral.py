@@ -567,6 +567,7 @@ def scan_isolating_c(
 # action integrals
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite quantity raises below
 def action_integral(
     d: complex,
     energy: complex,
@@ -576,14 +577,23 @@ def action_integral(
     """-i oint vbar dx over x(t) = sqrt(E/d) e^{it}, vbar(t) = sqrt(E/d) e^{-it},
     t in [0, 2 pi winding]; trapezoid nodes double until two successive values
     agree to `tol` relative, else NoConvergence after 12 doublings.
-    Returns the numeric value and the closed form 2 pi E winding / d."""
+    Returns the numeric value and the closed form 2 pi E winding / d.
+    Raises NoConvergence at once when the root sqrt(E/d), the closed form or
+    a quadrature value leaves the double range."""
     if not (np.isfinite(complex(d)) and np.isfinite(complex(energy))):
         raise ValueError(f"d and energy must be finite, got d = {d}, energy = {energy}")
     if d == 0:
         raise ValueError("d must be nonzero")
     winding = int(winding)
+    if abs(winding) > float(np.finfo(float).max):  # an exact comparison: winding may be any int
+        raise ValueError("winding is outside the double range")
     root = np.sqrt(complex(energy) / complex(d))
+    if not np.isfinite(root):
+        raise NoConvergence(f"action: the root sqrt(E/d) is not finite (d = {d}, energy = {energy})")
     closed = 2.0 * np.pi * complex(energy) * winding / complex(d)
+    if not np.isfinite(closed):
+        raise NoConvergence(f"action: the closed form 2 pi E winding / d is not finite (d = {d}, energy = {energy}, "
+                            f"winding = {winding})")
     # relative to |root|: for large |E/d| the absolute gap is roundoff alone
     endpoint_gap = abs(root * np.exp(1j * 2 * np.pi * winding) - root)
     if endpoint_gap > 1e-12 * abs(root):
@@ -595,7 +605,10 @@ def action_integral(
         vbar = root * np.exp(-1j * t)
         dx = 1j * x  # x'(t)
         integrand = -1j * vbar * dx
-        return complex(integrand.mean() * 2.0 * np.pi * winding)
+        out = complex(integrand.mean() * 2.0 * np.pi * winding)
+        if not np.isfinite(out):
+            raise NoConvergence(f"action: the quadrature value at {n} nodes is not finite (closed form {closed:.3e})")
+        return out
 
     n = 16
     prev = value(n)
@@ -874,21 +887,34 @@ def multiwell_compare(
     matches.sort(key=lambda t: t[0])
     residuals = np.array([t[3] for t in matches])
 
-    # near-degenerate pairs and their departure from normality.  The blocks
-    # are orthogonal invariant subspaces, so ||M||_2 is the largest block norm
-    # and a pair split across two blocks has a diagonal compression: 0.0
+    # near-degenerate pairs (gap < factor eps ||M||_2) and their departure
+    # from normality.  The blocks are orthogonal invariant subspaces, so
+    # ||M||_2 is the largest block norm and a pair split across two blocks
+    # has a diagonal compression: 0.0.  Bounds on ||M||_2 from the band settle
+    # most gaps; the blocks' SVDs run only when a gap lies between them
     band, pad, kl = assemble_toeplitz(symbol, hbar, spec.n_max_used).blocks()
-    blocks = [_band_dense(band[~pad[:, r], r], kl) for r in range(band.shape[1])]
-    norm_m = max(np.linalg.norm(b, 2) for b in blocks)
-    eps = np.finfo(float).eps
+    dense: dict[int, np.ndarray] = {}
+
+    def block(r: int) -> np.ndarray:
+        if r not in dense:
+            dense[r] = _band_dense(band[~pad[:, r], r], kl)
+        return dense[r]
+
+    limit = jordan_gap_factor * np.finfo(float).eps
+    lo, hi = _norm2_bounds(band, kl)
+    # widened by a roundoff margin, so that a gap settled by the bounds is
+    # settled the same way by the SVD's norm
+    lo, hi = lo * (1 - 1e-12), hi * (1 + 1e-12)
+    count = len(in_window)
+    gaps = [(i, j, abs(in_window[i] - in_window[j])) for i in range(count) for j in range(i + 1, count)]
+    if any(limit * lo <= gap < limit * hi for _, _, gap in gaps):
+        lo = hi = max(np.linalg.norm(block(r), 2) for r in range(band.shape[1]))
     jordan: list[tuple[int, int, float, float]] = []
-    for i in range(len(in_window)):
-        for j in range(i + 1, len(in_window)):
-            gap = abs(in_window[i] - in_window[j])
-            if gap < jordan_gap_factor * eps * norm_m:
-                same = sectors[i] == sectors[j]
-                nonnormal = _cluster_nonnormality(blocks[sectors[i]], in_window[[i, j]]) if same else 0.0
-                jordan.append((i, j, float(gap), nonnormal))
+    for i, j, gap in gaps:
+        if gap < limit * lo:
+            same = sectors[i] == sectors[j]
+            nonnormal = _cluster_nonnormality(block(sectors[i]), in_window[[i, j]]) if same else 0.0
+            jordan.append((i, j, float(gap), nonnormal))
     return MultiwellReport(
         wells=preds,
         eigenvalues=in_window,
@@ -898,6 +924,22 @@ def multiwell_compare(
         window_radius=float(radius),
         spectrum=spec,
     )
+
+
+def _norm2_bounds(band: np.ndarray, kl: int) -> tuple[float, float]:
+    """lo <= max_r ||B_r||_2 <= hi for the blocks of `band` (m, g, w) from
+    `ToeplitzMatrix.blocks()`: the largest column 2-norm below and the
+    largest sqrt(||B_r||_1 ||B_r||_inf) above.  The band is zero outside each
+    block, so clipped column indices gather zeros."""
+    m, g, w = band.shape
+    i, c = np.indices((m, w))
+    col = np.clip(i - kl + c, 0, m - 1)[:, None, :] * g + np.arange(g)[None, :, None]
+    mag = np.abs(band)
+    col_abs = np.bincount(col.ravel(), mag.ravel(), m * g).reshape(m, g)
+    col_sq = np.bincount(col.ravel(), (mag**2).ravel(), m * g).reshape(m, g)
+    lo = float(np.sqrt(col_sq.max()))
+    hi = float(np.sqrt(col_abs.max(axis=0) * mag.sum(axis=2).max(axis=0)).max())
+    return lo, hi
 
 
 def _cluster_nonnormality(mat: np.ndarray, cluster: np.ndarray) -> float:

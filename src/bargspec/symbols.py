@@ -46,7 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
-from math import comb, factorial, log10, perm
+from math import comb, factorial, isfinite, log10, perm
 
 import numpy as np
 
@@ -245,31 +245,70 @@ def table_product(a: TaylorTable2D, b: TaylorTable2D, degree: int | None = None)
     return TaylorTable2D(out, a.truncated or b.truncated or dropped)
 
 
+@lru_cache(maxsize=32)
+def _pullback_indices(n_in: int, n: int) -> tuple[np.ndarray, ...]:
+    """Index arrays of `pullback_linear` from an n_in x n_in table to an n x n
+    one (read-only).
+
+    `e_pos`, `e_i`, `e_ai`, `binom`: the entries i <= a of the flat (n, n)
+    tables E and F, with i, a - i and C(a, i).  `y_src`, `y_e`: the triples
+    (a, b, i) with a + b <= S = min(n, n_in) - 1 and i <= a, as sources of
+    Y = t[a, b] E[a, i] in t and E.  `q`, `f_src`, `o`: the quadruples
+    (a, b, i, k), k <= b, as the triple, the source F[b, k] and the output
+    out[j, s - j], j = i + k, s = a + b, of the term Y F[b, k].  They run in
+    the order (a, b, i, k) whatever n and n_in, so every output entry sums
+    its terms in the same order at every cap.  There are C(S + 4, 4) of them
+    (1001 at S = 10; at most n^3 up to S = 16), and no n^4 grid is built.
+    `dropped`: the entries with n - 1 < a + b <= n_in - 1.
+    """
+    a, i = np.nonzero(np.tri(n, dtype=bool))
+    binom = np.array([float(comb(x, y)) for x, y in zip(a.tolist(), i.tolist())])
+    e = (a * n + i, i, a - i, binom)
+    top = min(n, n_in) - 1
+    grid = np.arange(n)
+    a, b, i = np.nonzero(
+        (grid[:, None, None] + grid[None, :, None] <= top) & (grid[None, None, :] <= grid[:, None, None])
+    )
+    y = (a * n_in + b, a * n + i)
+    q = np.repeat(np.arange(len(a)), b + 1)
+    k = np.arange(len(q)) - np.repeat(np.cumsum(b + 1) - (b + 1), b + 1)
+    a, b, i = a[q], b[q], i[q]
+    quad = (q, b * n + k, (i + k) * n + a + b - i - k)
+    dropped = _beyond_degree(n_in, n - 1) & ~_beyond_degree(n_in)
+    out = (*e, *y, *quad, dropped)
+    for arr in out:
+        arr.flags.writeable = False
+    return out
+
+
 def pullback_linear(tab: TaylorTable2D, m: np.ndarray, degree: int | None = None) -> TaylorTable2D:
     """Table of (z, vbar) -> f(M (z, vbar)): exact polynomial substitution.
 
     z^a vbar^b becomes (m00 z + m01 vbar)^a (m10 z + m11 vbar)^b, homogeneous
-    of degree a + b: at vbar = 1 it is the 1-D product of the powers of
-    m00 z + m01 and m10 z + m11, laid along the anti-diagonal a + b.
+    of degree s = a + b: on degree s the map is the symmetric power of M.
+    With E[a, i] = C(a, i) m00^i m01^(a-i) and F[b, k] = C(b, k) m10^k
+    m11^(b-k),
+        out[j, s - j] = sum_{a+b=s} t[a, b] sum_{i+k=j} E[a, i] F[b, k],
+    one gather of the terms t[a, b] E[a, i] F[b, k] by the cached indices of
+    `_pullback_indices` and one `np.bincount` per real and imaginary part.
+    A lower `degree` gives the higher-degree table cut, to the bit.  The
+    result is flagged when the input is, or when a nonzero coefficient with
+    degree < a + b <= tab.degree is dropped.
     """
     if degree is None:
         degree = tab.degree
     m = np.asarray(m, dtype=complex)
     n = degree + 1
-    # pows[r][p]: coefficients in z of (m_r0 z + m_r1)^p, p <= degree
-    pows = [
-        [np.array([comb(p, j) * m[r, 0] ** j * m[r, 1] ** (p - j) for j in range(p + 1)]) for p in range(n)]
-        for r in range(2)
-    ]
-    out = np.zeros((n, n), dtype=complex)
-    truncated = tab.truncated
-    for a, b in zip(*np.nonzero((tab.t != 0) & ~_beyond_degree(tab.degree + 1))):
-        if a + b > degree:
-            truncated = True
-        else:
-            j = np.arange(a + b + 1)
-            out[j, a + b - j] += tab.t[a, b] * np.convolve(pows[0][a], pows[1][b])
-    return TaylorTable2D(out, truncated)
+    e_pos, e_i, e_ai, binom, y_src, y_e, q, f_src, o, dropped = _pullback_indices(tab.t.shape[0], n)
+    powers = np.power(m[:, :, None], np.arange(n))
+    ef = np.zeros((2, n * n), dtype=complex)  # E and F, flat
+    ef[:, e_pos] = binom * powers[:, 0, e_i] * powers[:, 1, e_ai]
+    y = np.take(tab.t, y_src) * ef[0, y_e]
+    terms = y[q] * ef[1, f_src]
+    out = np.empty((n, n), dtype=complex)
+    out.real.flat = np.bincount(o, terms.real, n * n)
+    out.imag.flat = np.bincount(o, terms.imag, n * n)
+    return TaylorTable2D(out, tab.truncated or bool(tab.t[dropped].any()))
 
 
 # ---------------------------------------------------------------------------
@@ -534,14 +573,24 @@ def theta_derivative(f: TaylorTable2D) -> TaylorTable2D:
     return TaylorTable2D(f.t * _theta_weights(f.t.shape[0]), f.truncated)
 
 
+@lru_cache(maxsize=32)
+def _theta_reciprocal(n: int) -> np.ndarray:
+    """1 / (i (a - b)) on an n x n table, zero on the diagonal (read-only)."""
+    weights = _theta_weights(n)
+    out = np.zeros((n, n), dtype=complex)
+    np.divide(1.0, weights, out=out, where=weights != 0)
+    out.flags.writeable = False
+    return out
+
+
 def _theta_inverse(x: np.ndarray, tol: float = 1e-14) -> np.ndarray:
-    """The g with d_theta g = x and zero diagonal, for stacked tables (..., n, n)."""
+    """The g with d_theta g = x and zero diagonal, for stacked tables (..., n, n):
+    x times the cached table 1 / (i (a - b)), which is within 1 ulp of the
+    quotient.  Raises NonzeroAverage when a diagonal entry exceeds `tol`."""
     diag = np.abs(np.diagonal(x, axis1=-2, axis2=-1))
     if diag.max(initial=0.0) > tol:
         raise NonzeroAverage(f"radial content of size {diag.max():.3e} present")
-    denom = _theta_weights(x.shape[-1])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(denom != 0, x / np.where(denom == 0, 1, denom), 0.0)
+    return x * _theta_reciprocal(x.shape[-1])
 
 
 def theta_antiderivative(f: TaylorTable2D, tol: float = 1e-14) -> TaylorTable2D:
@@ -833,21 +882,25 @@ def oscillator_function_from_symbol(mu_b: FormalSymbol) -> list[np.ndarray]:
 
 def _lie_series(f: FormalSymbol, ad, cap: int) -> tuple[FormalSymbol, float]:
     """exp(ad) f = f + ad f + ad^2 f / 2! + ... for formal symbols, and the
-    largest norm_inf of a term (f included).
+    largest norm_inf of a term (f included).  `ad` must return a symbol with
+    a stack of its own (never its argument's), which the series scales in
+    place.
 
     Stops at an exactly vanishing term.  At term `cap` it stops if that term
     is below 1e-15 relative to the sum, and raises NoConvergence if not, or
     at once on a term that is not finite.
     """
-    # every term has the caps of f, so the sum accumulates in place
+    # every term has the caps of f, so the sum accumulates in place; ad
+    # returns a fresh stack, so each term is scaled in place too
     out = FormalSymbol._wrap(f.c.copy(), f.flags.copy())
     term = f
     largest = f.norm_inf()
     n = 1
     while True:
-        term = ad(term) * (1.0 / n)
+        term = ad(term)
+        term.c *= 1.0 / n
         size = term.norm_inf()
-        if not np.isfinite(size):
+        if not isfinite(size):
             raise NoConvergence(f"Lie series: term {n} is not finite (the sum had size {out.norm_inf():.3e})")
         if size < 1e-300:
             return out, largest
@@ -926,8 +979,9 @@ def _ad_operator(gen: np.ndarray):
                 pos, src, weight = terms[j - 1]
                 blocks.reshape(-1)[(j + k - 1) * size :][pos] += weight * flat[k, src]
 
+    ext = np.zeros(gen.size + 1, dtype=complex)  # the flat stack and a zero
+
     def apply(x: np.ndarray) -> np.ndarray:
-        ext = np.zeros(x.size + 1, dtype=complex)
         ext[:-1] = x.ravel()
         out = np.zeros((order + 1, n * n), dtype=complex)
         out[:, keep] = (blocks @ ext[layout]).T
@@ -971,16 +1025,21 @@ def quantum_lie_transport(
 def _transport(f: FormalSymbol, gen: FormalSymbol, order: int, degree: int) -> tuple[FormalSymbol, float]:
     """`quantum_lie_transport` and the largest norm_inf of its Lie terms."""
     gen = gen.resized(order, degree)
+    gen_flagged = gen.truncated
     operator = None
+    flagged = np.ones(order + 1, dtype=bool)  # the flags of every operator term
 
     def ad(x: FormalSymbol) -> FormalSymbol:
         nonlocal operator
-        if not (gen.truncated or x.truncated):
-            # the kernel also finds which orders a degree cut touched
-            return 1j * sharp_bracket_tail(gen, x, 1, order + 1, degree).shift_down(1)
         if operator is None:
+            if not (gen_flagged or x.truncated):
+                # the kernel also finds which orders a degree cut touched
+                out = sharp_bracket_tail(gen, x, 1, order + 1, degree).shift_down(1)
+                out.c *= 1j
+                return out
+            # from here on every term is flagged
             operator = _ad_operator(gen.c)
-        return FormalSymbol._wrap(operator(x.c), np.ones(order + 1, dtype=bool))
+        return FormalSymbol._wrap(operator(x.c), flagged)
 
     return _lie_series(f.resized(order, degree), ad, 8 * (degree + order + 1))
 
@@ -998,10 +1057,18 @@ class NonEllipticHessian(ValueError):
     pass
 
 
+@lru_cache(maxsize=64)
+def _nonradial_mask(n: int, m: int) -> np.ndarray:
+    """Mask of the entries a + b = m, a != b, of an n x n table (read-only)."""
+    a = np.arange(n)
+    mask = (a[:, None] + a[None, :] == m) & (a[:, None] != a[None, :])
+    mask.flags.writeable = False
+    return mask
+
+
 def _nonradial(t: np.ndarray, m: int) -> np.ndarray:
     """The terms z^a zbar^b, a != b, of total degree a + b = m of a table."""
-    a = np.arange(t.shape[-1])
-    return np.where((a[:, None] + a[None, :] == m) & (a[:, None] != a[None, :]), t, 0.0)
+    return np.where(_nonradial_mask(t.shape[-1], m), t, 0.0)
 
 
 def birkhoff_normal_form(f: TaylorTable2D, degree: int | None = None) -> BirkhoffResult:

@@ -254,6 +254,12 @@ EXIT_CONTRACT = {
     "action-d-nan": (["action", "--d", "nan", "--energy", "1"], 1),
     "action-d-inf": (["action", "--d", "inf", "--energy", "1"], 1),
     "action-energy-inf": (["action", "--d", "1,0", "--energy", "inf,0"], 1),
+    # E/d overflows: the root, then the closed form, leaves the double range
+    "action-root-overflow": (["action", "--d=1e-320,0", "--energy=1,0"], 3),
+    "action-closed-form-overflow": (["action", "--d=1,0", "--energy=1e308,0", "--winding=3"], 3),
+    "action-winding-past-doubles": (["action", "--d=1,0", "--energy=1,0", "--winding=1" + "0" * 400], 1),
+    # 2 pi winding overflows, so the quadrature's angles are not finite
+    "action-angle-overflow": (["action", "--d=1,0", "--energy=0,0", "--winding=1" + "0" * 308], 3),
     "pseudospec-inf-coefficient": (
         ["pseudospec", "--symbol", "1e400*p^2", "--hbar", "0.1", "--rect", "0,1,0,1", "--res", "2,2"], 1
     ),
@@ -284,6 +290,7 @@ EXIT_CONTRACT = {
 }
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # a warning would be a second stderr line
 @pytest.mark.parametrize("argv, code", EXIT_CONTRACT.values(), ids=EXIT_CONTRACT.keys())
 def test_exit_code_contract(argv, code, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)  # relative paths in argv and configs resolve here
@@ -315,6 +322,14 @@ _VALUES = {
               st.lists(st.integers(-2, 6), max_size=3).map(lambda v: ",".join(map(str, v))) | _TEXT),
     "--order": (st.integers(0, 3).map(str), st.integers(-3, -1).map(str) | _TEXT),
 }
+# a number from 1e-320 (below the normal range) to 1e308, either sign, or 0
+_WIDE = st.tuples(st.floats(-320, 308), st.booleans()).map(lambda v: (-1) ** v[1] * 10.0 ** v[0]) | st.just(0.0)
+_WIDE_PAIR = st.lists(_WIDE, min_size=1, max_size=2).map(lambda v: ",".join(map(repr, v)))
+_VALUES["--d"] = _VALUES["--energy"] = (_WIDE_PAIR, _JOINED | _TEXT)
+_VALUES["--winding"] = (
+    (st.integers(-3, 3) | st.integers(-(10**308), 10**308)).map(str),
+    st.floats().map(repr) | _TEXT,
+)
 # a well z zbar + ... with coefficients from 1e-300 to 1e300, where the
 # normal forms lose every digit or overflow
 _COEFF = st.tuples(st.floats(-300, 300), st.floats(-300, 300), st.booleans()).map(
@@ -336,6 +351,7 @@ _OPTIONS = {
     "normal-form": ["--symbol"],
     "birkhoff": ["--symbol", "--degree"],
     "moser": ["--symbol", "--order", "--degree"],
+    "action": ["--d", "--energy", "--winding"],
 }
 
 

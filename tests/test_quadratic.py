@@ -12,6 +12,7 @@ from bargspec.quadratic import (
     ComplexQuadraticForm,
     NoDeltaFound,
     _arc_centre,
+    _kappa2_matrix,
     ellipticity_check,
     exact_quadratic_spectrum,
     find_delta,
@@ -153,6 +154,42 @@ class TestReduction:
     def test_hyperbolic_propagates(self):
         with pytest.raises(NoDeltaFound):
             reduce_quadratic(ComplexQuadraticForm(1, -1, 0))
+
+    # the checks below are exceptions, not asserts, so they hold under python -O
+
+    def test_degenerate_in_floating_point_raises(self):
+        # a = c = b up to a rounding: the admissible arc exists in exact
+        # arithmetic, but Re(delta f) has determinant 0 in floating point
+        a = -0.35780505888078584 - 0.933796305325373j
+        form = ComplexQuadraticForm(a, -0.3578050588807857 - 0.9337963053253732j, a)
+        with pytest.raises(NoDeltaFound, match="not positive definite in floating point"):
+            reduce_quadratic(form)
+
+    def test_overflowing_reduction_raises(self):
+        # Re(delta f) has a determinant above the double range, so zeta is NaN
+        form = ComplexQuadraticForm(6.497935915030692e154, 4.4852769736748415e154 - 2.0844662185561135e155j, 0)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="double range"):
+            reduce_quadratic(form)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        entries=st.lists(st.floats(-1, 1).filter(lambda x: x == 0 or abs(x) > 1e-50), min_size=3, max_size=3),
+        exponent=st.integers(-100, 100),
+    )
+    def test_kappa2_diagonalises_larger_first(self, entries, exponent):
+        # the rotation puts the larger eigenvalue (alpha + beta + Delta)/2 on
+        # the p-axis, to roundoff relative to |S|, at every scale where the
+        # squares in Delta stay in the double range
+        alpha, beta, gamma = (10.0**exponent * x for x in entries)
+        delta = float(np.sqrt((beta - alpha) ** 2 + 4.0 * gamma**2))
+        rows = _kappa2_matrix(alpha, beta, gamma, delta)
+        s = np.array([[alpha, gamma], [gamma, beta]])
+        size = max(np.abs(s).max(), np.finfo(float).tiny)
+        diag = rows @ s @ rows.T
+        expect = np.diag([(alpha + beta + delta) / 2, (alpha + beta - delta) / 2])
+        assert np.abs(diag - expect).max() <= 1e-14 * size
+        assert np.abs(rows @ rows.T - np.eye(2)).max() <= 1e-15
+        assert np.linalg.det(rows) > 0
 
 
 class TestPhaseWeights:

@@ -476,6 +476,33 @@ class TestMultiwell:
         assert rep.residuals.max() < 1e-3 * 0.02
         assert not rep.jordan_pairs  # distinct lattices: no degeneracy flags
 
+    @pytest.mark.parametrize("c, hbar", [(1 + 0.3j, 0.05), (0.8 * np.exp(0.1j), 0.02), (1.1 * np.exp(0.35j), 0.03)])
+    def test_jordan_pairs_match_exact_norm(self, c, hbar):
+        # the pairs flagged through the band's norm bounds are the pairs flagged
+        # with the exact ||M||_2 (the dense matrix's largest singular value),
+        # also at a gap factor that puts a gap between the bounds, where the
+        # blocks' SVDs decide
+        sym = MonomialSymbol({key: c * v for key, v in {(2, 2): 1, (2, 0): -1, (0, 2): -1, (0, 0): 1}.items()})
+
+        def run(factor):
+            return multiwell_compare(sym, hbar, wells=[1.0, -1.0], order=1, degree=4, n_start=128,
+                                     jordan_gap_factor=factor)
+
+        rep = run(10.0)
+        assert rep.jordan_pairs  # the tunnelling pairs at least
+        op = assemble_toeplitz(sym, hbar, rep.spectrum.n_max_used)
+        norm = sla.svdvals(op.entries)[0]
+        band, _, kl = op.blocks()
+        lo, hi = spectral._norm2_bounds(band, kl)
+        assert lo <= norm * (1 + 1e-14) and norm <= hi * (1 + 1e-14)
+        ev = rep.eigenvalues
+        gaps = {(i, j): abs(ev[i] - ev[j]) for i in range(len(ev)) for j in range(i + 1, len(ev))}
+        eps = np.finfo(float).eps
+        between = min(g for g in gaps.values() if g >= 1e-9) / (eps * np.sqrt(lo * hi))
+        for factor, report in ((10.0, rep), (between, run(between))):
+            expect = [(i, j, g) for (i, j), g in gaps.items() if g < factor * eps * norm]
+            assert [(i, j, g) for i, j, g, _ in report.jordan_pairs] == expect
+
     def test_rejects_noncritical_well(self):
         with pytest.raises(ValueError):
             multiwell_compare(DOUBLE_WELL, 0.02, wells=[0.5])

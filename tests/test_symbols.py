@@ -26,6 +26,7 @@ from bargspec.symbols import (
     _lie_series,
     _sharp,
     _t_int,
+    _theta_inverse,
     _t_shift,
     birkhoff_normal_form,
     cohomology_solve,
@@ -369,6 +370,31 @@ class TestThetaCalculus:
             nf = formal_norm(FormalSymbol([f]), rho).per_order
             ng = formal_norm(FormalSymbol([g]), rho).per_order
             assert np.all(ng <= nf * (1 + 1e-12) + 1e-15)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 15), count=st.integers(1, 3))
+    def test_theta_inverse_matches_division(self, seed, n, count):
+        # x times the cached 1/(i (a - b)) against x / (i (a - b)): one more
+        # rounding, so within 1 ulp in each part, at magnitudes 1e-300..1e300
+        rng = np.random.default_rng(seed)
+        shape = (count, n, n)
+        x = (rng.normal(size=shape) + 1j * rng.normal(size=shape)) * 10.0 ** rng.uniform(-300, 300, shape)
+        x[:, np.arange(n), np.arange(n)] = 0.0
+        a = np.arange(n)
+        denom = 1j * (a[:, None] - a[None, :])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ref = np.where(denom != 0, x / np.where(denom == 0, 1, denom), 0.0)
+        got = _theta_inverse(x)
+        for part in ("real", "imag"):
+            err = np.abs(getattr(got, part) - getattr(ref, part))
+            assert np.all(err <= np.spacing(np.abs(getattr(ref, part))))
+
+    def test_theta_inverse_radial_tolerance(self):
+        x = table_from_dict({(2, 0): 1.0, (2, 2): 5e-15}, 4).t
+        assert _theta_inverse(x)[2, 2] == 0.0  # a diagonal entry below tol is dropped
+        x[2, 2] = 2e-14
+        with pytest.raises(NonzeroAverage, match="2.000e-14"):
+            _theta_inverse(x)
 
     def test_radial_average(self):
         f = table_from_dict({(1, 1): 1.0, (1, 0): 1.0}, 4)
@@ -834,6 +860,54 @@ class TestQuantumNormalForm:
         profiles, gens = quantum_normal_form(f, 2, 8)
         assert not gens
         assert np.allclose(profiles[0][:3], [0.0, 1.0, 0.3])
+
+
+def pullback_loop(tab, m, degree):
+    """The per-coefficient substitution that `pullback_linear` replaced: each
+    nonzero z^a vbar^b within the table's cap becomes the 1-D product of the
+    powers of m00 z + m01 and m10 z + m11 (at vbar = 1), laid along the
+    anti-diagonal a + b; a dropped one flags the result."""
+    m = np.asarray(m, dtype=complex)
+    n = degree + 1
+    pows = [
+        [np.array([math.comb(p, j) * m[r, 0] ** j * m[r, 1] ** (p - j) for j in range(p + 1)]) for p in range(n)]
+        for r in range(2)
+    ]
+    out = np.zeros((n, n), dtype=complex)
+    truncated = tab.truncated
+    inside = np.add.outer(np.arange(tab.degree + 1), np.arange(tab.degree + 1)) <= tab.degree
+    for a, b in zip(*np.nonzero((tab.t != 0) & inside)):
+        if a + b > degree:
+            truncated = True
+        else:
+            j = np.arange(a + b + 1)
+            out[j, a + b - j] += tab.t[a, b] * np.convolve(pows[0][a], pows[1][b])
+    return TaylorTable2D(out, truncated)
+
+
+class TestPullback:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        table_degree=st.integers(0, 14),
+        degree=st.integers(0, 14),
+        dense=st.booleans(),
+        flagged=st.booleans(),
+    )
+    def test_matches_coefficient_loop(self, seed, table_degree, degree, dense, flagged):
+        rng = np.random.default_rng(seed)
+        t = rand_table(rng, table_degree).t
+        if not dense:
+            t[rng.random(t.shape) < 0.8] = 0.0
+        # entries past the table's own cap are not part of it: both ignore them
+        a = np.arange(table_degree + 1)
+        t[a[:, None] + a[None, :] > table_degree] = 7.0
+        tab = TaylorTable2D(t, flagged)
+        m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        got, ref = pullback_linear(tab, m, degree), pullback_loop(tab, m, degree)
+        assert got.truncated == ref.truncated
+        assert got.t.shape == ref.t.shape
+        assert np.abs(got.t - ref.t).max() <= 1e-13 * np.abs(ref.t).max()
 
 
 class TestSerialization:
