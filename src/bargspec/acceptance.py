@@ -389,7 +389,7 @@ def criterion_10(seed: int = 0) -> CriterionResult:
         sigmas = []
         for h in hbars:
             mh = bargmann.assemble_toeplitz(form.to_symbol(), h, 256)
-            sigmas.append(max(spectral.sigma_min(mh.entries, lam_star, dense_cutoff=192), 1e-300))
+            sigmas.append(max(spectral.sigma_min(mh, lam_star), 1e-300))
         slope, r2 = _linfit_r2(1.0 / hbars, np.log(np.array(sigmas)))
         decay_ok = slope < 0 and r2 > 0.9
         passed = grid_ok and decay_ok and t_grid <= 300.0

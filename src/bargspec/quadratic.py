@@ -27,6 +27,7 @@ which reproduces T(p^2+q^2) = T(2|z|^2) = diag 2 hbar (k+1).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -194,6 +195,20 @@ class NormalFormData:
     form: ComplexQuadraticForm
 
 
+def _exponent(z: complex) -> int:
+    """The e with max(|Re z|, |Im z|) in [2^(e-1), 2^e); 0 for z = 0."""
+    return math.frexp(max(abs(z.real), abs(z.imag)))[1]
+
+
+def _ldexp(z: complex, e: int) -> complex:
+    """z 2^e, part by part: exact unless a part leaves the normal range, and
+    infinite when one overflows."""
+    try:
+        return complex(math.ldexp(z.real, e), math.ldexp(z.imag, e))
+    except OverflowError:
+        return complex(math.inf, math.inf)
+
+
 def _lambda_min(form: ComplexQuadraticForm, theta: float) -> float:
     """Smaller eigenvalue tr/2 - sqrt(tr^2/4 - det) of
     Re(e^{i theta} F) = cos(theta) Re F - sin(theta) Im F, with the radicand
@@ -303,18 +318,25 @@ def reduce_quadratic(form: ComplexQuadraticForm, delta: complex | None = None) -
     ellipticity or proper-range test, or when Re(delta f) is not positive
     definite in floating point (a form within roundoff of degenerate), and
     ValueError when a quantity of the reduction leaves the double range.
+
+    The form is first divided by the power of 2, 2^e, that brings its
+    largest real or imaginary part into [1/2, 1): exact, and it keeps every
+    square below in the double range.  Only d0 scales with the form, so it
+    is multiplied back by 2^e.
     """
-    checks = ellipticity_check(form)
+    e = max(_exponent(x) for x in (form.a, form.b, form.c))
+    unit = ComplexQuadraticForm(*(_ldexp(x, -e) for x in (form.a, form.b, form.c)))
+    checks = ellipticity_check(unit)
     if not (checks["elliptic"] and checks["range_proper"]):
         raise NoDeltaFound("form fails the ellipticity / proper-range conditions")
     if delta is None:
-        delta = find_delta(form)
+        delta = find_delta(unit)
     else:
         delta = complex(delta / abs(delta))
-        if _lambda_min(form, np.angle(delta)) <= 0:
+        if _lambda_min(unit, np.angle(delta)) <= 0:
             raise NoDeltaFound("supplied delta does not make Re(delta f) positive definite")
 
-    g = form.scaled(delta)
+    g = unit.scaled(delta)
     a0, b0, c0 = g.a.real, g.b.real, g.c.real
     ap, bp, cp = g.a.imag, g.b.imag, g.c.imag
     det0 = a0 * b0 - c0 * c0
@@ -345,6 +367,9 @@ def reduce_quadratic(form: ComplexQuadraticForm, delta: complex | None = None) -
     # dividing by delta gives the coefficient for f itself
     r_val = d0_real * (1 + 1j * (beta + alpha - Delta) / 2)
     d0 = 2.0 * r_val * np.sqrt(zeta) / delta
+    d0 = _ldexp(d0, e)
+    if not np.isfinite(d0):
+        raise ValueError(f"the reduction of {form} gives d0 outside the double range")
 
     A, B = composed[0, 0], composed[0, 1]
     C, D = composed[1, 0], composed[1, 1]

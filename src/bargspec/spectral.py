@@ -11,8 +11,8 @@ kept, and block inverse iteration on A^H A = R^H R, two triangular sweeps a
 step, runs vectorised over all of them with a per-pair convergence mask
 (Trefethen, Computation of pseudospectra, Acta Numerica 1999, sections 3-4).
 `multiwell_compare` takes its 2-norm and Jordan-pair test from the blocks.
-`sigma_min` at one point keeps the dense SVD up to its cutoff, the route the
-tests compare the grid against.
+`sigma_min` is the same kernel at one point; the tests compare both against
+a dense SVD.
 
 Every adaptive loop ends with an explicit status: a loop that runs out of
 steps raises (NoConvergence, or InversionFailed for the Bohr-Sommerfeld
@@ -27,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .bargmann import MonomialSymbol, NoConvergence, ToeplitzMatrix, assemble_toeplitz, check_hbar
-from .quadratic import NormalFormData
+from .quadratic import NormalFormData, _exponent, _ldexp
 from .symbols import (
     FormalSymbol,
     oscillator_function_from_symbol,
@@ -148,14 +148,10 @@ def eigen_spectrum(
 # resolvent grids
 
 
-def sigma_min(mat: np.ndarray, lam: complex, dense_cutoff: int = 512) -> float:
-    """Smallest singular value of (mat - lam I): full SVD up to dense_cutoff,
-    the batched banded kernel of `resolvent_grid` at this one point above it."""
-    if mat.shape[0] <= dense_cutoff:
-        import scipy.linalg as sla
-
-        return float(sla.svdvals(mat - lam * np.eye(mat.shape[0]))[-1])
-    return float(_sigma_min_banded(ToeplitzMatrix.from_dense(mat, 1.0), np.array([lam], dtype=complex))[0])
+def sigma_min(op: ToeplitzMatrix, lam: complex) -> float:
+    """Smallest singular value of (M - lam I): the batched banded kernel of
+    `resolvent_grid` at this one point."""
+    return float(_sigma_min_banded(op, [lam])[0])
 
 
 # band entries (grid points x blocks x rows x band width) per chunk of grid
@@ -577,9 +573,9 @@ def action_integral(
     """-i oint vbar dx over x(t) = sqrt(E/d) e^{it}, vbar(t) = sqrt(E/d) e^{-it},
     t in [0, 2 pi winding]; trapezoid nodes double until two successive values
     agree to `tol` relative, else NoConvergence after 12 doublings.
-    Returns the numeric value and the closed form 2 pi E winding / d.
-    Raises NoConvergence at once when the root sqrt(E/d), the closed form or
-    a quadrature value leaves the double range."""
+    Returns the numeric value and the closed form 2 pi winding E / d.
+    Raises NoConvergence at once when the closed form or a quadrature value
+    leaves the double range."""
     if not (np.isfinite(complex(d)) and np.isfinite(complex(energy))):
         raise ValueError(f"d and energy must be finite, got d = {d}, energy = {energy}")
     if d == 0:
@@ -587,12 +583,16 @@ def action_integral(
     winding = int(winding)
     if abs(winding) > float(np.finfo(float).max):  # an exact comparison: winding may be any int
         raise ValueError("winding is outside the double range")
-    root = np.sqrt(complex(energy) / complex(d))
-    if not np.isfinite(root):
-        raise NoConvergence(f"action: the root sqrt(E/d) is not finite (d = {d}, energy = {energy})")
-    closed = 2.0 * np.pi * complex(energy) * winding / complex(d)
+    # E and d divided by powers of 2 to unit size, which is exact: the
+    # quadrature runs on a ratio of size about 1, and its values and the
+    # closed form are multiplied back by 2^shift, so each is rounded only
+    # there when |E|, |d| or |E/d| lies outside the normal range
+    e_energy, e_d = _exponent(complex(energy)), _exponent(complex(d))
+    ratio, shift = _ldexp(complex(energy), -e_energy) / _ldexp(complex(d), -e_d), e_energy - e_d
+    root = np.sqrt(ratio)
+    closed = _ldexp(2.0 * np.pi * winding * ratio, shift)
     if not np.isfinite(closed):
-        raise NoConvergence(f"action: the closed form 2 pi E winding / d is not finite (d = {d}, energy = {energy}, "
+        raise NoConvergence(f"action: the closed form 2 pi winding E / d is not finite (d = {d}, energy = {energy}, "
                             f"winding = {winding})")
     # relative to |root|: for large |E/d| the absolute gap is roundoff alone
     endpoint_gap = abs(root * np.exp(1j * 2 * np.pi * winding) - root)
@@ -605,7 +605,7 @@ def action_integral(
         vbar = root * np.exp(-1j * t)
         dx = 1j * x  # x'(t)
         integrand = -1j * vbar * dx
-        out = complex(integrand.mean() * 2.0 * np.pi * winding)
+        out = _ldexp(complex(integrand.mean() * 2.0 * np.pi * winding), shift)
         if not np.isfinite(out):
             raise NoConvergence(f"action: the quadrature value at {n} nodes is not finite (closed form {closed:.3e})")
         return out

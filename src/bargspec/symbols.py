@@ -24,13 +24,13 @@ Moser t-products pass the arrays straight to it.  Shifts in hbar, changes of
 order or degree and sums are slices and pads of the stack.  Table products
 are numpy-only: a full 2-D product is one 1-D convolution.
 
-The Lie transport is the one place that bypasses the kernel.  For a fixed
-generator G, X -> i hbar^{-1} [G, X]_# is linear in X, so
-`quantum_lie_transport` builds it once per generator as K+1 blocks (one per
-hbar-order step) gathered from G's coefficients, and runs each Lie term as
-one matrix product.  The kernel still runs a term whose operands are both
-unflagged, since only it finds which hbar-orders a degree cut touched; once
-either operand is flagged every order is flagged, and the operator runs.
+The Lie transport applies X -> i hbar^{-1} [G, X]_# by a gather, not the
+kernel.  Through its j-th bracket term, a homogeneous piece of G (hbar-order
+k, degree m) sends the degree-s shell of X_l to the degree s + m - 2j shell
+at hbar-order l + k + j - 1; `quantum_lie_transport` collects these pairs
+once per generator and runs each Lie term as one gather and `bincount`.  Its
+flags come from degrees and equal the kernel's: a product drops a nonzero
+coefficient exactly when its factors' top degrees add up past the cap.
 
 Degree and hbar-order caps are independent; any operation that drops a
 nonzero coefficient marks its result `truncated` and callers that need
@@ -214,7 +214,9 @@ def dzbar(tab: TaylorTable2D) -> TaylorTable2D:
 
 def _product(x: np.ndarray, y: np.ndarray, degree: int) -> tuple[np.ndarray, bool]:
     """Product of two raw tables truncated at total degree `degree`, and
-    whether the truncation dropped a nonzero coefficient.
+    whether the truncation dropped a nonzero coefficient, however small: a
+    product is flagged exactly when the top degrees of its factors add up
+    past `degree`, at every scale.
 
     The full 2-D product is one 1-D convolution (Kronecker substitution):
     with rows padded to width w = na + nb - 1, row sums cannot carry.
@@ -231,10 +233,7 @@ def _product(x: np.ndarray, y: np.ndarray, degree: int) -> tuple[np.ndarray, boo
     m = min(n, w)
     out[:m, :m] = full[:m, :m]
     out[_beyond_degree(n)] = 0.0
-    mag = np.abs(full)
-    total = mag.sum()
-    dropped = bool((mag > 1e-300).any() and (total - np.abs(out).sum() > 1e-14 * (1 + total)))
-    return out, dropped
+    return out, bool(full[_beyond_degree(w, degree)].any())
 
 
 def table_product(a: TaylorTable2D, b: TaylorTable2D, degree: int | None = None) -> TaylorTable2D:
@@ -915,79 +914,88 @@ def _lie_series(f: FormalSymbol, ad, cap: int) -> tuple[FormalSymbol, float]:
         n += 1
 
 
-@lru_cache(maxsize=32)
-def _ad_indices(n: int, order: int) -> tuple[np.ndarray, np.ndarray, list]:
-    """Index arrays of `_ad_operator` on n x n tables up to hbar-order `order`
-    (read-only).
+@lru_cache(maxsize=1024)
+def _bracket_pairs(n: int, m: int, j: int) -> tuple[np.ndarray, ...]:
+    """The j-th bracket term of a degree-m shell of G on n x n tables, as a
+    gather (read-only).
 
-    A table is the vector of its N entries with a + b <= n - 1 (`keep`, their
-    row-major positions).  The operator's K+1 blocks B_d, d = 1..order+1, sit
-    side by side in one N x (K+1) N matrix, and `layout` gathers a flat stack
-    X (with a zero appended) into the (K+1) N x (K+1) matrix whose column o
-    holds X_o, X_{o-1}, ..., X_0 and then zeros.  `terms[j - 1]`, for
-    j = 1..order+1, is the j-th term of X -> i c_j (d^j G dbar^j X -
-    d^j X dbar^j G), c_j = (-1)^j / j!, products cut at total degree n - 1,
-    as a gather from the flat table G: the positions of its nonzero entries
-    in block 0 of the block row, their sources in G and their weights.  In
-    both products, output (a, b) and input (p, q) meet G at
-    (a - p + j, b - q + j), with the weights ff(a - p + j) ff(q) and
-    ff(b - q + j) ff(p), where ff(x) = x! / (x - j)! is zero for x < j.
+    The term is c_j (d^j G dbar^j X - d^j X dbar^j G), c_j = (-1)^j / j!.
+    Output (a, b) and input (p, q) meet G at (g, m - g) = (a - p + j,
+    b - q + j) with the real weight c_j (ff(g) ff(q) - ff(m - g) ff(p)),
+    where ff(x) = x! / (x - j)! is zero for x < j; so the input shell
+    p + q = s lands on the shell s + m - 2j.  Over the pairs with a nonzero
+    weight and a + b <= n - 1, returns: the slots 2 o and 2 o + 1 of the real
+    and imaginary part of each output, o its flat position; the flat
+    positions of the input and of the source in G; and the weights.
     """
-    keep = np.flatnonzero(~_beyond_degree(n)).astype(np.int32)
-    size = len(keep)
-    d, o = np.indices((order + 1, order + 1), dtype=np.int32)
-    start = np.where(o >= d, (o - d) * n * n, -1)[:, None, :]
-    layout = np.where(start >= 0, start + keep[:, None], (order + 1) * n * n).reshape((order + 1) * size, order + 1)
-    a, b = np.divmod(keep, n)
-    terms = []
-    for j in range(1, order + 2):
-        ga = a[:, None] - a[None, :] + j
-        gb = b[:, None] - b[None, :] + j
-        inside = (ga >= 0) & (gb >= 0) & (ga + gb < n)
-        ga, gb = np.where(inside, ga, 0), np.where(inside, gb, 0)
-        ff = np.array([float(perm(x, j)) for x in range(n)])
-        weight = np.where(inside, ff[ga] * ff[b] - ff[gb] * ff[a], 0.0)
-        rows, cols = np.nonzero(weight)
-        terms.append((
-            (rows * (order + 1) * size + cols).astype(np.int32),
-            (ga[rows, cols] * n + gb[rows, cols]).astype(np.int32),
-            weight[rows, cols] * (1j * (-1.0) ** j / factorial(j)),
-        ))
-    for arr in (keep, layout, *(x for term in terms for x in term)):
+    p, q = np.nonzero(~_beyond_degree(n))
+    g = np.arange(m + 1)
+    a, b = p[:, None] + g - j, q[:, None] + m - g - j
+    ff = np.array([float(perm(x, j)) for x in range(n)])
+    weight = ff[g] * ff[q][:, None] - ff[m - g] * ff[p][:, None]
+    i, c = np.nonzero((a >= 0) & (b >= 0) & (a + b < n) & (weight != 0))
+    slots = (2 * (a[i, c] * n + b[i, c])[:, None] + np.arange(2)).ravel()
+    out = (slots, p[i] * n + q[i], g[c] * (n - 1) + m, weight[i, c] * ((-1.0) ** j / factorial(j)))
+    for arr in out:
         arr.flags.writeable = False
-    return keep, layout, terms
+    return out
 
 
 def _ad_operator(gen: np.ndarray):
     """X -> i hbar^{-1} [G, X]_# (the j >= 1 tail of the bracket, shifted down
-    one hbar-order) for the generator stack gen (K+1, D+1, D+1), as a function
-    on stacks of the same shape.
+    one hbar-order) for the generator stack gen (K+1, D+1, D+1), with nothing
+    past total degree D, as a function on stacks of the same shape that
+    returns a fresh stack.
 
-    The map is linear in X, and the block that takes X_l to output order o
-    depends only on d = o + 1 - l: B_d = sum_{j+k=d, j>=1} of the j-th term
-    of `_ad_indices` with G = G_k.  Each application is one matrix product
-    of the blocks, side by side, with the stack laid out block-Toeplitz.
+    The map is a sum over the nonzero homogeneous shells of G: the j-th term
+    of the degree-m shell of G_k sends X_l to hbar-order l + k + j - 1 by the
+    pairs of `_bracket_pairs(D + 1, m, j)`, for j <= m.  They are gathered
+    once into one list of (output slots, input, value) triples over the
+    whole stack, and each application is one gather, one complex multiply
+    and one `np.bincount` over the real and imaginary parts side by side.
     """
     order, n = gen.shape[0] - 1, gen.shape[1]
-    keep, layout, terms = _ad_indices(n, order)
-    size = len(keep)
-    blocks = np.zeros((size, (order + 1) * size), dtype=complex)
-    flat = gen.reshape(order + 1, n * n)
-    for k in range(order + 1):
-        if flat[k].any():
-            for j in range(1, order + 2 - k):
-                pos, src, weight = terms[j - 1]
-                blocks.reshape(-1)[(j + k - 1) * size :][pos] += weight * flat[k, src]
-
-    ext = np.zeros(gen.size + 1, dtype=complex)  # the flat stack and a zero
+    igen, steps, ones = 1j * gen, np.arange(order + 1)[:, None] * n * n, np.ones((order + 1, 1))
+    slots, cols, vals = [], [], []
+    ks, a, b = np.nonzero(gen)
+    for k, m in sorted(set(zip(ks.tolist(), (a + b).tolist()))):  # the nonzero shells
+        for j in range(1, min(m, order + 1 - k) + 1):
+            out, inp, src, weight = _bracket_pairs(n, m, j)
+            l = steps[: order + 2 - k - j]  # input orders l, output orders l + k + j - 1
+            slots.append((out + 2 * (steps[k + j - 1] + l)).ravel())
+            cols.append((inp + l).ravel())
+            vals.append((weight * igen[k].take(src) * ones[: len(l)]).ravel())
+    if not vals:
+        return np.zeros_like
+    slots, cols, vals = np.concatenate(slots), np.concatenate(cols), np.concatenate(vals)
 
     def apply(x: np.ndarray) -> np.ndarray:
-        ext[:-1] = x.ravel()
-        out = np.zeros((order + 1, n * n), dtype=complex)
-        out[:, keep] = (blocks @ ext[layout]).T
-        return out.reshape(order + 1, n, n)
+        terms = vals * x.take(cols)
+        return np.bincount(slots, terms.view(float), 2 * gen.size).view(complex).reshape(gen.shape)
 
     return apply
+
+
+def _cut_orders(gen: np.ndarray, x: np.ndarray, degree: int) -> np.ndarray:
+    """Per hbar-order o of i hbar^{-1} [G, X]_#, whether the degree cap drops a
+    nonzero coefficient: whether d^j G_k dbar^j X_l or d^j X_l dbar^j G_k
+    has top degree past `degree` for some j >= 1 with j + k + l - 1 = o.  The
+    top degree of d^j T is the largest a + b - j over nonzero T[a, b] with
+    a >= j (b >= j for dbar).  The top parts of two nonzero polynomials
+    multiply to a nonzero polynomial, so these are the kernel's flags
+    (`_product`) for the same series."""
+    order, n = len(gen) - 1, gen.shape[-1]
+    j = np.arange(1, min(order + 1, n - 1) + 1)  # d^j of an n x n table vanishes for j >= n
+    r = np.arange(n)
+    deg = np.where(np.concatenate([gen, x]) != 0, r[:, None] + r, -3 * n)
+    # the largest degree in the rows, then the columns, >= j, less j: the top
+    # degrees of d^j and dbar^j by (table, j - 1), below -2n where they vanish
+    above = np.maximum.accumulate(np.stack([deg.max(axis=2), deg.max(axis=1)])[..., ::-1], axis=2)[..., ::-1]
+    (g_dz, g_dzbar), (x_dz, x_dzbar) = np.split(above[..., j] - j, 2, axis=1)
+    cut = (g_dz[:, None] + x_dzbar > degree) | (g_dzbar[:, None] + x_dz > degree)  # by (k, l, j - 1)
+    k, l, j = np.nonzero(cut)
+    o = k + l + j  # cut[k, l, j - 1] is the term j
+    return np.bincount(o[o <= order], minlength=order + 1) > 0
 
 
 def lie_transport(f: TaylorTable2D, gen: TaylorTable2D, degree: int | None = None) -> TaylorTable2D:
@@ -1011,13 +1019,10 @@ def quantum_lie_transport(
     term cap is 8 (degree + order + 1).
 
     The j = 0 part of [G, X]_#, G_k X_l - X_l G_k, vanishes, so the bracket
-    series starts at j = 1.  ad is built once, as `_ad_operator`, the first
-    time a term has a flagged operand, and each such term is one matrix
-    product.  A term whose operands are both unflagged goes through
-    `sharp_bracket_tail`, which also finds the hbar-orders a degree cut
-    touched; its flags are then exactly the kernel's.  In a normal form that
-    is typically the first term only: its product reaches past the degree
-    cap, which flags the sum."""
+    series starts at j = 1.  ad is built once per generator, as
+    `_ad_operator`, and every Lie term is one gather.  A term's flags are the
+    kernel's: every order once G or X is flagged, else the orders where a
+    product reaches past the degree cap (`_cut_orders`)."""
     return _transport(f, gen, order, degree)[0]
 
 
@@ -1025,21 +1030,12 @@ def quantum_lie_transport(
 def _transport(f: FormalSymbol, gen: FormalSymbol, order: int, degree: int) -> tuple[FormalSymbol, float]:
     """`quantum_lie_transport` and the largest norm_inf of its Lie terms."""
     gen = gen.resized(order, degree)
-    gen_flagged = gen.truncated
-    operator = None
-    flagged = np.ones(order + 1, dtype=bool)  # the flags of every operator term
+    apply = _ad_operator(gen.c)
+    every = np.ones(order + 1, dtype=bool)
 
     def ad(x: FormalSymbol) -> FormalSymbol:
-        nonlocal operator
-        if operator is None:
-            if not (gen_flagged or x.truncated):
-                # the kernel also finds which orders a degree cut touched
-                out = sharp_bracket_tail(gen, x, 1, order + 1, degree).shift_down(1)
-                out.c *= 1j
-                return out
-            # from here on every term is flagged
-            operator = _ad_operator(gen.c)
-        return FormalSymbol._wrap(operator(x.c), flagged)
+        flags = every if gen.truncated or x.truncated else _cut_orders(gen.c, x.c, degree)
+        return FormalSymbol._wrap(apply(x.c), flags)
 
     return _lie_series(f.resized(order, degree), ad, 8 * (degree + order + 1))
 

@@ -254,7 +254,7 @@ EXIT_CONTRACT = {
     "action-d-nan": (["action", "--d", "nan", "--energy", "1"], 1),
     "action-d-inf": (["action", "--d", "inf", "--energy", "1"], 1),
     "action-energy-inf": (["action", "--d", "1,0", "--energy", "inf,0"], 1),
-    # E/d overflows: the root, then the closed form, leaves the double range
+    # E/d overflows, so the closed form leaves the double range
     "action-root-overflow": (["action", "--d=1e-320,0", "--energy=1,0"], 3),
     "action-closed-form-overflow": (["action", "--d=1,0", "--energy=1e308,0", "--winding=3"], 3),
     "action-winding-past-doubles": (["action", "--d=1,0", "--energy=1,0", "--winding=1" + "0" * 400], 1),
@@ -275,6 +275,15 @@ EXIT_CONTRACT = {
     "birkhoff-mu0-out-of-range": (["birkhoff", "--symbol", '{"1,1":[1e-70,0],"5,5":[1,0]}', "--degree", "10"], 3),
     "symbol-run-of-signs": (["normal-form", "--symbol=--p^2"], 1),
     "symbol-sign-pair": (["normal-form", "--symbol", "p^2 +- q^2"], 1),
+    # the reduction squares the entries of a form scaled to unit size
+    "normal-form-large-coefficients": (["normal-form", "--symbol", '{"1,1":[1e200,0],"2,0":[1e155,0]}'], 0),
+    # the trapezoid sum runs on E / d scaled to unit size, so it cannot overflow
+    # below the closed form 6.3e307
+    "action-large-mean": (["action", "--d=1,0", "--energy=1e307,0"], 0),
+    # E and d are scaled to unit size first, so no digit is lost in the
+    # subnormal range: not in E and d, nor in E / d = 1e-315 (1 - i)
+    "action-subnormal": (["action", "--d=1e-320,1e-320", "--energy=1e-320,0"], 0),
+    "action-subnormal-ratio": (["action", "--d=1,1e36", "--energy=1e-279,1e-279"], 0),
     "verify-index-13": (["verify", "--only", "13"], 1),
     "missing-argument": (["spectrum", "--hbar", "0.1"], 1),
     "run-symbol-path-missing": (_config({**_BASE, "symbol": {"path": "missing.json"}, "tasks": _SPECTRUM}), 1),
@@ -299,7 +308,10 @@ def test_exit_code_contract(argv, code, tmp_path, monkeypatch, capsys):
         argv = ["run", "--config", "config.json"]
     assert main(argv) == code  # returns: no exception escapes main
     err = capsys.readouterr().err
-    assert err.startswith(_PREFIX[code]) and err.count("\n") == 1, err
+    if code == 0:
+        assert err == "", err
+    else:
+        assert err.startswith(_PREFIX[code]) and err.count("\n") == 1, err
 
 
 _QUAD = json.dumps({"2,0": [0.3, 0.1], "1,1": [1.0, 0.0], "0,2": [0.3, -0.1]})
@@ -331,15 +343,17 @@ _VALUES["--winding"] = (
     st.floats().map(repr) | _TEXT,
 )
 # a well z zbar + ... with coefficients from 1e-300 to 1e300, where the
-# normal forms lose every digit or overflow
+# normal forms lose every digit or overflow, and its quadratic part alone
 _COEFF = st.tuples(st.floats(-300, 300), st.floats(-300, 300), st.booleans()).map(
     lambda v: [10.0 ** v[0], (-1) ** v[2] * 10.0 ** v[1]]
 )
 _SCALED_WELL = st.fixed_dictionaries(
     {"1,1": _COEFF}, optional={key: _COEFF for key in ("2,0", "0,2", "1,0", "3,0", "2,1", "1,2", "0,4", "2,2")}
 ).map(json.dumps)
+_SCALED_QUADRATIC = st.fixed_dictionaries({"1,1": _COEFF}, optional={"2,0": _COEFF, "0,2": _COEFF}).map(json.dumps)
 # options whose draw depends on the subcommand
 _COMMAND_VALUES = {
+    ("normal-form", "--symbol"): (_VALUES["--symbol"][0] | _SCALED_QUADRATIC, _VALUES["--symbol"][1]),
     ("birkhoff", "--symbol"): (_VALUES["--symbol"][0] | _SCALED_WELL, _VALUES["--symbol"][1]),
     ("moser", "--symbol"): (_VALUES["--symbol"][0] | _SCALED_WELL, _VALUES["--symbol"][1]),
     ("birkhoff", "--degree"): (st.integers(2, 10).map(str), st.integers(-3, 1).map(str) | _TEXT),

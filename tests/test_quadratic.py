@@ -166,10 +166,20 @@ class TestReduction:
             reduce_quadratic(form)
 
     def test_overflowing_reduction_raises(self):
-        # Re(delta f) has a determinant above the double range, so zeta is NaN
-        form = ComplexQuadraticForm(6.497935915030692e154, 4.4852769736748415e154 - 2.0844662185561135e155j, 0)
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="double range"):
-            reduce_quadratic(form)
+        # 1e308 (p^2 + q^2) has d0 = 2e308, above the double range
+        with pytest.raises(ValueError, match="double range"):
+            reduce_quadratic(ComplexQuadraticForm(1e308, 1e308, 0))
+
+    @pytest.mark.parametrize("e", [512, -1000])
+    def test_reduction_scales_exactly(self, e):
+        # det Re(delta f) lies above the double range at e = 512 and below it
+        # at e = -1000; the reduction divides the form by a power of 2 first,
+        # so only d0 scales, by exactly 2^e
+        form = ComplexQuadraticForm(0.3607, 0.249 - 1.157j, 0.1 + 0.02j)
+        scale = lambda z: complex(np.ldexp(z.real, e), np.ldexp(z.imag, e))
+        ref, got = reduce_quadratic(form), reduce_quadratic(ComplexQuadraticForm(*map(scale, (form.a, form.b, form.c))))
+        assert got.d0 == scale(ref.d0)
+        assert np.array_equal(got.composed, ref.composed) and got.delta == ref.delta and got.zeta == ref.zeta
 
     @settings(max_examples=200, deadline=None)
     @given(

@@ -118,12 +118,12 @@ class TestResolventGrid:
         assert np.array_equal(f1.sigma, f2.sigma)
 
     def test_inverse_iteration_matches_svd(self):
-        m = assemble_toeplitz(ROT.to_symbol(), 0.05, 256).entries
+        m = assemble_toeplitz(ROT.to_symbol(), 0.05, 256)
         rng = np.random.default_rng(0)
         for _ in range(6):
             lam = complex(rng.uniform(0.02, 0.4), rng.uniform(0.0, 0.3))
-            a = sigma_min(m, lam)  # full SVD (n = 256 <= cutoff)
-            b = sigma_min(m, lam, dense_cutoff=64)  # forces inverse iteration
+            a = _dense_sigma(m.entries, lam)  # full SVD
+            b = sigma_min(m, lam)  # banded inverse iteration
             assert b == pytest.approx(a, rel=1e-5)
 
     def test_midpoint_resolvent_smallness(self):
@@ -138,7 +138,7 @@ class TestResolventGrid:
             n = 420
             m = assemble_toeplitz(ROT.to_symbol(), hbar, n)
             spacing = abs(lam[k + 1] - lam[k])
-            ratios.append(sigma_min(m.entries, mid, dense_cutoff=192) / spacing)
+            ratios.append(sigma_min(m, mid) / spacing)
         assert ratios[0] > ratios[1] > ratios[2]
         assert ratios[-1] < 0.05  # far below the normal-operator value 1/2
         assert ratios[-1] < ratios[0] / 10
@@ -148,7 +148,7 @@ class TestResolventGrid:
         boundary = numerical_range_boundary(m.entries, 512)
         ev = np.linalg.eigvals(m.entries)
         for lam in (-2.0 + 0.5j, 1.0 - 3.0j):
-            s = sigma_min(m.entries, lam)
+            s = sigma_min(m, lam)
             d_range = np.min(np.abs(boundary - lam))
             d_spec = np.min(np.abs(ev - lam))
             # dist to field of values <= sigma_min <= dist to spectrum
@@ -187,9 +187,9 @@ class TestBandedKernel:
         # each block's second singular value contracts an iteration by 0.875
         c = 1.0 + 0.3j
         sym = MonomialSymbol({(2, 2): c, (2, 0): -c, (0, 2): -c, (0, 0): c})
-        mat = assemble_toeplitz(sym, 0.05, 256).entries
-        ref = _dense_sigma(mat, lam)
-        assert sigma_min(mat, lam, dense_cutoff=64) == pytest.approx(ref, rel=1e-8)
+        m = assemble_toeplitz(sym, 0.05, 256)
+        ref = _dense_sigma(m.entries, lam)
+        assert sigma_min(m, lam) == pytest.approx(ref, rel=1e-8)
 
     @pytest.mark.parametrize(
         "coeffs, hbar, n, lam",
@@ -206,8 +206,8 @@ class TestBandedKernel:
         # 5e-4 down to 5e-9 relative: block inverse iteration would need
         # hundreds to thousands of steps, its steps may grow for a while, or
         # sit flat at a few hundred ulps from the first step on
-        mat = assemble_toeplitz(MonomialSymbol(coeffs), hbar, n).entries
-        assert sigma_min(mat, lam, dense_cutoff=0) == pytest.approx(_dense_sigma(mat, lam), rel=1e-8)
+        m = assemble_toeplitz(MonomialSymbol(coeffs), hbar, n)
+        assert sigma_min(m, lam) == pytest.approx(_dense_sigma(m.entries, lam), rel=1e-8)
 
     def test_unconverged_raises(self):
         m = assemble_toeplitz(ROT.to_symbol(), 0.05, 256)
@@ -219,21 +219,21 @@ class TestBandedKernel:
         mat = assemble_toeplitz(ROT.to_symbol(), 0.1, 32).entries.copy()
         mat[5, 5] = np.nan
         with pytest.raises(NoConvergence, match="non-finite"):
-            sigma_min(mat, 0.3, dense_cutoff=0)
+            sigma_min(ToeplitzMatrix.from_dense(mat, 0.1), 0.3)
 
     def test_zero_leading_pivot_needs_row_exchange(self):
         # lambda = M[0, 0] zeroes the leading diagonal entry of the even
         # block, which is not singular: the first reflector takes R[0, 0]
         # from the subdiagonal entry below it
-        mat = assemble_toeplitz(ROT.to_symbol(), 0.1, 40).entries
-        lam = mat[0, 0]
-        assert sigma_min(mat, lam, dense_cutoff=0) == pytest.approx(_dense_sigma(mat, lam), rel=1e-8)
+        m = assemble_toeplitz(ROT.to_symbol(), 0.1, 40)
+        lam = m.entries[0, 0]
+        assert sigma_min(m, lam) == pytest.approx(_dense_sigma(m.entries, lam), rel=1e-8)
 
     def test_zero_pivot_is_singular(self):
         # upper bidiagonal parity blocks: lambda on the diagonal zeroes a whole
         # column of the shifted block, which is then exactly singular
         m = assemble_toeplitz(MonomialSymbol({(1, 1): 1.0, (0, 2): 0.5}), 0.1, 20)
-        assert sigma_min(m.entries, m.entries[3, 3], dense_cutoff=0) == 0.0
+        assert sigma_min(m, m.entries[3, 3]) == 0.0
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -297,9 +297,9 @@ class TestBandedKernel:
     def test_overflowing_sweep_is_at_the_floor(self):
         # I + 1000 S has ||A^-1|| ~ 1000^127: the U^H sweep overflows, and
         # sigma_min, below 1e-300, is reported as 0 without an error
-        mat = np.eye(128) + 1000.0 * np.eye(128, k=1)
+        op = ToeplitzMatrix.from_dense(np.eye(128) + 1000.0 * np.eye(128, k=1), 1.0)
         for lam in (0.0, 0.5):
-            assert sigma_min(mat, lam, dense_cutoff=0) == 0.0
+            assert sigma_min(op, lam) == 0.0
 
 
 @pytest.fixture(scope="module")

@@ -7,10 +7,11 @@ import re
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bargspec.bargmann import MonomialSymbol, assemble_toeplitz
@@ -195,11 +196,13 @@ class TestSharpKernel:
             _sharp(x, x, 0, 2)
 
     def test_table_product_matches_definition(self):
-        # out[a, b] = sum x[i, j] y[a-i, b-j] over a + b <= degree, for unequal sizes
+        # out[a, b] = sum x[i, j] y[a-i, b-j] over a + b <= degree, for unequal
+        # sizes; a dropped coefficient flags the product at any scale
         rng = np.random.default_rng(8)
-        for na, nb, degree in ((3, 5, 2), (4, 4, 3), (5, 3, 6), (2, 6, 9), (3, 3, 8)):
-            x = rng.normal(size=(na, na)) + 1j * rng.normal(size=(na, na))
-            y = rng.normal(size=(nb, nb)) + 1j * rng.normal(size=(nb, nb))
+        cases = ((3, 5, 2), (4, 4, 3), (5, 3, 6), (2, 6, 9), (3, 3, 8))
+        for (na, nb, degree), scale in product(cases, (1.0, 1e-8, 1e-150)):
+            x = scale * (rng.normal(size=(na, na)) + 1j * rng.normal(size=(na, na)))
+            y = scale * (rng.normal(size=(nb, nb)) + 1j * rng.normal(size=(nb, nb)))
             ref = np.zeros((degree + 1, degree + 1), dtype=complex)
             for i, j, k, l in np.ndindex(na, na, nb, nb):
                 if i + j + k + l <= degree:
@@ -775,24 +778,26 @@ def stack(rng, order, degree, truncated):
     return FormalSymbol([TaylorTable2D(rand_table(rng, degree).t, truncated) for _ in range(order + 1)])
 
 
-def nilpotent_generator(rng, order, degree, truncated):
-    """Random homogeneous pieces hbar^k G_{k,m} with m >= 3 at k = 0 and
-    m >= 1 above: each application of ad raises 2 (hbar-order) + degree, so
-    the Lie series ends on an exactly zero term, as in the normal form."""
+def nilpotent_generator(rng, order, degree, truncated, shells=2, density=1.0):
+    """`shells` random homogeneous pieces hbar^k G_{k,m} with m >= 3 at k = 0
+    and m >= 1 above, each coefficient nonzero with probability `density`:
+    each application of ad raises 2 (hbar-order) + degree, so the Lie series
+    ends on an exactly zero term, as in the normal form."""
     c = np.zeros((order + 1, degree + 1, degree + 1), dtype=complex)
     a = np.arange(degree + 1)
-    for _ in range(2):
+    for _ in range(shells):
         k = int(rng.integers(0, order + 1))
         lowest = 3 if k == 0 else 1
         if lowest <= degree:
             m = int(rng.integers(lowest, degree + 1))
-            c[k] += np.where(a[:, None] + a[None, :] == m, 0.2 * (rng.normal(size=c[k].shape) + 1j), 0.0)
+            shell = (a[:, None] + a[None, :] == m) & (rng.uniform(size=c[k].shape) < density)
+            c[k] += np.where(shell, 0.2 * (rng.normal(size=c[k].shape) + 1j), 0.0)
     return FormalSymbol._wrap(c, np.full(order + 1, truncated))
 
 
 class TestLieOperator:
     """The per-generator operator of `quantum_lie_transport` against the
-    sharp-product kernel it replaces on flagged inputs."""
+    sharp-product kernel it replaces."""
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), order=st.integers(0, 3), degree=st.integers(2, 10))
@@ -807,14 +812,20 @@ class TestLieOperator:
     @settings(max_examples=60, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
-        order=st.integers(0, 3),
-        degree=st.integers(2, 10),
+        order=st.integers(0, 4),
+        degree=st.integers(2, 12),
         flagged=st.sampled_from(["none", "f", "gen"]),
+        shells=st.integers(1, 4),
+        density=st.sampled_from([1.0, 0.5, 0.2]),
     )
-    def test_transport_matches_kernel_route(self, seed, order, degree, flagged):
+    # flags that come out wrong when d^j and dbar^j are swapped for X or for G
+    @example(seed=3347369179, order=3, degree=4, flagged="none", shells=2, density=0.2)
+    def test_transport_matches_kernel_route(self, seed, order, degree, flagged, shells, density):
+        # sparse operands have unequal top degrees in z and in zbar
         rng = np.random.default_rng(seed)
         f = stack(rng, order, degree, flagged == "f")
-        gen = nilpotent_generator(rng, order, degree, flagged == "gen")
+        f.c[rng.uniform(size=f.c.shape) >= density] = 0.0
+        gen = nilpotent_generator(rng, order, degree, flagged == "gen", shells, density)
         ref, _ = _lie_series(
             f,
             lambda x: 1j * sharp_bracket_tail(gen, x, 1, order + 1, degree).shift_down(1),
@@ -823,6 +834,43 @@ class TestLieOperator:
         got = quantum_lie_transport(f, gen, order, degree)
         assert np.abs(got.c - ref.c).max() <= 1e-13 * np.abs(ref.c).max()
         assert np.array_equal(got.flags, ref.flags)
+
+
+# the anharmonic well of the optimal-truncation study: z zbar + 0.05 |z|^4
+# + 0.03 (z^2 zbar + z zbar^2) + 0.01i z^3 zbar
+NF_WELL = {(1, 1): 1.0, (2, 2): 0.05, (2, 1): 0.03, (1, 2): 0.03, (3, 1): 0.01j}
+# the s^1..s^8 coefficients of the hbar^k profile of NF_WELL at order 6, degree 16;
+# the others are zero
+NF_PROFILES_6_16 = [
+    [1+0j, 0.0473+0j,
+     0.00035028+9e-05j, -4.0824045e-05-2.3697e-05j,
+     4.3060003434e-06+4.2547842e-06j, -4.1169162727098e-07-6.13474637202e-07j,
+     3.66296365375525e-08+7.28639728728732e-08j, -3.43126271865817e-09-6.74409530046213e-09j],
+    [0.0018+0j, -0.0007857-0.000216j,
+     0.00019470024+0.0001177758j, -3.55214573145e-05-3.61619721e-05j,
+     5.22072528693372e-06+7.962536458548e-06j, -6.62930533955272e-07-1.3391394218464e-06j,
+     8.46822225617543e-08+1.6575291078771e-07j, -1.40209327350163e-08-1.07104838795435e-08j],
+    [0.00017352+5.4e-05j, -0.000168521904-0.000110511j,
+     6.9960699792e-05+7.51850649e-05j, -1.849320011794e-05-2.933891937414e-05j,
+     3.71537210332698e-06+7.69625733944493e-06j, -6.98164040483268e-07-1.36204426971458e-06j,
+     1.61960862250264e-07+1.1423202767194e-07j, -4.6045976386299e-08+2.2489863607245e-08j],
+    [1.5625404e-05+1.2771e-05j, -3.06162903168e-05-3.688322094e-05j,
+     1.98820371844548e-05+3.391149003471e-05j, -7.54037794398827e-06-1.62997927349081e-05j,
+     2.34648651034604e-06+4.56756448027312e-06j, -8.29574206726633e-07-5.2574378340859e-07j,
+     3.37275802775969e-07-1.83153982384808e-07j, -1.21151327117692e-07+1.24664036600009e-07j],
+    [1.2536552268e-06+2.1542085e-06j, -4.85366402580624e-06-9.690735538458e-06j,
+     4.99339886906831e-06+1.16704077955632e-05j, -3.16378372841468e-06-6.14875461576008e-06j,
+     1.94118906000165e-06+1.05421556619416e-06j, -1.20284651796179e-06+7.03881626434602e-07j,
+     6.3084368597554e-07-6.66856071437105e-07j, -2.36117311770668e-07+2.95374689113684e-07j],
+    [8.675832676932e-08+2.95531286454e-07j, -7.3656598505293e-07-2.03240757458222e-06j,
+     1.46331416554652e-06+2.82753332767332e-06j, -1.94172299892714e-06-8.20085855029724e-07j,
+     2.07067036633512e-06-1.30483127649463e-06j, -1.64285570307996e-06+1.74399048189969e-06j,
+     9.32746614702006e-07-1.16743905975566e-06j, -3.29431615919687e-07+4.9866023450282e-07j],
+    [7.28766162997881e-09+3.18109247566002e-08j, -1.59971282420726e-07-2.94632225886274e-07j,
+     6.99919801075615e-07+1.75579523519773e-07j, -1.56603377852248e-06+1.05826847265445e-06j,
+     2.11651080187522e-06-2.24073183610784e-06j, -1.82976694931784e-06+2.27261883443485e-06j,
+     1.02132257285513e-06-1.52980009637454e-06j, -2.70190081174015e-07+6.91443271258523e-07j],
+]
 
 
 class TestQuantumNormalForm:
@@ -836,6 +884,13 @@ class TestQuantumNormalForm:
         ev = np.linalg.eigvals(m.entries)
         for p in pred:
             assert np.min(np.abs(ev - p)) < 1e-7
+
+    def test_profiles_pinned_at_order_6(self):
+        profiles, gens = quantum_normal_form(FormalSymbol.from_monomials(MonomialSymbol(NF_WELL), 16), 6, 16)
+        got, ref = np.array(profiles), np.array(NF_PROFILES_6_16)
+        assert len(gens) == 98
+        assert not got[:, 0].any() and not got[:, 9:].any()
+        assert np.all(np.abs(got[:, 1:9] - ref) <= 1e-12 * np.abs(ref))
 
     def test_rejects_nondiagonal_hessian(self):
         f = FormalSymbol.from_monomials(MonomialSymbol({(1, 1): 1, (2, 0): 0.2, (0, 2): 0.1, (2, 1): 0.3}), 6)
