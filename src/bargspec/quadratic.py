@@ -201,12 +201,16 @@ def _exponent(z: complex) -> int:
 
 
 def _ldexp(z: complex, e: int) -> complex:
-    """z 2^e, part by part: exact unless a part leaves the normal range, and
-    infinite when one overflows."""
-    try:
-        return complex(math.ldexp(z.real, e), math.ldexp(z.imag, e))
-    except OverflowError:
-        return complex(math.inf, math.inf)
+    """z 2^e, part by part: exact unless a part leaves the normal range; a
+    part that overflows is infinite, with its sign."""
+
+    def part(x: float) -> float:
+        try:
+            return math.ldexp(x, e)
+        except OverflowError:
+            return math.copysign(math.inf, x)
+
+    return complex(part(z.real), part(z.imag))
 
 
 def _lambda_min(form: ComplexQuadraticForm, theta: float) -> float:
@@ -261,10 +265,16 @@ def ellipticity_check(form: ComplexQuadraticForm) -> dict:
     semidefinite.  det Re(e^{i theta} f) is largest at the centre of the
     admissible arc (`_arc_centre`), also when the arc is empty, so the test
     is the closed-form smallest eigenvalue there against -1e-14.
+    E is computed for the form divided by the power of 2, 2^e, that brings
+    its largest real or imaginary part into [1/2, 1), as in
+    `reduce_quadratic`, so that no square overflows; it is multiplied back
+    by 2^(2e).
     """
-    a, b, c = form.a, form.b, form.c  # explicit: np.linalg.det loses |log det| ulps
+    e = max(_exponent(x) for x in (form.a, form.b, form.c))
+    unit = ComplexQuadraticForm(*(_ldexp(x, -e) for x in (form.a, form.b, form.c))) if e else form
+    a, b, c = unit.a, unit.b, unit.c  # explicit: np.linalg.det loses |log det| ulps
     re_det, im_det = a.real * b.real - c.real**2, a.imag * b.imag - c.imag**2
-    disc = np.imag(form.det_f) ** 2 - 4.0 * re_det * im_det
+    disc = np.imag(unit.det_f) ** 2 - 4.0 * re_det * im_det
     # the terms of disc in absolute value bound its rounding
     cross = abs(a.real * b.imag) + abs(b.real * a.imag) + 2 * abs(c.real * c.imag)
     scale = cross**2 + 4 * (abs(a.real * b.real) + c.real**2) * (abs(a.imag * b.imag) + c.imag**2)
@@ -273,7 +283,7 @@ def ellipticity_check(form: ComplexQuadraticForm) -> dict:
     elliptic = not (real_value and value.real <= 0.0)
 
     range_proper = _lambda_min(form, _arc_centre(form)) > -1e-14
-    return {"elliptic": elliptic, "range_proper": range_proper, "condition_value": value}
+    return {"elliptic": elliptic, "range_proper": range_proper, "condition_value": _ldexp(value, 2 * e)}
 
 
 def find_delta(form: ComplexQuadraticForm) -> complex:

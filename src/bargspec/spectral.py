@@ -52,7 +52,6 @@ __all__ = [
     "action_level_set",
     "bohr_sommerfeld_residuals",
     "multiwell_compare",
-    "numerical_range_boundary",
 ]
 
 
@@ -955,19 +954,3 @@ def _cluster_nonnormality(mat: np.ndarray, cluster: np.ndarray) -> float:
     block = q.conj().T @ mat @ q
     comm = block.conj().T @ block - block @ block.conj().T
     return float(np.linalg.norm(comm, 2))
-
-
-# ---------------------------------------------------------------------------
-# numerical range
-
-
-def numerical_range_boundary(mat: np.ndarray, n_angles: int = 128) -> np.ndarray:
-    """Boundary points of the field of values by the rotation method."""
-    pts = np.empty(n_angles, dtype=complex)
-    for k, theta in enumerate(np.linspace(0.0, 2.0 * np.pi, n_angles, endpoint=False)):
-        r = np.exp(1j * theta) * mat
-        h = 0.5 * (r + r.conj().T)
-        w, v = np.linalg.eigh(h)
-        u = v[:, -1]
-        pts[k] = u.conj() @ mat @ u
-    return pts

@@ -17,20 +17,23 @@ form.  One routine, `quantum_normal_form`, computes it: the classical Birkhoff
 normal form is its hbar^0 slice after the linear reduction of the quadratic
 part, and `lie_transport` is the hbar^0 slice of `quantum_lie_transport`.
 
-One kernel, `_sharp`, sums the sharp series.  It works on the stacked arrays
+One kernel, `_sharp`, sums the sharp series, and one cached table,
+`_sharp_pairs`, holds the combinatorics of its j-th term: which entry of f
+meets which entry of g, where the product lands and with what weight, for a
+product or, in one pass, a bracket.  The kernel works on the stacked arrays
 themselves, and for the Moser iteration on stacks with an extra polynomial
-axis in the homotopy time t; `sharp_product`, `sharp_bracket_tail` and the
-Moser t-products pass the arrays straight to it.  Shifts in hbar, changes of
-order or degree and sums are slices and pads of the stack.  Table products
-are numpy-only: a full 2-D product is one 1-D convolution.
+axis in the homotopy time t; `sharp_product`, `sharp_bracket_tail`,
+`table_product` (hbar-order 0) and the Moser t-products pass the arrays
+straight to it.  Each j is one gather over every pair of nonzero tables and
+one `bincount`.  Shifts in hbar, changes of order or degree and sums are
+slices and pads of the stack.
 
-The Lie transport applies X -> i hbar^{-1} [G, X]_# by a gather, not the
-kernel.  Through its j-th bracket term, a homogeneous piece of G (hbar-order
-k, degree m) sends the degree-s shell of X_l to the degree s + m - 2j shell
-at hbar-order l + k + j - 1; `quantum_lie_transport` collects these pairs
-once per generator and runs each Lie term as one gather and `bincount`.  Its
-flags come from degrees and equal the kernel's: a product drops a nonzero
-coefficient exactly when its factors' top degrees add up past the cap.
+The Lie transport applies X -> i hbar^{-1} [G, X]_# by the same table: the
+bracket pairs whose G entries lie in one homogeneous shell of G are a slice
+of it, and `quantum_lie_transport` collects these slices once per generator
+and runs each Lie term as one gather and `bincount`.  One rule,
+`_cut_orders`, sets the flags of both: a product drops a nonzero coefficient
+exactly when its factors' top degrees add up past the cap.
 
 Degree and hbar-order caps are independent; any operation that drops a
 nonzero coefficient marks its result `truncated` and callers that need
@@ -45,7 +48,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import product
 from math import comb, factorial, isfinite, log10, perm
 
 import numpy as np
@@ -64,7 +66,6 @@ __all__ = [
     "table_product",
     "pullback_linear",
     "sharp_product",
-    "sharp_bracket",
     "sharp_bracket_tail",
     "formal_norm",
     "poisson_bracket",
@@ -212,36 +213,16 @@ def dzbar(tab: TaylorTable2D) -> TaylorTable2D:
     return TaylorTable2D(_dzbar(tab.t), tab.truncated)
 
 
-def _product(x: np.ndarray, y: np.ndarray, degree: int) -> tuple[np.ndarray, bool]:
-    """Product of two raw tables truncated at total degree `degree`, and
-    whether the truncation dropped a nonzero coefficient, however small: a
-    product is flagged exactly when the top degrees of its factors add up
-    past `degree`, at every scale.
-
-    The full 2-D product is one 1-D convolution (Kronecker substitution):
-    with rows padded to width w = na + nb - 1, row sums cannot carry.
-    """
-    na, nb = x.shape[0], y.shape[0]
-    w = na + nb - 1
-    xp = np.zeros((na, w), dtype=complex)
-    xp[:, :na] = x
-    yp = np.zeros((nb, w), dtype=complex)
-    yp[:, :nb] = y
-    full = np.convolve(xp.ravel()[: w * na - nb + 1], yp.ravel()[: w * nb - na + 1]).reshape(w, w)
-    n = degree + 1
-    out = np.zeros((n, n), dtype=complex)
-    m = min(n, w)
-    out[:m, :m] = full[:m, :m]
-    out[_beyond_degree(n)] = 0.0
-    return out, bool(full[_beyond_degree(w, degree)].any())
-
-
 def table_product(a: TaylorTable2D, b: TaylorTable2D, degree: int | None = None) -> TaylorTable2D:
-    """Pointwise product, truncated at `degree` (default: max input degree)."""
+    """Pointwise product of the whole square arrays, truncated at `degree`
+    (default: max input degree): the sharp kernel at hbar-order 0, on tables
+    padded so that the square lies within their total degree."""
     if degree is None:
         degree = max(a.degree, b.degree)
-    out, dropped = _product(a.t, b.t, degree)
-    return TaylorTable2D(out, a.truncated or b.truncated or dropped)
+    x, y = (np.zeros((1, 2 * tab.degree + 1, 2 * tab.degree + 1), dtype=complex) for tab in (a, b))
+    x[0, : a.degree + 1, : a.degree + 1], y[0, : b.degree + 1, : b.degree + 1] = a.t, b.t
+    out, dropped = _sharp(x, y, 0, degree)
+    return TaylorTable2D(out[0], a.truncated or b.truncated or bool(dropped[0]))
 
 
 @lru_cache(maxsize=32)
@@ -440,61 +421,132 @@ class FormalSymbol:
 # the sharp-product kernel
 
 
-def _layers(x: np.ndarray) -> list[list[int]]:
-    """For each hbar-order of x (K+1, T+1, n, n), the t-powers of its nonzero tables."""
-    return [[s for s, nonzero in enumerate(row) if nonzero] for row in x.any(axis=(2, 3)).tolist()]
+@lru_cache(maxsize=256)
+def _sharp_pairs(nf: int, ng: int, j: int, degree: int, bracket: bool) -> tuple[np.ndarray, ...]:
+    """The j-th term of the sharp series of an nf x nf table f and an ng x ng
+    table g, each with nothing past its total degree, as a gather (read-only):
+    the term is c_j d^j f dbar^j g, c_j = (-1)^j / j!, or for the bracket
+    c_j (d^j f dbar^j g - d^j g dbar^j f).  An f entry (a, b) meets a g entry
+    (c, d) at (a + c - j, b + d - j) when a + b + c + d - 2j <= degree, with
+    the weight c_j ff(a) ff(d), or c_j (ff(a) ff(d) - ff(c) ff(b)) for the
+    bracket, where ff(x) = x! / (x - j)! is zero for x < j.  Over the pairs
+    of nonzero weight, sorted by the degree a + b of the f entry, then by the
+    g entry, returns: the flat positions of the f entry and of the g entry;
+    the slots 2 o and 2 o + 1 of the real and imaginary part of the output,
+    o its flat position in a (degree+1) x (degree+1) table; the weights; and
+    by f-degree m, views of these four arrays on the pairs of degree m.
+    """
+    f_pos, g_pos = np.flatnonzero(~_beyond_degree(nf)), np.flatnonzero(~_beyond_degree(ng))
+    (a, b), (c, d) = np.divmod(f_pos, nf), np.divmod(g_pos, ng)
+    fi, gi = np.nonzero(np.add.outer(a + b, c + d) <= degree + 2 * j)
+    ff = np.array([float(perm(x, j)) for x in range(max(nf, ng))])
+    weight = ff[a[fi]] * ff[d[gi]] - (ff[c[gi]] * ff[b[fi]] if bracket else 0.0)
+    keep = np.flatnonzero(weight)
+    f_deg = (a + b)[fi[keep]]
+    keep = keep[np.lexsort((fi[keep], gi[keep], f_deg))]
+    fi, gi = fi[keep], gi[keep]
+    slots = 2 * ((a[fi] + c[gi] - j) * (degree + 1) + b[fi] + d[gi] - j)
+    slots = (slots[:, None] + np.arange(2)).ravel()
+    # int32 entry positions keep the cache small
+    out = (f_pos[fi].astype(np.int32), g_pos[gi].astype(np.int32), slots, weight[keep] * ((-1.0) ** j / factorial(j)))
+    for arr in out:
+        arr.flags.writeable = False
+    bounds = np.searchsorted(np.sort(f_deg), np.arange(nf + 1)).tolist()
+    shells = tuple((out[0][i:e], out[1][i:e], slots[2 * i : 2 * e], out[3][i:e]) for i, e in zip(bounds, bounds[1:]))
+    return out + (shells,)
+
+
+def _cut_orders(f: np.ndarray, g: np.ndarray, order: int, degree: int, j_min: int = 0, bracket: bool = False):
+    """Per hbar-order o of the series of `_sharp`, whether the degree cap
+    drops a nonzero coefficient: whether d^j f_k dbar^j g_l, or for a bracket
+    also d^j g_l dbar^j f_k, has top degree past `degree` for some
+    j >= j_min with j + k + l = o.  The top degree of d^j T is the largest
+    a + b - j over nonzero T[a, b] within the table's total degree with
+    a >= j (b >= j for dbar), over every t-layer of a t-stack.  The top
+    parts of two nonzero polynomials multiply to a nonzero polynomial, so
+    these are exactly the products that drop a nonzero coefficient."""
+    n = max(f.shape[-1], g.shape[-1])
+    nonzero = np.zeros((2, order + 1, n, n), dtype=bool)
+    for side, x in zip(nonzero, (f[: order + 1], g[: order + 1])):
+        m = x.shape[-1]
+        side[: len(x), :m, :m] = (x.any(axis=1) if x.ndim == 4 else x != 0) & ~_beyond_degree(m)
+    r = np.arange(n)
+    deg = np.where(nonzero, r[:, None] + r, -np.inf)
+    # the largest degree in the rows, then the columns, >= j, less j: the top
+    # degrees of d^j and dbar^j of f and g by (hbar-order, j), -inf where they vanish
+    above = np.maximum.accumulate(np.concatenate([deg.max(axis=3), deg.max(axis=2)])[..., ::-1], axis=-1)[..., ::-1]
+    top = np.full(above.shape[:2] + (order + 1,), -np.inf)
+    top[..., :n] = above[..., : order + 1]
+    f_dz, g_dz, f_dzbar, g_dzbar = top - np.arange(order + 1)
+    cut = f_dz[:, None] + g_dzbar > degree  # by (k, l, j)
+    if bracket:
+        cut |= f_dzbar[:, None] + g_dz > degree
+    k, l, j = np.nonzero(cut)
+    o = (k + l + j)[j >= j_min]
+    return np.bincount(o[o <= order], minlength=order + 1) > 0
+
+
+def _span(x: np.ndarray) -> int:
+    """1 + the top degree of the nonzero entries of stacked tables (..., n, n)."""
+    n = x.shape[-1]
+    nonzero = x.reshape(-1, n, n).any(axis=0) & ~_beyond_degree(n)
+    return int(np.add.outer(np.arange(n), np.arange(n))[nonzero].max(initial=0)) + 1
 
 
 def _sharp(
-    f: np.ndarray, g: np.ndarray, order: int, degree: int, j_min: int = 0
+    f: np.ndarray, g: np.ndarray, order: int, degree: int, j_min: int = 0, bracket: bool = False, top_only: bool = False
 ) -> tuple[np.ndarray, np.ndarray]:
-    """sum_{j >= j_min} ((-1)^j / j!) d^j f_k dbar^j g_l into hbar-order j+k+l.
+    """sum_{j >= j_min} ((-1)^j / j!) d^j f_k dbar^j g_l into hbar-order j+k+l,
+    or with `bracket` the same series of f # g - g # f in one pass.
 
     f and g stack hbar-orders on axis 0: shape (K+1, n, n), or (K+1, T+1, n, n)
     with a polynomial in the homotopy time t on axis 1; the product keeps the
-    longer operand's t cap and raises DegreeOverflow when a nonzero product
-    of two tables lands past it.  Zero tables are skipped, so trailing zero
-    t-layers cost nothing.  Returns the product, of shape
-    (order+1, [T+1,] degree+1, degree+1), and per hbar-order flags saying
-    whether a table product dropped a nonzero coefficient.
+    longer operand's t cap and raises DegreeOverflow when a nonzero
+    coefficient lands past it.  For each j, every pair of nonzero tables
+    (k, s) x (l, u) with j + k + l <= order meets the entry pairs of
+    `_sharp_pairs` in one gather per operand and one `np.bincount` over the
+    real and imaginary parts side by side; zero tables, and entries past an
+    operand's top degree, cost nothing.  `top_only` computes hbar-order
+    `order` alone.  Returns the product, of shape (order+1, [T+1,] degree+1,
+    degree+1), and the flags of `_cut_orders`.
     """
     timed = f.ndim == 4
     if not timed:
         f, g = f[:, None], g[:, None]
-    t_len = max(f.shape[1], g.shape[1])
-    out = np.zeros((order + 1, t_len, degree + 1, degree + 1), dtype=complex)
-    dropped = np.zeros(order + 1, dtype=bool)
     f, g = f[: order + 1], g[: order + 1]
-    for j in range(order + 1):
-        if j >= j_min:
-            c = (-1.0) ** j / factorial(j)
-            f_layers, g_layers = _layers(f), _layers(g)
-            for k in range(min(len(f), order + 1 - j)):
-                for l in range(min(len(g), order + 1 - j - k)):
-                    for s, u in product(f_layers[k], g_layers[l]):
-                        prod, drop = _product(f[k, s], g[l, u], degree)
-                        dropped[j + k + l] |= drop
-                        if s + u < t_len:
-                            out[j + k + l, s + u] += c * prod
-                        elif prod.any():
-                            raise DegreeOverflow(f"t-degree {s + u} product past the t cap {t_len - 1}")
-        if j < order:
-            f, g = _dz(f), _dzbar(g)
+    dropped = _cut_orders(f, g, order, degree, j_min, bracket)
+    if top_only:
+        dropped[:order] = False
+    f, g = (x[..., :m, :m] for x, m in ((f, _span(f)), (g, _span(g))))
+    nf, ng, n = f.shape[-1], g.shape[-1], degree + 1
+    t_len, t_out = max(f.shape[1], g.shape[1]), f.shape[1] + g.shape[1] - 1
+    out = np.zeros(2 * (order + 1) * t_out * n * n)
+    fk, fs = np.nonzero(f.any(axis=(2, 3)))
+    gl, gu = np.nonzero(g.any(axis=(2, 3)))
+    f, g = f.reshape(f.shape[:2] + (-1,)), g.reshape(g.shape[:2] + (-1,))
+    for j in range(j_min, min(order, nf - 1, ng - 1) + 1):
+        lands = fk[:, None] + gl + j
+        p, q = np.nonzero(lands == order if top_only else lands <= order)
+        fi, gi, slots, weight, _ = _sharp_pairs(nf, ng, j, degree, bracket)
+        if not len(p) or not len(weight):
+            continue
+        terms = f[fk[p, None], fs[p, None], fi]
+        terms *= g[gl[q, None], gu[q, None], gi]
+        terms *= weight
+        slots = ((2 * n * n * (lands[p, q] * t_out + fs[p] + gu[q]))[:, None] + slots).ravel()
+        out += np.bincount(slots, terms.view(float).ravel(), len(out))
+    out = out.view(complex).reshape(order + 1, t_out, n, n)
+    if out[:, t_len:].any():
+        raise DegreeOverflow(f"a t-degree product past the t cap {t_len - 1}")
+    out = out[:, :t_len]
     return (out if timed else out[:, 0]), dropped
 
 
-def _bracket(f: np.ndarray, g: np.ndarray, order: int, degree: int, j_min: int = 0):
-    """The sharp bracket series of `_sharp`: kernel(f, g) - kernel(g, f)."""
-    fg, fg_dropped = _sharp(f, g, order, degree, j_min)
-    gf, gf_dropped = _sharp(g, f, order, degree, j_min)
-    return fg - gf, fg_dropped | gf_dropped
-
-
-def _series(kernel, f: FormalSymbol, g: FormalSymbol, order, degree, j_min: int = 0) -> FormalSymbol:
+def _series(f: FormalSymbol, g: FormalSymbol, order, degree, j_min: int = 0, bracket: bool = False) -> FormalSymbol:
     """A kernel series of two symbols, by default at their larger caps."""
     order = max(f.order, g.order) if order is None else order
     degree = max(f.degree, g.degree) if degree is None else degree
-    out, dropped = kernel(f.c, g.c, order, degree, j_min)
+    out, dropped = _sharp(f.c, g.c, order, degree, j_min, bracket)
     return FormalSymbol._wrap(out, dropped | f.truncated | g.truncated)
 
 
@@ -502,12 +554,7 @@ def sharp_product(
     f: FormalSymbol, g: FormalSymbol, order: int | None = None, degree: int | None = None
 ) -> FormalSymbol:
     """(f # g)_m = sum_{j+k+l=m} ((-1)^j / j!) d^j f_k dbar^j g_l."""
-    return _series(_sharp, f, g, order, degree)
-
-
-def sharp_bracket(f: FormalSymbol, g: FormalSymbol, order=None, degree=None) -> FormalSymbol:
-    """[f, g]_# = f # g - g # f."""
-    return sharp_bracket_tail(f, g, 0, order, degree)
+    return _series(f, g, order, degree)
 
 
 def sharp_bracket_tail(
@@ -518,7 +565,7 @@ def sharp_bracket_tail(
     The j = 1 part of [f, g]_# is exactly -i hbar {f, g}; taking j_min = 2
     gives the bracket-minus-Poisson correction without cancellation noise.
     """
-    return _series(_bracket, f, g, order, degree, j_min)
+    return _series(f, g, order, degree, j_min, bracket=True)
 
 
 @dataclass
@@ -668,7 +715,7 @@ def sharp_inverse(a: FormalSymbol, order: int | None = None, degree: int | None 
     star = np.zeros((order + 1, degree + 1, degree + 1), dtype=complex)
     flags = np.zeros(order + 1, dtype=bool)
     for k in range(1, order + 1):
-        cross, dropped = _sharp(a.c, star, k, degree)
+        cross, dropped = _sharp(a.c, star, k, degree, top_only=True)
         star[k] = -lead.c[k] - cross[k]
         flags[k] = lead.flags[k] | dropped[k] | a.truncated | flags.any()
     return FormalSymbol._wrap(star, flags)
@@ -786,20 +833,21 @@ def moser_normal_form(
         if k >= 1:
             one_plus_a = a[:k].copy()
             one_plus_a[0, 0, 0, 0] += 1.0
-            a[k] = 1j * _t_int(_at(_sharp(b[:k], one_plus_a, k - 1, degree), k - 1, drops))
+            a[k] = 1j * _t_int(_at(_sharp(b[:k], one_plus_a, k - 1, degree, top_only=True), k - 1, drops))
             # a*_k = -a_k - (a # a*)_k
-            astar[k] = -a[k] - _at(_sharp(a[: k + 1], astar[: k + 1], k, degree), k, drops)
+            astar[k] = -a[k] - _at(_sharp(a[: k + 1], astar[: k + 1], k, degree, top_only=True), k, drops)
 
         # known part of the order-k equation
         rhs = -g_t[k]
         if k >= 1:
-            rhs += -1j * _t_shift(_at(_bracket(g_t[:k], b[:k], k - 1, degree), k - 1, drops))
+            bracket = _sharp(g_t[:k], b[:k], k - 1, degree, bracket=True, top_only=True)
+            rhs += -1j * _t_shift(_at(bracket, k - 1, drops))
             # corr_k: j >= 2 tail of hbar^{-1} [mu, i b]_# at order k (uses b_j, j <= k-1)
-            rhs += -1j * _at(_bracket(mu_t, b[:k], k + 1, degree, j_min=2), k + 1, drops)
+            rhs += -1j * _at(_sharp(mu_t, b[:k], k + 1, degree, 2, bracket=True, top_only=True), k + 1, drops)
             # Q_k = (a # rdot + rdot # a* + a # rdot # a*)_k
             q1 = _at(_sharp(a[: k + 1], rdot[: k + 1], k, degree), slice(None), drops)
-            q2 = _at(_sharp(rdot[: k + 1], astar[: k + 1], k, degree), k, drops)
-            q12 = _at(_sharp(q1, astar[: k + 1], k, degree), k, drops)
+            q2 = _at(_sharp(rdot[: k + 1], astar[: k + 1], k, degree, top_only=True), k, drops)
+            q12 = _at(_sharp(q1, astar[: k + 1], k, degree, top_only=True), k, drops)
             rhs += q1[k] + q2 + q12
             # lower-mu transport terms: - sum_{j>=1} mu_j' d_theta b_{k-j}
             for j in range(1, k + 1):
@@ -914,33 +962,6 @@ def _lie_series(f: FormalSymbol, ad, cap: int) -> tuple[FormalSymbol, float]:
         n += 1
 
 
-@lru_cache(maxsize=1024)
-def _bracket_pairs(n: int, m: int, j: int) -> tuple[np.ndarray, ...]:
-    """The j-th bracket term of a degree-m shell of G on n x n tables, as a
-    gather (read-only).
-
-    The term is c_j (d^j G dbar^j X - d^j X dbar^j G), c_j = (-1)^j / j!.
-    Output (a, b) and input (p, q) meet G at (g, m - g) = (a - p + j,
-    b - q + j) with the real weight c_j (ff(g) ff(q) - ff(m - g) ff(p)),
-    where ff(x) = x! / (x - j)! is zero for x < j; so the input shell
-    p + q = s lands on the shell s + m - 2j.  Over the pairs with a nonzero
-    weight and a + b <= n - 1, returns: the slots 2 o and 2 o + 1 of the real
-    and imaginary part of each output, o its flat position; the flat
-    positions of the input and of the source in G; and the weights.
-    """
-    p, q = np.nonzero(~_beyond_degree(n))
-    g = np.arange(m + 1)
-    a, b = p[:, None] + g - j, q[:, None] + m - g - j
-    ff = np.array([float(perm(x, j)) for x in range(n)])
-    weight = ff[g] * ff[q][:, None] - ff[m - g] * ff[p][:, None]
-    i, c = np.nonzero((a >= 0) & (b >= 0) & (a + b < n) & (weight != 0))
-    slots = (2 * (a[i, c] * n + b[i, c])[:, None] + np.arange(2)).ravel()
-    out = (slots, p[i] * n + q[i], g[c] * (n - 1) + m, weight[i, c] * ((-1.0) ** j / factorial(j)))
-    for arr in out:
-        arr.flags.writeable = False
-    return out
-
-
 def _ad_operator(gen: np.ndarray):
     """X -> i hbar^{-1} [G, X]_# (the j >= 1 tail of the bracket, shifted down
     one hbar-order) for the generator stack gen (K+1, D+1, D+1), with nothing
@@ -949,10 +970,12 @@ def _ad_operator(gen: np.ndarray):
 
     The map is a sum over the nonzero homogeneous shells of G: the j-th term
     of the degree-m shell of G_k sends X_l to hbar-order l + k + j - 1 by the
-    pairs of `_bracket_pairs(D + 1, m, j)`, for j <= m.  They are gathered
-    once into one list of (output slots, input, value) triples over the
-    whole stack, and each application is one gather, one complex multiply
-    and one `np.bincount` over the real and imaginary parts side by side.
+    pairs of the kernel's bracket table `_sharp_pairs(D + 1, D + 1, j, D,
+    True)` whose G entries have degree m, a contiguous slice (a view) of it,
+    for 1 <= j <= m.  They are gathered once into one list of (output slots,
+    input, value) triples over the whole stack, the real and imaginary slot
+    of each output side by side, and each application is one gather, one
+    complex multiply and one `np.bincount`.
     """
     order, n = gen.shape[0] - 1, gen.shape[1]
     igen, steps, ones = 1j * gen, np.arange(order + 1)[:, None] * n * n, np.ones((order + 1, 1))
@@ -960,7 +983,7 @@ def _ad_operator(gen: np.ndarray):
     ks, a, b = np.nonzero(gen)
     for k, m in sorted(set(zip(ks.tolist(), (a + b).tolist()))):  # the nonzero shells
         for j in range(1, min(m, order + 1 - k) + 1):
-            out, inp, src, weight = _bracket_pairs(n, m, j)
+            src, inp, out, weight = _sharp_pairs(n, n, j, n - 1, True)[-1][m]
             l = steps[: order + 2 - k - j]  # input orders l, output orders l + k + j - 1
             slots.append((out + 2 * (steps[k + j - 1] + l)).ravel())
             cols.append((inp + l).ravel())
@@ -974,28 +997,6 @@ def _ad_operator(gen: np.ndarray):
         return np.bincount(slots, terms.view(float), 2 * gen.size).view(complex).reshape(gen.shape)
 
     return apply
-
-
-def _cut_orders(gen: np.ndarray, x: np.ndarray, degree: int) -> np.ndarray:
-    """Per hbar-order o of i hbar^{-1} [G, X]_#, whether the degree cap drops a
-    nonzero coefficient: whether d^j G_k dbar^j X_l or d^j X_l dbar^j G_k
-    has top degree past `degree` for some j >= 1 with j + k + l - 1 = o.  The
-    top degree of d^j T is the largest a + b - j over nonzero T[a, b] with
-    a >= j (b >= j for dbar).  The top parts of two nonzero polynomials
-    multiply to a nonzero polynomial, so these are the kernel's flags
-    (`_product`) for the same series."""
-    order, n = len(gen) - 1, gen.shape[-1]
-    j = np.arange(1, min(order + 1, n - 1) + 1)  # d^j of an n x n table vanishes for j >= n
-    r = np.arange(n)
-    deg = np.where(np.concatenate([gen, x]) != 0, r[:, None] + r, -3 * n)
-    # the largest degree in the rows, then the columns, >= j, less j: the top
-    # degrees of d^j and dbar^j by (table, j - 1), below -2n where they vanish
-    above = np.maximum.accumulate(np.stack([deg.max(axis=2), deg.max(axis=1)])[..., ::-1], axis=2)[..., ::-1]
-    (g_dz, g_dzbar), (x_dz, x_dzbar) = np.split(above[..., j] - j, 2, axis=1)
-    cut = (g_dz[:, None] + x_dzbar > degree) | (g_dzbar[:, None] + x_dz > degree)  # by (k, l, j - 1)
-    k, l, j = np.nonzero(cut)
-    o = k + l + j  # cut[k, l, j - 1] is the term j
-    return np.bincount(o[o <= order], minlength=order + 1) > 0
 
 
 def lie_transport(f: TaylorTable2D, gen: TaylorTable2D, degree: int | None = None) -> TaylorTable2D:
@@ -1019,10 +1020,10 @@ def quantum_lie_transport(
     term cap is 8 (degree + order + 1).
 
     The j = 0 part of [G, X]_#, G_k X_l - X_l G_k, vanishes, so the bracket
-    series starts at j = 1.  ad is built once per generator, as
-    `_ad_operator`, and every Lie term is one gather.  A term's flags are the
-    kernel's: every order once G or X is flagged, else the orders where a
-    product reaches past the degree cap (`_cut_orders`)."""
+    series starts at j = 1.  ad is built once per generator from the
+    kernel's bracket tables (`_ad_operator`), and every Lie term is one
+    gather.  A term's flags are the kernel's: every order once G or X is
+    flagged, else the kernel's flag rule `_cut_orders` for the bracket."""
     return _transport(f, gen, order, degree)[0]
 
 
@@ -1034,7 +1035,7 @@ def _transport(f: FormalSymbol, gen: FormalSymbol, order: int, degree: int) -> t
     every = np.ones(order + 1, dtype=bool)
 
     def ad(x: FormalSymbol) -> FormalSymbol:
-        flags = every if gen.truncated or x.truncated else _cut_orders(gen.c, x.c, degree)
+        flags = every if gen.truncated or x.truncated else _cut_orders(gen.c, x.c, order + 1, degree, 1, True)[1:]
         return FormalSymbol._wrap(apply(x.c), flags)
 
     return _lie_series(f.resized(order, degree), ad, 8 * (degree + order + 1))
@@ -1136,7 +1137,7 @@ def quantum_normal_form(
         raise ValueError("quadratic part must be proportional to z zbar")
     if d0 == 0:
         raise NonEllipticHessian("vanishing z zbar coefficient")
-    current = f
+    current, largest = f, 0.0
     gens: list[FormalSymbol] = []
     offdiag = ~np.eye(degree + 1, dtype=bool)
     for k in range(order + 1):
@@ -1147,17 +1148,13 @@ def quantum_normal_form(
             gen = FormalSymbol._wrap(np.zeros_like(current.c), np.zeros(order + 1, dtype=bool))
             gen.c[k] = _theta_inverse(nonrad) * (1.0 / d0)
             gens.append(gen)
-            current = quantum_lie_transport(current, gen, order, degree)
+            current, size = _transport(current, gen, order, degree)
+            largest = max(largest, size)
         # the order-k part is now radial through all degrees, unless the
         # cancellations of the transport ate the digits that would show it
         resid = float(np.abs(np.where(offdiag, current.c[k], 0.0)).max())
         scale = max(1.0, current.norm_inf())
         if not resid < 1e-9 * scale:
-            # the transports are deterministic: replay them for their largest Lie term
-            largest, replay = 0.0, f
-            for gen in gens:
-                replay, size = _transport(replay, gen, order, degree)
-                largest = max(largest, size)
             lost = log10(max(largest / scale, 1.0))
             raise NoConvergence(
                 f"normal form: hbar-order {k} keeps a non-radial residual {resid:.3e} at degree {degree}, "

@@ -42,11 +42,19 @@ class TestEllipticity:
         r = ellipticity_check(ComplexQuadraticForm(1, 1, 0))
         assert r["elliptic"] and r["range_proper"]
         assert r["condition_value"] == pytest.approx(1.0)
+        # the form of `normal-form --symbol '{"1,1":[1e200,0],"2,0":[1e155,0]}'`:
+        # no square overflows, and E = 2.5e399 + 5e354 i is past the double range
+        r = ellipticity_check(ComplexQuadraticForm.from_zv_coefficients(1e155, 1e200, 0))
+        assert r["elliptic"] and r["range_proper"]
+        assert not np.isfinite(r["condition_value"])
 
     def test_hyperbolic(self):
         r = ellipticity_check(ComplexQuadraticForm(1, -1, 0))
         assert not r["elliptic"]
         assert r["condition_value"] == pytest.approx(-1.0)
+        # E = -1e400 is past the double range and keeps its sign
+        r = ellipticity_check(ComplexQuadraticForm(1e200, -1e200, 0))
+        assert not r["elliptic"] and r["condition_value"] == complex(-np.inf, 0.0)
 
     def test_p2_iq2(self):
         r = ellipticity_check(ComplexQuadraticForm(1, 1j, 0))

@@ -20,7 +20,6 @@ from bargspec.spectral import (
     bohr_sommerfeld_residuals,
     eigen_spectrum,
     multiwell_compare,
-    numerical_range_boundary,
     resolvent_grid,
     scan_isolating_c,
     sigma_min,
@@ -29,6 +28,18 @@ from bargspec.symbols import birkhoff_normal_form, table_from_dict
 from test_bargmann import BAND_MONOMIALS, band_symbols
 
 ROT = ComplexQuadraticForm(1.0, np.exp(0.9j * np.pi / 2), 0.0)
+
+
+def numerical_range_boundary(mat: np.ndarray, n_angles: int = 128) -> np.ndarray:
+    """Boundary points of the field of values by the rotation method."""
+    pts = np.empty(n_angles, dtype=complex)
+    for k, theta in enumerate(np.linspace(0.0, 2.0 * np.pi, n_angles, endpoint=False)):
+        r = np.exp(1j * theta) * mat
+        h = 0.5 * (r + r.conj().T)
+        w, v = np.linalg.eigh(h)
+        u = v[:, -1]
+        pts[k] = u.conj() @ mat @ u
+    return pts
 
 
 class TestEigenSpectrum:

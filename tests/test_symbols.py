@@ -23,7 +23,10 @@ from bargspec.symbols import (
     NonzeroAverage,
     TaylorTable2D,
     _ad_operator,
-    _bracket,
+    _beyond_degree,
+    _cut_orders,
+    _dz,
+    _dzbar,
     _lie_series,
     _sharp,
     _t_int,
@@ -46,7 +49,6 @@ from bargspec.symbols import (
     radial_table,
     radial_toeplitz_eigenvalues,
     reciprocal_profile,
-    sharp_bracket,
     sharp_bracket_tail,
     sharp_inverse,
     sharp_product,
@@ -71,6 +73,93 @@ def rand_symbol(rng, order, degree, pad=None):
 
 
 ZZ = FormalSymbol([radial_table(np.array([0.0, 1.0]), 8)])
+
+
+def sharp_bracket(f, g, order=None, degree=None):
+    """[f, g]_# = f # g - g # f."""
+    return sharp_bracket_tail(f, g, 0, order, degree)
+
+
+# The convolution route that the pair-table kernel replaced, kept as its
+# arbiter: a table product is one 1-D convolution, and the sharp series loops
+# over j, hbar-orders and t-layers with one product per pair of tables.
+
+
+def convolution_product(x, y, degree):
+    """Product of two raw tables truncated at total degree `degree`, and
+    whether the truncation dropped a nonzero coefficient, however small: a
+    product is flagged exactly when the top degrees of its factors add up
+    past `degree`, at every scale.
+
+    The full 2-D product is one 1-D convolution (Kronecker substitution):
+    with rows padded to width w = na + nb - 1, row sums cannot carry.
+    """
+    na, nb = x.shape[0], y.shape[0]
+    w = na + nb - 1
+    xp = np.zeros((na, w), dtype=complex)
+    xp[:, :na] = x
+    yp = np.zeros((nb, w), dtype=complex)
+    yp[:, :nb] = y
+    full = np.convolve(xp.ravel()[: w * na - nb + 1], yp.ravel()[: w * nb - na + 1]).reshape(w, w)
+    n = degree + 1
+    out = np.zeros((n, n), dtype=complex)
+    m = min(n, w)
+    out[:m, :m] = full[:m, :m]
+    out[_beyond_degree(n)] = 0.0
+    return out, bool(full[_beyond_degree(w, degree)].any())
+
+
+def _layers(x):
+    """For each hbar-order of x (K+1, T+1, n, n), the t-powers of its nonzero tables."""
+    return [[s for s, nonzero in enumerate(row) if nonzero] for row in x.any(axis=(2, 3)).tolist()]
+
+
+def sharp_loop(f, g, order, degree, j_min=0):
+    """sum_{j >= j_min} ((-1)^j / j!) d^j f_k dbar^j g_l into hbar-order j+k+l,
+    one `convolution_product` per pair of nonzero tables, and per hbar-order
+    whether one of them dropped a nonzero coefficient."""
+    timed = f.ndim == 4
+    if not timed:
+        f, g = f[:, None], g[:, None]
+    t_len = max(f.shape[1], g.shape[1])
+    out = np.zeros((order + 1, t_len, degree + 1, degree + 1), dtype=complex)
+    dropped = np.zeros(order + 1, dtype=bool)
+    f, g = f[: order + 1], g[: order + 1]
+    for j in range(order + 1):
+        if j >= j_min:
+            c = (-1.0) ** j / math.factorial(j)
+            f_layers, g_layers = _layers(f), _layers(g)
+            for k in range(min(len(f), order + 1 - j)):
+                for l in range(min(len(g), order + 1 - j - k)):
+                    for s, u in product(f_layers[k], g_layers[l]):
+                        prod, drop = convolution_product(f[k, s], g[l, u], degree)
+                        dropped[j + k + l] |= drop
+                        if s + u < t_len:
+                            out[j + k + l, s + u] += c * prod
+                        elif prod.any():
+                            raise DegreeOverflow(f"t-degree {s + u} product past the t cap {t_len - 1}")
+        if j < order:
+            f, g = _dz(f), _dzbar(g)
+    return (out if timed else out[:, 0]), dropped
+
+
+def bracket_loop(f, g, order, degree, j_min=0):
+    """The bracket series of `sharp_loop`: sharp_loop(f, g) - sharp_loop(g, f)."""
+    fg, fg_dropped = sharp_loop(f, g, order, degree, j_min)
+    gf, gf_dropped = sharp_loop(g, f, order, degree, j_min)
+    return fg - gf, fg_dropped | gf_dropped
+
+
+def loop_ad(gen, x, order, degree):
+    """i hbar^{-1} [G, X]_# by `bracket_loop`, with the kernel's flags."""
+    out, dropped = bracket_loop(gen.c, x.c, order + 1, degree, 1)
+    return FormalSymbol._wrap(1j * out[1:], dropped[1:] | gen.truncated | x.truncated)
+
+
+def assert_matches(got, got_flags, ref, ref_flags):
+    """Values to 1e-13 relative, identical flags."""
+    assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+    assert np.array_equal(got_flags, ref_flags)
 
 
 class TestFormalSymbolStack:
@@ -179,10 +268,12 @@ class TestSharpKernel:
         order, deg = 3, 6
         ft, gt = (self.rand_t_symbol(rng, 1, deg, 2, 5) for _ in range(2))
         if j_min == 0:
-            timed, _ = _sharp(ft, gt, order, deg)
+            timed, flags = _sharp(ft, gt, order, deg)
+            assert_matches(timed, flags, *sharp_loop(ft, gt, order, deg))
             plain = lambda f, g: sharp_product(f, g, order, deg)
         else:
-            timed, _ = _bracket(ft, gt, order, deg, j_min)
+            timed, flags = _sharp(ft, gt, order, deg, j_min, bracket=True)
+            assert_matches(timed, flags, *bracket_loop(ft, gt, order, deg, j_min))
             plain = lambda f, g: sharp_bracket_tail(f, g, j_min, order, deg)
         for tau in (0.0, 0.4, 1.0):
             ref = plain(self.at_time(ft, tau), self.at_time(gt, tau))
@@ -194,6 +285,12 @@ class TestSharpKernel:
         x[0, 2, 0, 0] = 1.0
         with pytest.raises(DegreeOverflow):
             _sharp(x, x, 0, 2)
+        with pytest.raises(DegreeOverflow):
+            _sharp(x, x, 0, 2, top_only=True)
+        # the bracket is one pass: its two products cancel exactly, so nothing
+        # lands past the cap
+        out, flags = _sharp(x, x, 0, 2, bracket=True)
+        assert not out.any() and not flags.any()
 
     def test_table_product_matches_definition(self):
         # out[a, b] = sum x[i, j] y[a-i, b-j] over a + b <= degree, for unequal
@@ -797,7 +894,7 @@ def nilpotent_generator(rng, order, degree, truncated, shells=2, density=1.0):
 
 class TestLieOperator:
     """The per-generator operator of `quantum_lie_transport` against the
-    sharp-product kernel it replaces."""
+    sharp-product kernel and the convolution loop."""
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), order=st.integers(0, 3), degree=st.integers(2, 10))
@@ -808,6 +905,8 @@ class TestLieOperator:
         got = _ad_operator(gen.c)(x.c)
         assert got.shape == ref.shape
         assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+        loop = loop_ad(gen, x, order, degree)
+        assert_matches(got, _cut_orders(gen.c, x.c, order + 1, degree, 1, True)[1:], loop.c, loop.flags)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -832,8 +931,9 @@ class TestLieOperator:
             8 * (degree + order + 1),
         )
         got = quantum_lie_transport(f, gen, order, degree)
-        assert np.abs(got.c - ref.c).max() <= 1e-13 * np.abs(ref.c).max()
-        assert np.array_equal(got.flags, ref.flags)
+        assert_matches(got.c, got.flags, ref.c, ref.flags)
+        loop, _ = _lie_series(f, lambda x: loop_ad(gen, x, order, degree), 8 * (degree + order + 1))
+        assert_matches(got.c, got.flags, loop.c, loop.flags)
 
 
 # the anharmonic well of the optimal-truncation study: z zbar + 0.05 |z|^4
