@@ -527,9 +527,9 @@ def _sharp(
     for j in range(j_min, min(order, nf - 1, ng - 1) + 1):
         lands = fk[:, None] + gl + j
         p, q = np.nonzero(lands == order if top_only else lands <= order)
-        fi, gi, slots, weight, _ = _sharp_pairs(nf, ng, j, degree, bracket)
-        if not len(p) or not len(weight):
+        if not len(p):
             continue
+        fi, gi, slots, weight, _ = _sharp_pairs(nf, ng, j, degree, bracket)
         terms = f[fk[p, None], fs[p, None], fi]
         terms *= g[gl[q, None], gu[q, None], gi]
         terms *= weight
