@@ -447,6 +447,10 @@ def _attach_dash_values(argv: list[str]) -> list[str]:
     for tok in argv:
         if out and out[-1] in _DASH_VALUE_OPTIONS and tok.startswith("-") and not tok.startswith("--"):
             out[-1] = f"{out[-1]}={tok}"
+        elif tok.startswith("--") and tok.endswith("=--"):
+            # "--" ends the options and is never a value: argparse would strip
+            # it from --n-max=-- and hand the option an empty list
+            out += [tok[:-3], "--"]
         else:
             out.append(tok)
     return out

@@ -274,6 +274,10 @@ EXIT_CONTRACT = {
     # mu0 at degree 5 is 1 / d0^5 = 1e350
     "birkhoff-mu0-out-of-range": (["birkhoff", "--symbol", '{"1,1":[1e-70,0],"5,5":[1,0]}', "--degree", "10"], 3),
     "symbol-run-of-signs": (["normal-form", "--symbol=--p^2"], 1),
+    # "--" is the end-of-options marker in the = form too, so the option has no value
+    "option-value-double-dash": (
+        ["pseudospec", "--symbol", "p^2+q^2", "--hbar", "0.1", "--rect", "0,0,0,0", "--res", "2,2", "--n-max=--"], 1
+    ),
     "symbol-sign-pair": (["normal-form", "--symbol", "p^2 +- q^2"], 1),
     # the reduction squares the entries of a form scaled to unit size
     "normal-form-large-coefficients": (["normal-form", "--symbol", '{"1,1":[1e200,0],"2,0":[1e155,0]}'], 0),
