@@ -13,9 +13,16 @@ zbar^2 and |z|^2).  The dense n x n matrix is built only on request
 (`entries`).  Factorial ratios are products of linear factors, exact to a
 few ulp far beyond n_max ~ 1e3.
 
-`inner_product_oracle` recomputes any entry by 2-D numerical quadrature
-(Gauss-Laguerre in the radius, trapezoid in the angle) and is kept fully
-independent of the closed form above; it is the arbiter used by the tests.
+`inner_product_oracle` recomputes any entry by 2-D numerical quadrature and
+is kept fully independent of the closed form above; it is the arbiter used by
+the tests.  Its quadrature is `gaussian_mean`, the integral of
+e^{-|z|^2/hbar} fn(z) dz/(pi hbar) (Gauss-Laguerre in the radius, trapezoid
+in the angle), which is also the arbiter of the Gaussian expansion.
+
+Every doubling quadrature runs through `settle`: value(n), value(2n), ...
+until two successive values agree, else `NoConvergence` with the last value,
+node count and gap in `.result`.  `NoConvergence` is the base class of every
+failure of an adaptive loop (the CLI's exit 3).
 """
 
 from __future__ import annotations
@@ -39,6 +46,8 @@ __all__ = [
     "assemble_toeplitz",
     "toeplitz_radial",
     "radial_diagonal",
+    "settle",
+    "gaussian_mean",
     "inner_product_oracle",
 ]
 
@@ -47,16 +56,16 @@ __all__ = [
 _FACTORIAL_SAFE = 10_000_000
 
 
-class QuadratureError(RuntimeError):
-    """Quadrature failed to reach the requested accuracy."""
-
-
 class NoConvergence(RuntimeError):
     """An adaptive loop ran out of steps; `result` holds its last state, if any."""
 
     def __init__(self, msg, result=None):
         super().__init__(msg)
         self.result = result
+
+
+class QuadratureError(NoConvergence):
+    """Quadrature failed to reach the requested accuracy."""
 
 
 @lru_cache(maxsize=16)
@@ -283,6 +292,49 @@ def toeplitz_radial(moments, hbar: float, n_max: int) -> ToeplitzMatrix:
     return ToeplitzMatrix({0: diag}, diag.size, check_hbar(hbar), sym)
 
 
+def settle(value, n: int, doublings: int, tol, what: str):
+    """value(n), value(2n), ... until two successive values agree,
+    |cur - prev| <= tol(cur); returns (cur, its n).  After `doublings`
+    doublings raises NoConvergence naming `what`, with the last
+    (value, n, gap) as its `result`."""
+    prev = value(n)
+    for _ in range(doublings):
+        n *= 2
+        cur = value(n)
+        gap = abs(cur - prev)
+        if gap <= tol(cur):
+            return cur, n
+        prev = cur
+    raise NoConvergence(f"{what} still moving by {gap:.3e} at {n} nodes", (prev, n, gap))
+
+
+def gaussian_mean(fn, hbar: float, tol: float = 1e-10) -> complex:
+    """integral e^{-|z|^2/hbar} fn(z) dz/(pi hbar), fn vectorised over a 2-D
+    array of z.
+
+    With s = |z|^2/hbar the measure is e^{-s} ds dtheta/(2 pi): Gauss-Laguerre
+    in s, trapezoid in the angle.  `settle` doubles the angle nodes from 16,
+    with 3/2 as many radial nodes up to 96, until two values agree to 1e-12.
+    Raises QuadratureError if the last gap is still above `tol`."""
+    hbar = check_hbar(hbar)
+
+    def value(n_ang: int) -> complex:
+        # laggauss loses stability near n ~ 150; the radial integrand is a
+        # polynomial times e^{-s}, already exact well below the cap
+        s, w = _laguerre_nodes(min(3 * n_ang // 2, 96))
+        theta = 2.0 * np.pi * np.arange(n_ang) / n_ang
+        z = np.sqrt(hbar * s)[:, None] * np.exp(1j * theta[None, :])
+        return np.dot(w, fn(z).mean(axis=1))
+
+    try:
+        return settle(value, 16, 8, lambda cur: 1e-12, "Gaussian quadrature")[0]
+    except NoConvergence as exc:
+        last, _, gap = exc.result
+        if gap > tol:
+            raise QuadratureError(f"quadrature stalled at error {gap:.3e} > {tol:.1e}", exc.result) from None
+        return last
+
+
 def inner_product_oracle(
     symbol: MonomialSymbol,
     k: int,
@@ -292,45 +344,22 @@ def inner_product_oracle(
 ) -> complex:
     """<e_l, T(f) e_k> by brute-force polar quadrature of
 
-        (k! l! hbar^{k+l})^{-1/2} integral e^{-|z|^2/hbar} f(z) z^k zbar^l dz/(pi hbar).
+        (k! l! hbar^{k+l})^{-1/2} integral e^{-|z|^2/hbar} f(z) z^k zbar^l dz/(pi hbar)
 
-    Gauss-Laguerre in s = r^2/hbar, trapezoid in the angle; node counts are
-    doubled until two successive evaluations agree to 1e-12.  Raises
-    QuadratureError if the doubling stalls above `tol`.
+    with `gaussian_mean`, the normalisation inside the integrand, so that
+    the doubling stops on the entry itself.  Raises QuadratureError if the
+    doubling stalls above `tol`.
     """
     hbar = check_hbar(hbar)
     k, l = int(k), int(l)
     if k < 0 or l < 0:
         raise ValueError("state indices must be nonnegative")
+    norm = np.exp(-0.5 * (math.lgamma(k + 1) + math.lgamma(l + 1)) - 0.5 * (k + l) * np.log(hbar))
 
-    def evaluate(n_rad: int, n_ang: int) -> complex:
-        s, w = _laguerre_nodes(n_rad)
-        r = np.sqrt(hbar * s)
-        theta = 2.0 * np.pi * np.arange(n_ang) / n_ang
-        z = r[:, None] * np.exp(1j * theta[None, :])
+    def fn(z: np.ndarray) -> np.ndarray:
         vals = np.zeros_like(z)
         for (a, b), c in symbol.coeffs.items():
             vals += c * z**a * np.conj(z) ** b
-        integrand = vals * z**k * np.conj(z) ** l
-        # measure: e^{-s} ds dtheta/(2 pi) after substitution, Laguerre eats e^{-s}
-        ang = integrand.mean(axis=1)
-        total = np.dot(w, ang)
-        norm = np.exp(-0.5 * (math.lgamma(k + 1) + math.lgamma(l + 1)) - 0.5 * (k + l) * np.log(hbar))
-        return total * norm
+        return vals * z**k * np.conj(z) ** l * norm
 
-    n_rad, n_ang = 24, 16
-    prev = evaluate(n_rad, n_ang)
-    err = np.inf
-    for _ in range(8):
-        # laggauss loses stability near n ~ 150; the radial integrand is a
-        # polynomial times e^{-s}, already exact well below the cap
-        n_rad = min(2 * n_rad, 96)
-        n_ang *= 2
-        cur = evaluate(n_rad, n_ang)
-        err = abs(cur - prev)
-        prev = cur
-        if err < 1e-12:
-            return cur
-    if err > tol:
-        raise QuadratureError(f"quadrature stalled at error {err:.3e} > {tol:.1e}")
-    return prev
+    return gaussian_mean(fn, hbar, tol)

@@ -14,6 +14,7 @@ from math import factorial, lgamma
 
 import numpy as np
 
+from .bargmann import NoConvergence
 from .symbols import TaylorTable2D, dz, dzbar
 
 __all__ = [
@@ -33,7 +34,7 @@ class SingularInput(ValueError):
     pass
 
 
-class NewtonDiverged(RuntimeError):
+class NewtonDiverged(NoConvergence):
     pass
 
 

@@ -151,7 +151,7 @@ class PhaseQuadratic:
 
 @dataclass(frozen=True)
 class QuadraticWeightPair:
-    """(r + ij)^2 = zeta/|zeta|; W, W_i are the transformed weights of 0."""
+    """(r + ij)^2 = zeta/|zeta|; W is the transformed weight of 0."""
 
     r: float
     j: float
@@ -160,17 +160,9 @@ class QuadraticWeightPair:
         r, j = self.r, self.j
         return np.array([[(r - 1) / r, j / r], [j / r, (r - 1) / r]])
 
-    def wi_matrix(self) -> np.ndarray:
-        r, j = self.r, self.j
-        return np.array([[(1 - r) / r, j / r], [j / r, (1 - r) / r]])
-
     def w(self, x: complex) -> float:
         u, v = x.real, x.imag
         return (self.r - 1) / self.r * (u * u + v * v) + 2 * self.j / self.r * u * v
-
-    def w_i(self, x: complex) -> float:
-        u, v = x.real, x.imag
-        return (1 - self.r) / self.r * (u * u + v * v) + 2 * self.j / self.r * u * v
 
     @property
     def vanishes_to_second_order(self) -> bool:
@@ -253,6 +245,28 @@ def _arc_centre(form: ComplexQuadraticForm) -> float:
     return mid
 
 
+def _unit_size(form: ComplexQuadraticForm) -> tuple[ComplexQuadraticForm, int]:
+    """The form divided by the power of 2, 2^e, that brings its largest real
+    or imaginary part into [1/2, 1), and e: exact, and it keeps every square
+    of the reduction in the double range."""
+    e = max(_exponent(x) for x in (form.a, form.b, form.c))
+    return (ComplexQuadraticForm(*(_ldexp(x, -e) for x in (form.a, form.b, form.c))) if e else form), e
+
+
+def _unit_ellipticity(unit: ComplexQuadraticForm) -> tuple[bool, complex]:
+    """(elliptic, E) of a form of unit size (`_unit_size`), as
+    `ellipticity_check` defines them."""
+    a, b, c = unit.a, unit.b, unit.c  # explicit: np.linalg.det loses |log det| ulps
+    re_det, im_det = a.real * b.real - c.real**2, a.imag * b.imag - c.imag**2
+    disc = np.imag(unit.det_f) ** 2 - 4.0 * re_det * im_det
+    # the terms of disc in absolute value bound its rounding
+    cross = abs(a.real * b.imag) + abs(b.real * a.imag) + 2 * abs(c.real * c.imag)
+    scale = cross**2 + 4 * (abs(a.real * b.real) + c.real**2) * (abs(a.imag * b.imag) + c.imag**2)
+    real_value = abs(disc) <= 32 * np.finfo(float).eps * scale + np.finfo(float).tiny
+    value = re_det + im_det + 1j * (0.0 if real_value else np.sqrt(abs(disc)))
+    return not (real_value and value.real <= 0.0), value
+
+
 def ellipticity_check(form: ComplexQuadraticForm) -> dict:
     """Evaluate the ellipticity condition and the proper-range condition.
 
@@ -270,18 +284,8 @@ def ellipticity_check(form: ComplexQuadraticForm) -> dict:
     `reduce_quadratic`, so that no square overflows; it is multiplied back
     by 2^(2e).
     """
-    e = max(_exponent(x) for x in (form.a, form.b, form.c))
-    unit = ComplexQuadraticForm(*(_ldexp(x, -e) for x in (form.a, form.b, form.c))) if e else form
-    a, b, c = unit.a, unit.b, unit.c  # explicit: np.linalg.det loses |log det| ulps
-    re_det, im_det = a.real * b.real - c.real**2, a.imag * b.imag - c.imag**2
-    disc = np.imag(unit.det_f) ** 2 - 4.0 * re_det * im_det
-    # the terms of disc in absolute value bound its rounding
-    cross = abs(a.real * b.imag) + abs(b.real * a.imag) + 2 * abs(c.real * c.imag)
-    scale = cross**2 + 4 * (abs(a.real * b.real) + c.real**2) * (abs(a.imag * b.imag) + c.imag**2)
-    real_value = abs(disc) <= 32 * np.finfo(float).eps * scale + np.finfo(float).tiny
-    value = re_det + im_det + 1j * (0.0 if real_value else np.sqrt(abs(disc)))
-    elliptic = not (real_value and value.real <= 0.0)
-
+    unit, e = _unit_size(form)
+    elliptic, value = _unit_ellipticity(unit)
     range_proper = _lambda_min(form, _arc_centre(form)) > -1e-14
     return {"elliptic": elliptic, "range_proper": range_proper, "condition_value": _ldexp(value, 2 * e)}
 
@@ -330,14 +334,11 @@ def reduce_quadratic(form: ComplexQuadraticForm, delta: complex | None = None) -
     ValueError when a quantity of the reduction leaves the double range.
 
     The form is first divided by the power of 2, 2^e, that brings its
-    largest real or imaginary part into [1/2, 1): exact, and it keeps every
-    square below in the double range.  Only d0 scales with the form, so it
-    is multiplied back by 2^e.
+    largest real or imaginary part into [1/2, 1) (`_unit_size`).  Only d0
+    scales with the form, so it is multiplied back by 2^e.
     """
-    e = max(_exponent(x) for x in (form.a, form.b, form.c))
-    unit = ComplexQuadraticForm(*(_ldexp(x, -e) for x in (form.a, form.b, form.c)))
-    checks = ellipticity_check(unit)
-    if not (checks["elliptic"] and checks["range_proper"]):
+    unit, e = _unit_size(form)
+    if not (_unit_ellipticity(unit)[0] and _lambda_min(unit, _arc_centre(unit)) > -1e-14):
         raise NoDeltaFound("form fails the ellipticity / proper-range conditions")
     if delta is None:
         delta = find_delta(unit)

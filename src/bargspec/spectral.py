@@ -15,8 +15,8 @@ step, runs vectorised over all of them with a per-pair convergence mask
 a dense SVD.
 
 Every adaptive loop ends with an explicit status: a loop that runs out of
-steps raises (NoConvergence, or InversionFailed for the Bohr-Sommerfeld
-inversion) rather than returning its last iterate.
+steps raises a `NoConvergence` rather than returning its last iterate.  The
+quadrature doublings of the actions run through `bargmann.settle`.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bargmann import MonomialSymbol, NoConvergence, ToeplitzMatrix, assemble_toeplitz, check_hbar
+from .bargmann import MonomialSymbol, NoConvergence, ToeplitzMatrix, assemble_toeplitz, check_hbar, settle
 from .quadratic import NormalFormData, _exponent, _ldexp
 from .symbols import (
     FormalSymbol,
@@ -55,11 +55,11 @@ __all__ = [
 ]
 
 
-class NonClosedContour(RuntimeError):
+class NonClosedContour(NoConvergence):
     pass
 
 
-class InversionFailed(RuntimeError):
+class InversionFailed(NoConvergence):
     pass
 
 
@@ -113,7 +113,11 @@ def eigen_spectrum(
     """Smallest-|lambda| eigenvalues, solved block by block (`ToeplitzMatrix.
     blocks`), with truncation adaptivity: n_max doubles until the reported
     eigenvalues move by less than tol.  A raw matrix (no symbol) is solved
-    once, at its own size."""
+    once, at its own size.
+
+    The loop is its own, not `bargmann.settle`: its gap is a matching of two
+    spectra, its cap n_cap need not be a power of 2 times the start, and the
+    NoConvergence it raises hands back the last SpectrumResult."""
     n = m.dim
     prev = None
     while True:
@@ -609,16 +613,8 @@ def action_integral(
             raise NoConvergence(f"action: the quadrature value at {n} nodes is not finite (closed form {closed:.3e})")
         return out
 
-    n = 16
-    prev = value(n)
-    for _ in range(12):
-        n *= 2
-        cur = value(n)
-        gap = abs(cur - prev)
-        if gap <= tol * abs(cur):
-            return {"value": cur, "closed_form": closed, "nodes": n}
-        prev = cur
-    raise NoConvergence(f"action quadrature still moving by {gap:.3e} at {n} nodes")
+    cur, n = settle(value, 16, 12, lambda v: tol * abs(v), "action quadrature")
+    return {"value": cur, "closed_form": closed, "nodes": n}
 
 
 def _newton_vbar(extension, x: complex, v: complex, energy: complex) -> complex:
@@ -650,7 +646,7 @@ def action_level_set(
     if radius is None:
         radius = abs(np.sqrt(complex(energy) / complex(d_seed)))
 
-    def solve_ring(n: int) -> np.ndarray:
+    def value(n: int) -> complex:
         t = np.linspace(0.0, 2.0 * np.pi * winding, n, endpoint=False)
         xs = radius * np.exp(1j * t)
         vbars = np.empty(n, dtype=complex)
@@ -662,18 +658,9 @@ def action_level_set(
         if abs(v_close - vbars[0]) > 1e-9 * max(1.0, abs(vbars[0])):
             raise NonClosedContour(f"level-set loop mismatch {abs(v_close - vbars[0]):.2e}")
         dx = 1j * xs
-        return -1j * vbars * dx
+        return complex((-1j * vbars * dx).mean() * 2 * np.pi * winding)
 
-    n = 64
-    prev = complex(solve_ring(n).mean() * 2 * np.pi * winding)
-    for _ in range(8):
-        n *= 2
-        cur = complex(solve_ring(n).mean() * 2 * np.pi * winding)
-        gap = abs(cur - prev)
-        if gap <= tol * abs(cur):
-            return cur
-        prev = cur
-    raise NoConvergence(f"level-set action still moving by {gap:.3e} at {n} nodes")
+    return settle(value, 64, 8, lambda v: tol * abs(v), "level-set action")[0]
 
 
 # ---------------------------------------------------------------------------

@@ -53,6 +53,7 @@ from math import comb, factorial, isfinite, log10, perm
 import numpy as np
 
 from .bargmann import MonomialSymbol, NoConvergence, radial_diagonal
+from .quadratic import ComplexQuadraticForm, NoDeltaFound, reduce_quadratic
 
 __all__ = [
     "TaylorTable2D",
@@ -1050,7 +1051,7 @@ class BirkhoffResult:
     normal_form: object  # NormalFormData of the quadratic part
 
 
-class NonEllipticHessian(ValueError):
+class NonEllipticHessian(NoDeltaFound):
     pass
 
 
@@ -1076,10 +1077,9 @@ def birkhoff_normal_form(f: TaylorTable2D, degree: int | None = None) -> Birkhof
     d0 z vbar; `quantum_normal_form` at hbar-order 0 then removes all
     non-radial terms with homogeneous generators of degree 3..D.  Returns mu0
     with mu0(s) = s + O(s^2) such that the transported symbol equals
-    mu0(d0 z zbar) up to degree D; raises NoConvergence when a coefficient
-    of mu0 leaves the double range."""
-    from .quadratic import ComplexQuadraticForm, reduce_quadratic
-
+    mu0(d0 z zbar) up to degree D.  Raises NonEllipticHessian, a
+    NoDeltaFound, when the quadratic part has no normal form, and
+    NoConvergence when a coefficient of mu0 leaves the double range."""
     if degree is None:
         degree = f.degree
     f = f.resized(degree)
@@ -1088,7 +1088,7 @@ def birkhoff_normal_form(f: TaylorTable2D, degree: int | None = None) -> Birkhof
     form = ComplexQuadraticForm.from_zv_coefficients(f.t[2, 0], f.t[1, 1], f.t[0, 2])
     try:
         nf = reduce_quadratic(form)
-    except Exception as exc:
+    except NoDeltaFound as exc:
         raise NonEllipticHessian(str(exc)) from exc
     pulled = pullback_linear(f, np.linalg.inv(nf.composed), degree)
     profiles, gens = quantum_normal_form(FormalSymbol([pulled]), 0, degree)

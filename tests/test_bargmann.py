@@ -10,9 +10,11 @@ from hypothesis import strategies as st
 
 from bargspec.bargmann import (
     MonomialSymbol,
+    NoConvergence,
     QuadratureError,
     ToeplitzMatrix,
     assemble_toeplitz,
+    gaussian_mean,
     inner_product_oracle,
     monomial_band_entries,
     monomial_matrix,
@@ -168,6 +170,23 @@ def test_oracle_full_band_small():
             assert inner_product_oracle(sym, k, l, hbar) == pytest.approx(
                 mat[l, k], abs=1e-10
             )
+
+
+@pytest.mark.parametrize("hbar", [0.4, 0.2, 0.1, 0.05])
+def test_gaussian_mean_of_exp_is_closed_form(hbar):
+    # criterion 7's arbiter: the mean of e^{z + zbar} = e^{2x} under the
+    # Gaussian of variance hbar/2 per axis is e^hbar
+    got = gaussian_mean(lambda z: np.exp(z + np.conj(z)), hbar)
+    assert abs(got - np.exp(hbar)) <= 1e-12
+
+
+def test_gaussian_mean_raises_when_unsettled():
+    # an integrand equal to the angle-node count never settles
+    with pytest.raises(QuadratureError, match="quadrature stalled at error") as info:
+        gaussian_mean(lambda z: np.full(z.shape, z.shape[1], dtype=complex), 0.1)
+    assert isinstance(info.value, NoConvergence)
+    value, n, gap = info.value.result
+    assert (value, n, gap) == (4096, 4096, 2048)
 
 
 @settings(max_examples=25, deadline=None)

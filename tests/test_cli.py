@@ -248,7 +248,7 @@ _BASE = {"out_dir": "out", "hbar": [0.1], "n_max": 32, "symbol": {"shorthand": "
 _SPECTRUM = [{"type": "spectrum"}]
 
 # every input exits with its documented code and a one-line message
-_PREFIX = {1: "config error: ", 3: "convergence failure: "}
+_PREFIX = {1: "config error: ", 2: "tolerance failure: ", 3: "convergence failure: "}
 EXIT_CONTRACT = {
     "action-d-three-parts": (["action", "--d", "1,2,3", "--energy", "0.3,0"], 1),
     "action-d-nan": (["action", "--d", "nan", "--energy", "1"], 1),
@@ -267,6 +267,8 @@ EXIT_CONTRACT = {
     "moser-negative-order": (["moser", "--symbol", "z", "--order", "-1"], 1),
     "birkhoff-negative-degree": (["birkhoff", "--symbol", "|z|^2+|z|^4", "--degree", "-1"], 1),
     "birkhoff-nonzero-constant": (["birkhoff", "--symbol", "1+|z|^2"], 1),
+    # no normal form for the quadratic part: a tolerance failure, as in normal-form
+    "birkhoff-non-elliptic": (["birkhoff", "--symbol", "p^2-q^2"], 2),
     # the Lie terms reach 2e17 and cancel to a residual of the result's size
     "birkhoff-digits-lost": (["birkhoff", "--symbol", '{"1,1":[1,0],"3,0":[1e3,0],"0,4":[1e5,0]}', "--degree", "8"], 3),
     "birkhoff-non-finite-term": (["birkhoff", "--symbol", '{"1,1":[1,0],"3,0":[1e300,0],"0,4":[1e300,0]}'], 3),
@@ -300,7 +302,23 @@ EXIT_CONTRACT = {
     "run-empty-tasks": (_config({**_BASE, "tasks": []}), 1),
     "run-unknown-task": (_config({**_BASE, "tasks": [{"type": "frobnicate"}]}), 1),
     "run-verify-index-99": (_config({**_BASE, "tasks": [{"type": "verify", "only": [99]}]}), 1),
+    # the birkhoff tolerance failure does not stop the run: the action task runs
+    "run-birkhoff-non-elliptic": (
+        _config({**_BASE, "symbol": {"shorthand": "p^2-q^2"}, "tasks": [{"type": "birkhoff"}, {"type": "action"}]}), 2
+    ),
 }
+
+
+def test_one_class_per_exit_code():
+    from bargspec.bargmann import NoConvergence, QuadratureError
+    from bargspec.contours import NewtonDiverged
+    from bargspec.quadratic import NoDeltaFound
+    from bargspec.spectral import InversionFailed, NonClosedContour
+    from bargspec.symbols import NonEllipticHessian
+
+    assert all(issubclass(cls, NoConvergence) for cls in (QuadratureError, InversionFailed, NonClosedContour,
+                                                          NewtonDiverged))
+    assert issubclass(NonEllipticHessian, NoDeltaFound)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")  # a warning would be a second stderr line
