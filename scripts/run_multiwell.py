@@ -2,6 +2,9 @@
 """Two-well spectrum vs per-well predicted lattices, with Jordan-pair report.
 
 Default symbol: (1 + 0.3i) |z^2 - 1|^2, wells at z = +/-1 sharing level 0.
+Each well's lattice comes from its order-`--order`, degree-`--degree`
+quantum normal form where its Hessian is diagonal, and from the
+leading-order quadratic lattice otherwise; the route follows the symbol.
 """
 
 import argparse
@@ -17,19 +20,11 @@ def main():
     ap.add_argument("--hbar", type=float, default=0.02)
     ap.add_argument("--order", type=int, default=3)
     ap.add_argument("--degree", type=int, default=12)
-    ap.add_argument("--leading-only", action="store_true", help="harmonic lattices only")
     args = ap.parse_args()
 
     c = 1 + 0.3j
     sym = MonomialSymbol({(2, 2): c, (2, 0): -c, (0, 2): -c, (0, 0): c})
-    rep = multiwell_compare(
-        sym,
-        args.hbar,
-        wells=[1.0, -1.0],
-        order=args.order,
-        degree=args.degree,
-        corrected=not args.leading_only,
-    )
+    rep = multiwell_compare(sym, args.hbar, wells=[1.0, -1.0], order=args.order, degree=args.degree)
     print(f"window radius {rep.window_radius:.4f}, n_max {rep.spectrum.n_max_used}")
     for i, w, l, dist in rep.matches:
         ev = rep.eigenvalues[i]

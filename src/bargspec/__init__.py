@@ -27,7 +27,6 @@ from .symbols import (
     cohomology_solve,
     formal_norm,
     moser_normal_form,
-    oscillator_function_symbol,
     poisson_bracket,
     radial_average,
     sharp_inverse,

@@ -462,16 +462,14 @@ CRITERIA = [
 ]
 
 
-def run_all(
-    indices: list[int] | None = None, verbose: bool = True, seed: int = 0
-) -> list[CriterionResult]:
-    """Run the acceptance criteria; `seed` governs every randomised corpus."""
+def run_all(indices: list[int] | None = None, seed: int = 0) -> list[CriterionResult]:
+    """Run the acceptance criteria, printing each result line as it ends;
+    `seed` governs every randomised corpus."""
     results = []
     for i, crit in enumerate(CRITERIA, start=1):
         if indices and i not in indices:
             continue
         res = crit(seed=seed)
         results.append(res)
-        if verbose:
-            print(res.line(), flush=True)
+        print(res.line(), flush=True)
     return results

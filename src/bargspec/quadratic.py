@@ -253,8 +253,8 @@ def _unit_size(form: ComplexQuadraticForm) -> tuple[ComplexQuadraticForm, int]:
     return (ComplexQuadraticForm(*(_ldexp(x, -e) for x in (form.a, form.b, form.c))) if e else form), e
 
 
-def _unit_ellipticity(unit: ComplexQuadraticForm) -> tuple[bool, complex]:
-    """(elliptic, E) of a form of unit size (`_unit_size`), as
+def _unit_conditions(unit: ComplexQuadraticForm) -> tuple[bool, bool, complex]:
+    """(elliptic, range_proper, E) of a form of unit size (`_unit_size`), as
     `ellipticity_check` defines them."""
     a, b, c = unit.a, unit.b, unit.c  # explicit: np.linalg.det loses |log det| ulps
     re_det, im_det = a.real * b.real - c.real**2, a.imag * b.imag - c.imag**2
@@ -264,7 +264,8 @@ def _unit_ellipticity(unit: ComplexQuadraticForm) -> tuple[bool, complex]:
     scale = cross**2 + 4 * (abs(a.real * b.real) + c.real**2) * (abs(a.imag * b.imag) + c.imag**2)
     real_value = abs(disc) <= 32 * np.finfo(float).eps * scale + np.finfo(float).tiny
     value = re_det + im_det + 1j * (0.0 if real_value else np.sqrt(abs(disc)))
-    return not (real_value and value.real <= 0.0), value
+    range_proper = _lambda_min(unit, _arc_centre(unit)) > -1e-14
+    return not (real_value and value.real <= 0.0), range_proper, value
 
 
 def ellipticity_check(form: ComplexQuadraticForm) -> dict:
@@ -279,14 +280,13 @@ def ellipticity_check(form: ComplexQuadraticForm) -> dict:
     semidefinite.  det Re(e^{i theta} f) is largest at the centre of the
     admissible arc (`_arc_centre`), also when the arc is empty, so the test
     is the closed-form smallest eigenvalue there against -1e-14.
-    E is computed for the form divided by the power of 2, 2^e, that brings
-    its largest real or imaginary part into [1/2, 1), as in
-    `reduce_quadratic`, so that no square overflows; it is multiplied back
-    by 2^(2e).
+    Both are computed for the form divided by the power of 2, 2^e, that
+    brings its largest real or imaginary part into [1/2, 1), by the test
+    `reduce_quadratic` makes, so that no square overflows and the answer
+    does not depend on the size of the form; E is multiplied back by 2^(2e).
     """
     unit, e = _unit_size(form)
-    elliptic, value = _unit_ellipticity(unit)
-    range_proper = _lambda_min(form, _arc_centre(form)) > -1e-14
+    elliptic, range_proper, value = _unit_conditions(unit)
     return {"elliptic": elliptic, "range_proper": range_proper, "condition_value": _ldexp(value, 2 * e)}
 
 
@@ -338,7 +338,7 @@ def reduce_quadratic(form: ComplexQuadraticForm, delta: complex | None = None) -
     scales with the form, so it is multiplied back by 2^e.
     """
     unit, e = _unit_size(form)
-    if not (_unit_ellipticity(unit)[0] and _lambda_min(unit, _arc_centre(unit)) > -1e-14):
+    if not all(_unit_conditions(unit)[:2]):
         raise NoDeltaFound("form fails the ellipticity / proper-range conditions")
     if delta is None:
         delta = find_delta(unit)

@@ -14,6 +14,12 @@ step, runs vectorised over all of them with a per-pair convergence mask
 `sigma_min` is the same kernel at one point; the tests compare both against
 a dense SVD.
 
+The Bohr-Sommerfeld residuals invert the closed-form quantisation curve, the
+diagonal of a radial normal form at a real index (`quantisation_curve`).
+One greedy nearest-pair rule, `_greedy_pairs`, pairs eigenvalues both for the
+truncation gap of `eigen_spectrum` and for the lattice matching of
+`multiwell_compare`, whose lattice route follows the Hessian of each well.
+
 Every adaptive loop ends with an explicit status: a loop that runs out of
 steps raises a `NoConvergence` rather than returning its last iterate.  The
 quadrature doublings of the actions run through `bargmann.settle`.
@@ -30,9 +36,7 @@ from .bargmann import MonomialSymbol, NoConvergence, ToeplitzMatrix, assemble_to
 from .quadratic import NormalFormData, _exponent, _ldexp
 from .symbols import (
     FormalSymbol,
-    oscillator_function_from_symbol,
     quantum_normal_form,
-    radial_table,
     radial_toeplitz_eigenvalues,
 )
 
@@ -86,22 +90,19 @@ class SpectrumResult:
     sectors: np.ndarray | None = None  # block (index class mod g) of each eigenvalue
 
 
-def _matched_gap(ev: np.ndarray, prev: np.ndarray) -> float:
-    """Largest move of an eigenvalue between two truncations, each paired
-    with the nearest unpaired one of the other, closest pairs first.
-
-    Pairing by position in the modulus-sorted lists would compare the two
-    members of a pair of equal modulus (a conjugate pair) crosswise whenever
-    their order flips, and report their distance as a gap.
-    """
-    dist = np.abs(ev[:, None] - prev[None, :])
-    gap = 0.0
-    for _ in range(len(ev)):
+def _greedy_pairs(dist: np.ndarray) -> list[tuple[int, int, float]]:
+    """Greedy nearest pairing of the rows and columns of a distance matrix:
+    (i, j, d) for the smallest entry d left, then row i and column j are
+    struck out, until one side runs out.  Ties go to the smaller i, then the
+    smaller j."""
+    dist = np.array(dist, dtype=float)
+    pairs = []
+    for _ in range(min(dist.shape)):
         i, j = np.unravel_index(np.argmin(dist), dist.shape)
-        gap = max(gap, float(dist[i, j]))
+        pairs.append((int(i), int(j), float(dist[i, j])))
         dist[i, :] = np.inf
         dist[:, j] = np.inf
-    return gap
+    return pairs
 
 
 def eigen_spectrum(
@@ -135,7 +136,13 @@ def eigen_spectrum(
         # nan until two truncations report the same number of eigenvalues
         gap = float("nan")
         if prev is not None and len(prev) == len(ev):
-            gap = _matched_gap(ev, prev)
+            # largest move of an eigenvalue, each paired with the nearest
+            # unpaired one of the other truncation: pairing by position in the
+            # modulus-sorted lists would compare the two members of a pair of
+            # equal modulus (a conjugate pair) crosswise whenever their order
+            # flips, and report their distance as a gap
+            pairs = _greedy_pairs(np.abs(ev[:, None] - prev[None, :]))
+            gap = max((d for _, _, d in pairs), default=0.0)
             if gap < tol:
                 return SpectrumResult(ev, n, gap, sectors=sec)
         prev = ev
@@ -505,8 +512,7 @@ def analytic_pseudospectrum(
     """Mask sigma_min <= e^{-c/hbar}, its 4-connected components, and the count
     of supplied eigenvalues per component (every bounded component must hold
     at least one)."""
-    h = field.hbar if hbar is None else hbar
-    mask = field.sigma <= np.exp(-c / h)
+    mask = field.c_mask(c, hbar)
     from scipy import ndimage
 
     structure = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]])
@@ -667,46 +673,29 @@ def action_level_set(
 # Bohr-Sommerfeld residuals
 
 
-def quantisation_curve(
-    nf: NormalFormData, hbar: float, mu0: np.ndarray | None = None, order: int = 3
-):
-    """mu^c and its derivative as callables of the index xi.
+def quantisation_curve(nf: NormalFormData, hbar: float, mu0: np.ndarray | None = None) -> np.polynomial.Polynomial:
+    """mu^c as a polynomial in the index xi, in closed form:
 
-    mu^c(xi) = sum_k hbar^k m_k(hbar (xi+1)) + hbar (tr - d0)/2 nu'(hbar (xi+1))
-    where nu(s) = mu0(d0 s) and the m_k invert mu(T(|z|^2)) = T(nu(|z|^2)).
-    Exact for quadratic symbols and for radial normal forms.
+    mu^c(xi) = sum_j nu_j hbar^j (xi+1)...(xi+j) + hbar (tr - d0)/2 nu'(hbar (xi+1))/d0
+
+    with nu(s) = mu0(d0 s) (mu0 = [0, 1] when None).  The sum is the diagonal
+    of T(nu(|z|^2)) (`bargmann.radial_diagonal`) at a real index; the last
+    term shifts the quadratic level inside the oscillator argument,
+    lambda ~ nu(hbar(l+1) + hbar (tr - d0)/(2 d0)).  Exact for quadratic
+    symbols and for radial normal forms.
     """
     hbar = check_hbar(hbar)
     d0 = nf.d0
     tr = nf.form.tr_f
-    if mu0 is None:
-        nu = np.array([0.0, d0])
-    else:
-        mu0 = np.asarray(mu0, dtype=complex)
-        nu = np.array([mu0[a] * d0**a for a in range(len(mu0))])
-    degree = 2 * (len(nu) - 1)
-    mu_b = FormalSymbol([radial_table(nu, max(degree, 2))]).resized(order, max(degree, 2))
-    m_profiles = oscillator_function_from_symbol(mu_b)
-    # quadratic-level shift acts inside the oscillator argument:
-    # lambda ~ m(hbar(l+1) + hbar (tr-d0)/(2 d0)), so the linear correction
-    # carries nu'(s)/d0 = mu0'(d0 s)
-    der = np.polynomial.polynomial.polyder
-    nu_prime = der(nu) / d0
-
-    def poly(p, s):
-        return np.polynomial.polynomial.polyval(s, np.asarray(p, dtype=complex))
-
-    def mu_c(xi):
-        s = hbar * (xi + 1.0)
-        val = sum(hbar**k * poly(p, s) for k, p in enumerate(m_profiles))
-        return val + hbar * (tr - d0) / 2.0 * poly(nu_prime, s)
-
-    def mu_c_prime(xi):
-        s = hbar * (xi + 1.0)
-        total = sum(hbar**k * poly(der(p), s) for k, p in enumerate(m_profiles))
-        return hbar * (total + hbar * (tr - d0) / 2.0 * poly(der(nu_prime), s))
-
-    return mu_c, mu_c_prime
+    poly = np.polynomial.Polynomial
+    mu0 = np.array([0.0, 1.0]) if mu0 is None else np.asarray(mu0, dtype=complex)
+    nu = poly(mu0 * d0 ** np.arange(len(mu0)))
+    curve, rising = poly([0.0]), poly([1.0])  # rising = (xi+1)...(xi+j)
+    for j, c in enumerate(nu.coef):
+        if j > 0:
+            rising = rising * poly([j, 1.0])
+        curve = curve + c * hbar**j * rising
+    return curve + hbar * (tr - d0) / 2.0 * nu.deriv()(hbar * poly([1.0, 1.0])) / d0
 
 
 def bohr_sommerfeld_residuals(
@@ -714,12 +703,12 @@ def bohr_sommerfeld_residuals(
     nf: NormalFormData,
     hbar: float,
     mu0: np.ndarray | None = None,
-    order: int = 3,
 ) -> np.ndarray:
-    """rho_l = (mu^c)^{-1}(lambda_l) - l by Newton inversion of the truncated
-    quantisation curve; the quadratic case is an exact self-inversion."""
+    """rho_l = (mu^c)^{-1}(lambda_l) - l by Newton inversion of the
+    closed-form quantisation curve (`quantisation_curve`)."""
     lam = spectrum.eigenvalues if isinstance(spectrum, SpectrumResult) else np.asarray(spectrum)
-    mu_c, mu_c_prime = quantisation_curve(nf, hbar, mu0, order)
+    mu_c = quantisation_curve(nf, hbar, mu0)
+    mu_c_prime = mu_c.deriv()
     d0, tr = nf.d0, nf.form.tr_f
     out = np.empty(len(lam), dtype=float)
     for l, target in enumerate(lam):
@@ -773,7 +762,6 @@ def multiwell_compare(
     window: float | None = None,
     order: int = 3,
     degree: int = 12,
-    corrected: bool = True,
     n_start: int = 256,
     tol: float = 1e-8,
     jordan_gap_factor: float = 10.0,
@@ -783,12 +771,12 @@ def multiwell_compare(
 
     Each well must be a critical point of the symbol; lattices come from the
     hbar-graded normal form of the recentred symbol when its Hessian is
-    diagonal (z zbar only) and `corrected` is set, else from the leading-order
-    quadratic lattice level + hbar (d0 (2l+1)/2 + tr/2).  Matching is greedy by
-    distance with per-prediction multiplicity bookkeeping; ties broken by
-    eigenvalue modulus.  Raises UnmatchedEigenvalue when an eigenvalue in the
-    window is farther than half the local lattice spacing from every
-    prediction."""
+    diagonal (z zbar only), else from the leading-order quadratic lattice
+    level + hbar (d0 (2l+1)/2 + tr/2); `WellPrediction.corrected` reports
+    which.  Matching is greedy by distance (`_greedy_pairs`), each
+    prediction taken at most once; ties broken by eigenvalue modulus.
+    Raises UnmatchedEigenvalue when an eigenvalue in the window is farther
+    than half the local lattice spacing from every prediction."""
     from .quadratic import ComplexQuadraticForm, reduce_quadratic
 
     hbar = check_hbar(hbar)
@@ -812,22 +800,20 @@ def multiwell_compare(
         diagonal_hessian = abs(t20) < 1e-12 and abs(t02) < 1e-12
         win = window if window is not None else 3.5 * hbar * abs(nf.d0)
         count = max(1, int(np.ceil(win / max(abs(hbar * nf.d0), 1e-30))) + 1)
-        if corrected and diagonal_hessian:
+        if diagonal_hessian:
             f_loc = FormalSymbol.from_monomials(shifted, degree)
             profiles, _ = quantum_normal_form(f_loc, order, degree)
             lattice = level + radial_toeplitz_eigenvalues(profiles, hbar, count)
-            was_corrected = True
         else:
             ls = np.arange(count)
             lattice = level + hbar * (nf.d0 * (2 * ls + 1) / 2.0 + form.tr_f / 2.0)
-            was_corrected = False
         preds.append(
             WellPrediction(
                 location=complex(x_n),
                 level=complex(level),
                 d0=complex(nf.d0),
                 lattice=lattice,
-                corrected=was_corrected,
+                corrected=diagonal_hessian,
             )
         )
     centre = np.mean(levels)
@@ -846,24 +832,15 @@ def multiwell_compare(
     in_window, sectors = in_window[order], sectors[order]
 
     spacing = min(abs(hbar * p.d0) for p in preds)
-    # greedy by distance over (eigenvalue, prediction) pairs
-    cand = []
-    for i, ev in enumerate(in_window):
-        for w, p in enumerate(preds):
-            for l, val in enumerate(p.lattice):
-                cand.append((abs(ev - val), i, w, l))
-    cand.sort(key=lambda t: (t[0], t[1]))
-    used_eig: set[int] = set()
-    used_pred: set[tuple[int, int]] = set()
-    matches: list[tuple[int, int, int, float]] = []
-    for dist, i, w, l in cand:
-        if i in used_eig or (w, l) in used_pred:
-            continue
-        used_eig.add(i)
-        used_pred.add((w, l))
-        matches.append((i, w, l, float(dist)))
+    # greedy by distance over (eigenvalue, prediction) pairs; the predictions
+    # of all wells in one vector, labelled (well, level) per column
+    labels = [(w, l) for w, p in enumerate(preds) for l in range(len(p.lattice))]
+    predicted = np.concatenate([p.lattice for p in preds])
+    pairs = _greedy_pairs(np.abs(in_window[:, None] - predicted[None, :]))
+    matches = [(i, *labels[j], d) for i, j, d in pairs]
+    paired = {i for i, _, _ in pairs}
     for i in range(len(in_window)):
-        if i not in used_eig:
+        if i not in paired:
             raise UnmatchedEigenvalue(f"eigenvalue {in_window[i]} has no prediction slot")
     bad = [t for t in matches if t[3] > spacing / 2]
     if bad:

@@ -11,11 +11,13 @@ enters the algebra until matrices are assembled.
 Implemented here: the sharp product  f # g = sum_j (-hbar)^j / j! d^j f dbar^j g,
 Boutet de Monvel-Kree style formal norms, the Poisson bracket
 {f, g} = i (df/dz~ dfbar ... see `poisson_bracket`), theta-averaging and the
-cohomology solve, sharp inverses, the time-dependent Moser iteration, functions
-of the harmonic oscillator in both directions, and the degree-by-degree normal
-form.  One routine, `quantum_normal_form`, computes it: the classical Birkhoff
-normal form is its hbar^0 slice after the linear reduction of the quadratic
-part, and `lie_transport` is the hbar^0 slice of `quantum_lie_transport`.
+cohomology solve, sharp inverses, the time-dependent Moser iteration, and the
+degree-by-degree normal form.  One routine, `quantum_normal_form`, computes
+it: the classical Birkhoff normal form is its hbar^0 slice after the linear
+reduction of the quadratic part, and `lie_transport` is the hbar^0 slice of
+`quantum_lie_transport`.  The eigenvalues of a radial normal form are read
+off in closed form (`radial_toeplitz_eigenvalues`), and
+`spectral.quantisation_curve` is the same polynomial at a real index.
 
 One kernel, `_sharp`, sums the sharp series, and one cached table,
 `_sharp_pairs`, holds the combinatorics of its j-th term: which entry of f
@@ -80,9 +82,6 @@ __all__ = [
     "sharp_inverse",
     "MoserResult",
     "moser_normal_form",
-    "oscillator_sharp_powers",
-    "oscillator_function_symbol",
-    "oscillator_function_from_symbol",
     "BirkhoffResult",
     "birkhoff_normal_form",
     "lie_transport",
@@ -868,60 +867,6 @@ def moser_normal_form(
         if not (np.isfinite(result.a_final.c[k]).all() and np.isfinite(result.r_final[k]).all()):
             raise NoConvergence(f"Moser iteration: a(1) or r(1) is not finite at hbar-order {k}")
     return result
-
-
-# ---------------------------------------------------------------------------
-# functions of the harmonic oscillator
-
-
-def oscillator_sharp_powers(j_max: int, order: int, degree: int) -> list[FormalSymbol]:
-    """(|z|^2)^{# j} for j = 0..j_max, e.g. (|z|^2)^{#2} = |z|^4 - hbar |z|^2."""
-    zz = FormalSymbol([radial_table(np.array([0.0, 1.0]), degree)]).resized(order, degree)
-    powers = [FormalSymbol.constant(1.0, order, degree)]
-    for _ in range(j_max):
-        powers.append(sharp_product(powers[-1], zz, order, degree))
-    return powers
-
-
-def oscillator_function_symbol(
-    mu_profiles: list[np.ndarray], order: int, degree: int
-) -> FormalSymbol:
-    """mu_b with mu(T(|z|^2)) = T(mu_b(|z|^2)):
-
-    mu_b = sum_{k, j} hbar^k (mu_k)_j (|z|^2)^{# j}, truncated at the caps.
-    """
-    j_max = min(max((len(p) - 1 for p in mu_profiles), default=0), degree // 2)
-    powers = oscillator_sharp_powers(j_max, order, degree)
-    out = FormalSymbol.constant(0.0, order, degree)
-    for k, prof in enumerate(mu_profiles[: order + 1]):
-        for j, c in enumerate(np.asarray(prof, dtype=complex)[: j_max + 1]):
-            if c != 0:
-                out = out + c * powers[j].shift_up(k).resized(order, degree)
-    return out
-
-
-def oscillator_function_from_symbol(mu_b: FormalSymbol) -> list[np.ndarray]:
-    """Inverse direction: profiles mu_k with mu(T(|z|^2)) = T(mu_b(|z|^2)).
-
-    Solves order by order: mu_l(s) = (mu_b)_l(s) - sum_{k<l} sum_j (mu_k)_j
-    ((|z|^2)^{#j})_{l-k} read as radial profiles.
-    """
-    order, degree = mu_b.order, mu_b.degree
-    if np.abs(mu_b.c - _radial_part(mu_b.c)).max() > 1e-12:
-        raise ValueError("mu_b must be radial at every hbar-order")
-    j_max = degree // 2
-    powers = oscillator_sharp_powers(j_max, order, degree)
-    power_profiles = [np.diagonal(p.c, axis1=1, axis2=2) for p in powers]
-    profiles: list[np.ndarray] = []
-    for l in range(order + 1):
-        target = np.diagonal(mu_b.c[l]).astype(complex)
-        for k in range(l):
-            for j, c in enumerate(profiles[k][: j_max + 1]):
-                if c != 0:
-                    target = target - c * power_profiles[j][l - k]
-        # at order 0 the sharp power contributes s^j exactly, so target IS mu_l
-        profiles.append(target)
-    return profiles
 
 
 # ---------------------------------------------------------------------------

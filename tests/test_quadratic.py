@@ -13,6 +13,7 @@ from bargspec.quadratic import (
     NoDeltaFound,
     _arc_centre,
     _kappa2_matrix,
+    _unit_size,
     ellipticity_check,
     exact_quadratic_spectrum,
     find_delta,
@@ -89,6 +90,15 @@ class TestEllipticity:
         k = np.array([[np.cos(turn), -np.sin(turn)], [np.sin(turn), np.cos(turn)]])
         f = np.exp(1j * theta) * (k @ np.diag([np.exp(scales[0]), -np.exp(scales[1])]) @ k.T)
         assert not ellipticity_check(ComplexQuadraticForm(f[0, 0], f[1, 1], f[0, 1]))["elliptic"]
+
+    @pytest.mark.parametrize("theta", [0.3, 0.7])
+    def test_range_proper_does_not_depend_on_scale(self, theta):
+        # a rotation makes e^{i theta}(p^2 - q^2) semidefinite: range_proper
+        # at every size, though Re(e^{i theta} f) at the arc centre rounds
+        # below an absolute -1e-14 once the form is large
+        rot = np.exp(1j * theta)
+        for scale in (1.0, 1e-13, 1e2, 1e5, 1e-300, 1e300):
+            assert ellipticity_check(ComplexQuadraticForm(scale * rot, -scale * rot, 0))["range_proper"] is True
 
     def test_tiny_discriminant_stays_elliptic(self):
         # F = [[1, 1], [1, 1e-10 i]]: disc = 1e-20 is real, not rounding
@@ -445,7 +455,11 @@ def _assert_routes_agree(form, centre=None):
     must have stepped over an arc narrower than its grid step.  `centre`,
     when the form was built around a known arc centre, is a third route for
     delta, to 1e-12 at any width.
+
+    The scan runs on the form divided by a power of 2 (`_unit_size`), the
+    form `ellipticity_check` tests: the division is exact and moves no angle.
     """
+    form = _unit_size(form)[0]
     scan_proper, scan_best = _scan_range_proper(form)
     arc_centre = _arc_centre(form)
     best = max(scan_best, _scan_min_eig(form, arc_centre))

@@ -437,6 +437,47 @@ class TestBohrSommerfeld:
         assert maxima[0] <= 1.0 * 0.1**2
         assert maxima[1] <= 1.0 * 0.05**2
 
+    @pytest.mark.parametrize(
+        "mu0", [[0, 1, 0.1, 0.02, 0.01, 0.005], [0, 1, 0.1, 0.02, 0.01, 0.005, 0.003]], ids=["degree5", "degree6"]
+    )
+    @pytest.mark.parametrize("hbar", [0.1, 0.05, 0.02])
+    def test_exact_radial_eigenvalues(self, mu0, hbar):
+        # the eigenvalues of T(nu(|z|^2)), nu(s) = mu0(d0 s), lie on the
+        # curve at the integers, whatever the degree of the profile
+        nf = reduce_quadratic(ComplexQuadraticForm(1.0, 1.0, 0.0))  # p^2 + q^2: d0 = tr = 2
+        mu0 = np.array(mu0)
+        nu = mu0 * nf.d0 ** np.arange(len(mu0))
+        sym = MonomialSymbol({(j, j): c for j, c in enumerate(nu) if c})
+        diag = assemble_toeplitz(sym, hbar, 16).entries.diagonal()[:8]
+        assert bohr_sommerfeld_residuals(diag, nf, hbar, mu0=mu0).max() <= 1e-12
+
+
+def _sorted_greedy(dist):
+    """The greedy pairing as a sort over every (row, column) candidate, ties
+    by row and then by column order: the arbiter of `_greedy_pairs`."""
+    cand = [(dist[i, j], i, j) for i in range(dist.shape[0]) for j in range(dist.shape[1])]
+    cand.sort(key=lambda t: (t[0], t[1]))
+    used_rows, used_cols, pairs = set(), set(), []
+    for d, i, j in cand:
+        if i in used_rows or j in used_cols:
+            continue
+        used_rows.add(i)
+        used_cols.add(j)
+        pairs.append((i, j, float(d)))
+    return pairs
+
+
+class TestGreedyPairs:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        shape=st.tuples(st.integers(0, 6), st.integers(0, 6)),
+        values=st.lists(st.one_of(st.integers(0, 4).map(float), st.floats(0.0, 10.0)), min_size=36, max_size=36),
+    )
+    def test_matches_sorted_candidates(self, shape, values):
+        # integer draws make ties, which both break by row, then column
+        dist = np.array(values[: shape[0] * shape[1]]).reshape(shape)
+        assert spectral._greedy_pairs(dist) == _sorted_greedy(dist)
+
 
 DOUBLE_WELL = MonomialSymbol(
     {(2, 2): 1 + 0.3j, (2, 0): -(1 + 0.3j), (0, 2): -(1 + 0.3j), (0, 0): 1 + 0.3j}

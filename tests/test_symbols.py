@@ -1,6 +1,6 @@
 """Truncated analytic-symbol arithmetic: sharp products, formal norms,
-theta calculus, cohomology, inverses, Moser, oscillator functions, and the
-degree-by-degree normal forms."""
+theta calculus, cohomology, inverses, Moser, the spectra of functions of the
+harmonic oscillator, and the degree-by-degree normal forms."""
 
 import math
 import re
@@ -38,9 +38,6 @@ from bargspec.symbols import (
     formal_norm,
     lie_transport,
     moser_normal_form,
-    oscillator_function_from_symbol,
-    oscillator_function_symbol,
-    oscillator_sharp_powers,
     poisson_bracket,
     pullback_linear,
     quantum_lie_transport,
@@ -665,42 +662,19 @@ class TestMoser:
 
 
 class TestOscillatorFunctions:
-    def test_sharp_powers(self):
-        powers = oscillator_sharp_powers(2, 2, 6)
-        assert powers[1].term(0).t[1, 1] == pytest.approx(1.0)
-        assert powers[2].term(0).t[2, 2] == pytest.approx(1.0)
-        assert powers[2].term(1).t[1, 1] == pytest.approx(-1.0)
-
-    def test_identity_function(self):
-        mb = oscillator_function_symbol([np.array([0.0, 1.0])], 2, 6)
-        assert mb.term(0).t[1, 1] == pytest.approx(1.0)
-        assert mb.term(1).norm_inf() == 0.0
-
     def test_square_function_spectral(self):
-        # mu(s) = s^2 -> mu_b = |z|^4 - hbar |z|^2, diagonal hbar^2 (l+1)^2
-        mb = oscillator_function_symbol([np.array([0.0, 0.0, 1.0])], 2, 6)
-        assert mb.term(0).t[2, 2] == pytest.approx(1.0)
-        assert mb.term(1).t[1, 1] == pytest.approx(-1.0)
-        profiles = [radial_average(mb.term(k)) for k in range(mb.order + 1)]
+        # mu(s) = s^2: mu_b = |z|^4 - hbar |z|^2, diagonal hbar^2 (l+1)^2
+        profiles = [np.array([0.0, 0.0, 1.0]), np.array([0.0, -1.0])]
         hbar = 0.2
         diag = radial_toeplitz_eigenvalues(profiles, hbar, 8)
         assert np.allclose(diag, (hbar * (np.arange(8) + 1)) ** 2, atol=1e-12)
 
     def test_cube_function_spectral(self):
-        mb = oscillator_function_symbol([np.array([0.0, 0.0, 0.0, 1.0])], 3, 8)
-        profiles = [radial_average(mb.term(k)) for k in range(mb.order + 1)]
+        # mu(s) = s^3: mu_b = |z|^6 - 3 hbar |z|^4 + hbar^2 |z|^2
+        profiles = [np.array([0.0, 0.0, 0.0, 1.0]), np.array([0.0, 0.0, -3.0]), np.array([0.0, 1.0])]
         hbar = 0.15
         diag = radial_toeplitz_eigenvalues(profiles, hbar, 6)
         assert np.allclose(diag, (hbar * (np.arange(6) + 1)) ** 3, atol=1e-12)
-
-    def test_round_trip(self):
-        rng = np.random.default_rng(10)
-        mu = [np.array([0.3, 1.0, -0.2]), np.array([0.1, 0.05])]
-        mb = oscillator_function_symbol(mu, 3, 8)
-        back = oscillator_function_from_symbol(mb)
-        for orig, rec in zip(mu, back):
-            assert np.allclose(rec[: len(orig)], orig, atol=1e-13)
-            assert np.abs(rec[len(orig) :]).max(initial=0.0) < 1e-13
 
     def test_radial_eigenvalues_exact_rational(self):
         # sum_k hbar^k sum_j (R_k)_j hbar^j (l+j)!/l! in exact rational
