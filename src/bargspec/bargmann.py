@@ -119,9 +119,6 @@ class MonomialSymbol:
         """Holomorphic extension f~(z, vbar), with vbar replacing zbar."""
         return sum(c * z**a * vbar**b for (a, b), c in self.coeffs.items())
 
-    def conjugate(self) -> "MonomialSymbol":
-        return MonomialSymbol({(b, a): np.conj(c) for (a, b), c in self.coeffs.items()})
-
     def recenter(self, x0: complex) -> "MonomialSymbol":
         """Taylor-expand around z = x0: returns g with g(w) = f(x0 + w), exact."""
         from math import comb
@@ -166,19 +163,6 @@ class ToeplitzMatrix:
     hbar: float
     symbol: MonomialSymbol | None = field(default=None, compare=False)
 
-    @classmethod
-    def from_dense(cls, entries, hbar: float) -> "ToeplitzMatrix":
-        """The operator of a square matrix, one diagonal per nonzero offset."""
-        m = np.asarray(entries, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"square matrix expected, got shape {m.shape}")
-        n = m.shape[0]
-        rows, cols = np.nonzero(m)
-        diags = {d: np.zeros(n, dtype=complex) for d in np.unique(rows - cols).tolist()}
-        for d, vals in diags.items():
-            vals[max(-d, 0) : n - max(d, 0)] = np.diagonal(m, -d)
-        return cls(diags, n, hbar)
-
     @cached_property
     def entries(self) -> np.ndarray:
         """The dense n x n matrix, built on first access.  Read-only: the
@@ -217,11 +201,6 @@ class ToeplitzMatrix:
             band[:, :, kl - d // g] = np.where(inside, self.diags[d][np.clip(col, 0, n - 1)], 0.0)
         return band, row >= n, kl
 
-    def to_csv(self) -> str:
-        rows, cols = np.nonzero(self.entries)
-        vals = self.entries[rows, cols]
-        return "".join(f"{r},{c},{float(v.real)!r},{float(v.imag)!r}\n" for r, c, v in zip(rows, cols, vals))
-
 
 def monomial_band_entries(alpha: int, beta: int, hbar: float, n_max: int) -> np.ndarray:
     """Entries M[k + alpha - beta, k] for k = 0..n_max-1 (zero where the
@@ -237,7 +216,7 @@ def monomial_band_entries(alpha: int, beta: int, hbar: float, n_max: int) -> np.
     hbar = check_hbar(hbar)
     n_max = check_truncation(n_max)
     if n_max + alpha > _FACTORIAL_SAFE:
-        raise OverflowError(f"n_max + alpha = {n_max + alpha} exceeds the factorial-safe range")
+        raise ValueError(f"n_max + alpha = {n_max + alpha} exceeds the factorial-safe range")
     k = np.arange(n_max, dtype=float)
     l = k + alpha - beta
     prod = np.ones(n_max)
@@ -308,14 +287,14 @@ def settle(value, n: int, doublings: int, tol, what: str):
     raise NoConvergence(f"{what} still moving by {gap:.3e} at {n} nodes", (prev, n, gap))
 
 
-def gaussian_mean(fn, hbar: float, tol: float = 1e-10) -> complex:
+def gaussian_mean(fn, hbar: float) -> complex:
     """integral e^{-|z|^2/hbar} fn(z) dz/(pi hbar), fn vectorised over a 2-D
     array of z.
 
     With s = |z|^2/hbar the measure is e^{-s} ds dtheta/(2 pi): Gauss-Laguerre
     in s, trapezoid in the angle.  `settle` doubles the angle nodes from 16,
     with 3/2 as many radial nodes up to 96, until two values agree to 1e-12.
-    Raises QuadratureError if the last gap is still above `tol`."""
+    Raises QuadratureError if the last gap is still above 1e-10."""
     hbar = check_hbar(hbar)
 
     def value(n_ang: int) -> complex:
@@ -330,25 +309,19 @@ def gaussian_mean(fn, hbar: float, tol: float = 1e-10) -> complex:
         return settle(value, 16, 8, lambda cur: 1e-12, "Gaussian quadrature")[0]
     except NoConvergence as exc:
         last, _, gap = exc.result
-        if gap > tol:
-            raise QuadratureError(f"quadrature stalled at error {gap:.3e} > {tol:.1e}", exc.result) from None
+        if gap > 1e-10:
+            raise QuadratureError(f"quadrature stalled at error {gap:.3e} > 1.0e-10", exc.result) from None
         return last
 
 
-def inner_product_oracle(
-    symbol: MonomialSymbol,
-    k: int,
-    l: int,
-    hbar: float,
-    tol: float = 1e-10,
-) -> complex:
+def inner_product_oracle(symbol: MonomialSymbol, k: int, l: int, hbar: float) -> complex:
     """<e_l, T(f) e_k> by brute-force polar quadrature of
 
         (k! l! hbar^{k+l})^{-1/2} integral e^{-|z|^2/hbar} f(z) z^k zbar^l dz/(pi hbar)
 
     with `gaussian_mean`, the normalisation inside the integrand, so that
     the doubling stops on the entry itself.  Raises QuadratureError if the
-    doubling stalls above `tol`.
+    doubling stalls above 1e-10.
     """
     hbar = check_hbar(hbar)
     k, l = int(k), int(l)
@@ -362,4 +335,4 @@ def inner_product_oracle(
             vals += c * z**a * np.conj(z) ** b
         return vals * z**k * np.conj(z) ** l * norm
 
-    return gaussian_mean(fn, hbar, tol)
+    return gaussian_mean(fn, hbar)

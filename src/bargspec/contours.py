@@ -106,11 +106,11 @@ def _sqrt_derivative(lam: complex, m: int) -> complex:
     return coeff * _sqrt_principal(lam) / lam**m if m > 0 else _sqrt_principal(lam)
 
 
-def complex_sym_sqrt(h: np.ndarray, tol: float = 1e-8) -> np.ndarray:
+def complex_sym_sqrt(h: np.ndarray) -> np.ndarray:
     """Symmetric P with P^2 = H for invertible complex symmetric H, built as a
     Hermite-interpolating polynomial of the principal sqrt on the spectrum.
 
-    Eigenvalues closer than tol * |H| are treated as one node with derivative
+    Eigenvalues closer than 1e-8 |H| are treated as one node with derivative
     matching, so H = I returns I exactly.
     """
     h = np.atleast_2d(np.asarray(h, dtype=complex))
@@ -125,7 +125,7 @@ def complex_sym_sqrt(h: np.ndarray, tol: float = 1e-8) -> np.ndarray:
     nodes: list[list[complex]] = []
     for ev in sorted(lam, key=lambda x: (x.real, x.imag)):
         for cluster in nodes:
-            if abs(ev - cluster[0]) < tol * scale:
+            if abs(ev - cluster[0]) < 1e-8 * scale:
                 cluster.append(ev)
                 break
         else:
@@ -177,14 +177,14 @@ def affine_contour_is_good(contour: AffineContour, phase: QuadraticPhase) -> dic
     }
 
 
-def _on_contour(contour: AffineContour, y: np.ndarray, tol: float = 1e-10) -> bool:
+def _on_contour(contour: AffineContour, y: np.ndarray) -> bool:
     """Solve A w = y - b over real w in the least-squares sense."""
     d = contour.dim
     rhs = np.concatenate([(y - contour.b).real, (y - contour.b).imag])
     mat = np.vstack([contour.a.real, contour.a.imag])
     w, *_ = np.linalg.lstsq(mat, rhs, rcond=None)
     res = np.linalg.norm(mat @ w - rhs)
-    return bool(res < tol * max(1.0, np.linalg.norm(rhs)))
+    return bool(res < 1e-10 * max(1.0, np.linalg.norm(rhs)))
 
 
 @dataclass
@@ -233,11 +233,13 @@ def _factorial_float(n: int) -> float:
     return float(np.exp(lgamma(n + 1)))
 
 
-def critical_point_data(
-    phi_sum: TaylorTable2D, newton_tol: float = 1e-12, max_iter: int = 50
-) -> dict:
+_NEWTON_STEPS = 50
+
+
+def critical_point_data(phi_sum: TaylorTable2D) -> dict:
     """Newton search from the origin for the critical point of the two-slot
-    phase F(z, vbar), plus the stationary-phase normalisation factor
+    phase F(z, vbar), to gradient norm 1e-12 within _NEWTON_STEPS steps,
+    plus the stationary-phase normalisation factor
 
         s(0,0) = (-det Hess F(crit))^{-1/2}   (principal branch).
     """
@@ -248,9 +250,9 @@ def critical_point_data(
     fvv = dzbar(fv)
 
     zc, vc = 0.0 + 0.0j, 0.0 + 0.0j
-    for _ in range(max_iter):
+    for _ in range(_NEWTON_STEPS):
         grad = np.array([fz(zc, vc), fv(zc, vc)])
-        if np.linalg.norm(grad) < newton_tol:
+        if np.linalg.norm(grad) < 1e-12:
             break
         hess = np.array(
             [[fzz(zc, vc), fzv(zc, vc)], [fzv(zc, vc), fvv(zc, vc)]]
@@ -262,7 +264,7 @@ def critical_point_data(
         if not (np.isfinite(zc) and np.isfinite(vc)) or max(abs(zc), abs(vc)) > 1e6:
             raise NewtonDiverged("Newton iterate escaped")
     else:
-        raise NewtonDiverged(f"no convergence within {max_iter} iterations")
+        raise NewtonDiverged(f"no convergence within {_NEWTON_STEPS} iterations")
 
     hess = np.array([[fzz(zc, vc), fzv(zc, vc)], [fzv(zc, vc), fvv(zc, vc)]])
     det = np.linalg.det(hess)

@@ -33,7 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .bargmann import MonomialSymbol, NoConvergence, ToeplitzMatrix, assemble_toeplitz, check_hbar, settle
-from .quadratic import NormalFormData, _exponent, _ldexp
+from .quadratic import ComplexQuadraticForm, NormalFormData, _exponent, _ldexp, reduce_quadratic
 from .symbols import (
     FormalSymbol,
     quantum_normal_form,
@@ -167,6 +167,9 @@ def sigma_min(op: ToeplitzMatrix, lam: complex) -> float:
 # band entries (grid points x blocks x rows x band width) per chunk of grid
 # points: bounds the memory of the batched QR and the iteration vectors
 _CHUNK_ENTRIES = 1 << 18
+# the step cap and relative tolerance of the block inverse iteration
+_MAX_STEPS = 60
+_RTOL = 1e-9
 
 
 class _BandR(NamedTuple):
@@ -305,12 +308,7 @@ def _band_matvec(a: np.ndarray, v: np.ndarray, kl: int) -> np.ndarray:
     return sum(a[:, c, None] * vp[c : c + m] for c in range(w))
 
 
-def _sigma_min_banded(
-    op: ToeplitzMatrix,
-    lams: np.ndarray,
-    max_iter: int = 60,
-    rtol: float = 1e-9,
-) -> np.ndarray:
+def _sigma_min_banded(op: ToeplitzMatrix, lams: np.ndarray) -> np.ndarray:
     """sigma_min(M - lam I) at every lam, batched over the points and the
     blocks of `op.blocks()`.
 
@@ -326,7 +324,7 @@ def _sigma_min_banded(
     sigma_min is the minimum over the blocks; a diagonal matrix (1x1 blocks)
     is exact without iteration.
 
-    Raises NoConvergence when a pair is still unsettled after max_iter steps
+    Raises NoConvergence when a pair is still unsettled after _MAX_STEPS steps
     or a matrix entry is not finite.  Grid points go through in chunks of
     _CHUNK_ENTRIES band entries, so memory stays bounded."""
     lams = np.asarray(lams, dtype=complex).ravel()
@@ -357,7 +355,7 @@ def _sigma_min_banded(
         # the squares in the column norms stay in the double range
         scale = 2.0 ** -np.frexp(np.abs(a).max(axis=(0, 1)))[1]
         a *= scale
-        sig = _block_inverse_iteration(a, kl, g, np.repeat(floor, g) * scale, max_iter, rtol) / scale
+        sig = _block_inverse_iteration(a, kl, g, np.repeat(floor, g) * scale) / scale
         out[s : s + chunk] = sig.reshape(-1, g).min(axis=1)
     return out
 
@@ -372,13 +370,13 @@ def _band_dense(a: np.ndarray, kl: int) -> np.ndarray:
     return dense
 
 
-def _block_inverse_iteration(a, kl, g, floor, max_iter, rtol) -> np.ndarray:
+def _block_inverse_iteration(a, kl, g, floor) -> np.ndarray:
     """sigma_min of each banded matrix of the batch a (m, w, B), B = points x g.
 
     Convergence is judged from the relative steps s_t of a pair's estimate
     and their ratio r_t = s_t / s_{t-1}, the contraction rate.  From the
-    fourth step a pair is done when s_t <= rtol (1 - r_t), which bounds the
-    remaining error s_t r_t / (1 - r_t) by rtol, and r_t r_{t-1} <= 1/4: the
+    fourth step a pair is done when s_t <= _RTOL (1 - r_t), which bounds the
+    remaining error s_t r_t / (1 - r_t) by _RTOL, and r_t r_{t-1} <= 1/4: the
     step must really shrink, since in a tight cluster of singular values the
     steps can sit flat at a few hundred ulps from the start, where their
     ratio is roundoff and says nothing.
@@ -404,7 +402,7 @@ def _block_inverse_iteration(a, kl, g, floor, max_iter, rtol) -> np.ndarray:
     v = _orthonormal_pair(v)
     prev = np.full(idx.size, np.inf)
     steps = np.full((4, idx.size), np.inf)  # the last four relative steps, newest first
-    for it in range(max_iter):
+    for it in range(_MAX_STEPS):
         x, over = _inverse_gram(f, v)
         # a sweep overflows only when ||A^-1|| is beyond the double range:
         # sigma_min is then below the floor, and is reported as 0
@@ -420,8 +418,8 @@ def _block_inverse_iteration(a, kl, g, floor, max_iter, rtol) -> np.ndarray:
             steps[0] = np.abs(est - prev) / est
             rates = np.nan_to_num(steps[:3] / steps[1:], nan=1.0)
             # a rate >= 1 is roundoff jitter of a settled estimate, or a jump:
-            # then only a step below rtol 1e-6 counts as settled
-            settled = (steps[0] <= rtol * np.maximum(1.0 - rates[0], 1e-6)) & (rates[0] * rates[1] <= 0.25)
+            # then only a step below 1e-6 _RTOL counts as settled
+            settled = (steps[0] <= _RTOL * np.maximum(1.0 - rates[0], 1e-6)) & (rates[0] * rates[1] <= 0.25)
         done = live & (over | ((it >= 3) & settled) | ((it >= 2) & (est <= floor)))
         slow = live & ~done & (it >= 4) & np.all(rates > 0.5, axis=0)
         sigma[idx[done]] = est[done]
@@ -441,7 +439,7 @@ def _block_inverse_iteration(a, kl, g, floor, max_iter, rtol) -> np.ndarray:
             )
             live = np.ones(keep.size, dtype=bool)
     raise NoConvergence(
-        f"inverse iteration: {np.unique(idx[live] // g).size} grid point(s) unconverged after {max_iter} steps, "
+        f"inverse iteration: {np.unique(idx[live] // g).size} grid point(s) unconverged after {_MAX_STEPS} steps, "
         f"worst relative step {float(np.max(steps[0, live])):.2e}"
     )
 
@@ -453,9 +451,6 @@ class PseudospectrumField:
     sigma: np.ndarray  # sigma[iy, ix] = sigma_min(M - (xs[ix] + i ys[iy]) I)
     n_max: int
     hbar: float
-
-    def lam_grid(self) -> np.ndarray:
-        return self.xs[None, :] + 1j * self.ys[:, None]
 
     def c_mask(self, c: float, hbar: float | None = None) -> np.ndarray:
         h = self.hbar if hbar is None else hbar
@@ -571,17 +566,15 @@ def scan_isolating_c(
 # ---------------------------------------------------------------------------
 # action integrals
 
+# the relative agreement of two successive quadrature values that settles an action
+_ACTION_TOL = 1e-10
+
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite quantity raises below
-def action_integral(
-    d: complex,
-    energy: complex,
-    winding: int = 1,
-    tol: float = 1e-10,
-) -> dict:
+def action_integral(d: complex, energy: complex, winding: int = 1) -> dict:
     """-i oint vbar dx over x(t) = sqrt(E/d) e^{it}, vbar(t) = sqrt(E/d) e^{-it},
     t in [0, 2 pi winding]; trapezoid nodes double until two successive values
-    agree to `tol` relative, else NoConvergence after 12 doublings.
+    agree to _ACTION_TOL relative, else NoConvergence after 12 doublings.
     Returns the numeric value and the closed form 2 pi winding E / d.
     Raises NoConvergence at once when the closed form or a quadrature value
     leaves the double range."""
@@ -619,7 +612,7 @@ def action_integral(
             raise NoConvergence(f"action: the quadrature value at {n} nodes is not finite (closed form {closed:.3e})")
         return out
 
-    cur, n = settle(value, 16, 12, lambda v: tol * abs(v), "action quadrature")
+    cur, n = settle(value, 16, 12, lambda v: _ACTION_TOL * abs(v), "action quadrature")
     return {"value": cur, "closed_form": closed, "nodes": n}
 
 
@@ -636,21 +629,14 @@ def _newton_vbar(extension, x: complex, v: complex, energy: complex) -> complex:
     raise NoConvergence(f"level-set Newton at x = {x:.6g}: residual {abs(extension(x, v) - energy):.3e} after 60 steps")
 
 
-def action_level_set(
-    extension,
-    energy: complex,
-    d_seed: complex,
-    winding: int = 1,
-    tol: float = 1e-10,
-    radius: float | None = None,
-) -> complex:
+def action_level_set(extension, energy: complex, d_seed: complex, winding: int = 1) -> complex:
     """-i oint vbar dx on the level set {f~(x, vbar) = E}, parametrised by
-    x(t) on a circle and vbar(t) solved by Newton continuation; raises
-    NonClosedContour if the continuation does not return to its start.
-    Nodes double until two values agree to `tol` relative, else NoConvergence
-    after 8 doublings; a node whose Newton solve fails raises NoConvergence."""
-    if radius is None:
-        radius = abs(np.sqrt(complex(energy) / complex(d_seed)))
+    x(t) on the circle of radius |sqrt(E/d_seed)| and vbar(t) solved by
+    Newton continuation; raises NonClosedContour if the continuation does not
+    return to its start.  Nodes double until two values agree to _ACTION_TOL
+    relative, else NoConvergence after 8 doublings; a node whose Newton solve
+    fails raises NoConvergence."""
+    radius = abs(np.sqrt(complex(energy) / complex(d_seed)))
 
     def value(n: int) -> complex:
         t = np.linspace(0.0, 2.0 * np.pi * winding, n, endpoint=False)
@@ -666,7 +652,7 @@ def action_level_set(
         dx = 1j * xs
         return complex((-1j * vbars * dx).mean() * 2 * np.pi * winding)
 
-    return settle(value, 64, 8, lambda v: tol * abs(v), "level-set action")[0]
+    return settle(value, 64, 8, lambda v: _ACTION_TOL * abs(v), "level-set action")[0]
 
 
 # ---------------------------------------------------------------------------
@@ -755,30 +741,29 @@ class MultiwellReport:
     spectrum: SpectrumResult
 
 
+_JORDAN_GAP = 10.0  # a near-degenerate pair lies within _JORDAN_GAP eps ||M||_2
+
+
 def multiwell_compare(
     symbol: MonomialSymbol,
     hbar: float,
     wells: list[complex],
-    window: float | None = None,
     order: int = 3,
     degree: int = 12,
     n_start: int = 256,
-    tol: float = 1e-8,
-    jordan_gap_factor: float = 10.0,
 ) -> MultiwellReport:
     """Match computed eigenvalues near the common well level against per-well
     predicted lattices.
 
-    Each well must be a critical point of the symbol; lattices come from the
-    hbar-graded normal form of the recentred symbol when its Hessian is
-    diagonal (z zbar only), else from the leading-order quadratic lattice
+    The window is the disc of radius 3.5 hbar max|d0| about the common
+    level.  Each well must be a critical point of the symbol; lattices come
+    from the hbar-graded normal form of the recentred symbol when its Hessian
+    is diagonal (z zbar only), else from the leading-order quadratic lattice
     level + hbar (d0 (2l+1)/2 + tr/2); `WellPrediction.corrected` reports
     which.  Matching is greedy by distance (`_greedy_pairs`), each
     prediction taken at most once; ties broken by eigenvalue modulus.
     Raises UnmatchedEigenvalue when an eigenvalue in the window is farther
     than half the local lattice spacing from every prediction."""
-    from .quadratic import ComplexQuadraticForm, reduce_quadratic
-
     hbar = check_hbar(hbar)
     preds: list[WellPrediction] = []
     levels = []
@@ -798,8 +783,7 @@ def multiwell_compare(
         form = ComplexQuadraticForm.from_zv_coefficients(t20, t11, t02)
         nf = reduce_quadratic(form)
         diagonal_hessian = abs(t20) < 1e-12 and abs(t02) < 1e-12
-        win = window if window is not None else 3.5 * hbar * abs(nf.d0)
-        count = max(1, int(np.ceil(win / max(abs(hbar * nf.d0), 1e-30))) + 1)
+        count = max(1, int(np.ceil(3.5 * hbar * abs(nf.d0) / max(abs(hbar * nf.d0), 1e-30))) + 1)
         if diagonal_hessian:
             f_loc = FormalSymbol.from_monomials(shifted, degree)
             profiles, _ = quantum_normal_form(f_loc, order, degree)
@@ -819,12 +803,12 @@ def multiwell_compare(
     centre = np.mean(levels)
     if np.max(np.abs(np.array(levels) - centre)) > 1e-9 * max(1.0, abs(centre)):
         raise ValueError("wells do not share a common level")
-    radius = window if window is not None else 3.5 * hbar * max(abs(p.d0) for p in preds)
+    radius = 3.5 * hbar * max(abs(p.d0) for p in preds)
 
     # adaptively converged spectrum, then restrict to the window
     m = assemble_toeplitz(symbol, hbar, n_start)
     total_pred = sum(np.sum(np.abs(p.lattice - centre) <= radius) for p in preds)
-    spec = eigen_spectrum(m, k_wanted=max(int(total_pred) + 6, 10), tol=tol)
+    spec = eigen_spectrum(m, k_wanted=max(int(total_pred) + 6, 10))
     near = np.abs(spec.eigenvalues - centre) <= radius
     in_window, sectors = spec.eigenvalues[near], spec.sectors[near]
     # stable order: by modulus (ties in the greedy matching break this way)
@@ -850,7 +834,7 @@ def multiwell_compare(
     matches.sort(key=lambda t: t[0])
     residuals = np.array([t[3] for t in matches])
 
-    # near-degenerate pairs (gap < factor eps ||M||_2) and their departure
+    # near-degenerate pairs (gap < _JORDAN_GAP eps ||M||_2) and their departure
     # from normality.  The blocks are orthogonal invariant subspaces, so
     # ||M||_2 is the largest block norm and a pair split across two blocks
     # has a diagonal compression: 0.0.  Bounds on ||M||_2 from the band settle
@@ -863,7 +847,7 @@ def multiwell_compare(
             dense[r] = _band_dense(band[~pad[:, r], r], kl)
         return dense[r]
 
-    limit = jordan_gap_factor * np.finfo(float).eps
+    limit = _JORDAN_GAP * np.finfo(float).eps
     lo, hi = _norm2_bounds(band, kl)
     # widened by a roundoff margin, so that a gap settled by the bounds is
     # settled the same way by the SVD's norm

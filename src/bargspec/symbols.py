@@ -629,19 +629,19 @@ def _theta_reciprocal(n: int) -> np.ndarray:
     return out
 
 
-def _theta_inverse(x: np.ndarray, tol: float = 1e-14) -> np.ndarray:
+def _theta_inverse(x: np.ndarray) -> np.ndarray:
     """The g with d_theta g = x and zero diagonal, for stacked tables (..., n, n):
     x times the cached table 1 / (i (a - b)), which is within 1 ulp of the
-    quotient.  Raises NonzeroAverage when a diagonal entry exceeds `tol`."""
+    quotient.  Raises NonzeroAverage when a diagonal entry exceeds 1e-14."""
     diag = np.abs(np.diagonal(x, axis1=-2, axis2=-1))
-    if diag.max(initial=0.0) > tol:
+    if diag.max(initial=0.0) > 1e-14:
         raise NonzeroAverage(f"radial content of size {diag.max():.3e} present")
     return x * _theta_reciprocal(x.shape[-1])
 
 
-def theta_antiderivative(f: TaylorTable2D, tol: float = 1e-14) -> TaylorTable2D:
+def theta_antiderivative(f: TaylorTable2D) -> TaylorTable2D:
     """Unique g with d_theta g = f and zero diagonal coefficients."""
-    return TaylorTable2D(_theta_inverse(f.t, tol), f.truncated)
+    return TaylorTable2D(_theta_inverse(f.t), f.truncated)
 
 
 def radial_average(f: TaylorTable2D) -> np.ndarray:

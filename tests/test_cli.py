@@ -291,6 +291,9 @@ EXIT_CONTRACT = {
     "action-subnormal": (["action", "--d=1e-320,1e-320", "--energy=1e-320,0"], 0),
     "action-subnormal-ratio": (["action", "--d=1,1e36", "--energy=1e-279,1e-279"], 0),
     "verify-index-13": (["verify", "--only", "13"], 1),
+    # past the factorial-safe range of the band entries: rejected before any allocation
+    "spectrum-n-max-oversized": (["spectrum", "--symbol", "p^2+q^2", "--hbar", "0.1", "--n-max", "20000000"], 1),
+    "symbol-exponent-oversized": (["spectrum", "--symbol", '{"10000000,0":[1,0]}', "--hbar", "0.1"], 1),
     "missing-argument": (["spectrum", "--hbar", "0.1"], 1),
     "run-symbol-path-missing": (_config({**_BASE, "symbol": {"path": "missing.json"}, "tasks": _SPECTRUM}), 1),
     "run-hbar-string": (_config({**_BASE, "hbar": ["a"], "tasks": _SPECTRUM}), 1),
@@ -302,6 +305,7 @@ EXIT_CONTRACT = {
     "run-empty-tasks": (_config({**_BASE, "tasks": []}), 1),
     "run-unknown-task": (_config({**_BASE, "tasks": [{"type": "frobnicate"}]}), 1),
     "run-verify-index-99": (_config({**_BASE, "tasks": [{"type": "verify", "only": [99]}]}), 1),
+    "run-n-max-oversized": (_config({**_BASE, "n_max": 20000000, "tasks": _SPECTRUM}), 1),
     # the birkhoff tolerance failure does not stop the run: the action task runs
     "run-birkhoff-non-elliptic": (
         _config({**_BASE, "symbol": {"shorthand": "p^2-q^2"}, "tasks": [{"type": "birkhoff"}, {"type": "action"}]}), 2

@@ -6,6 +6,7 @@ from math import factorial
 import numpy as np
 import pytest
 
+from bargspec import contours
 from bargspec.contours import (
     AffineContour,
     DegenerateHessian,
@@ -189,6 +190,14 @@ class TestCriticalPoint:
         assert res["v_c"] == pytest.approx(0.2)
         assert res["hessian_factor"] == pytest.approx(1.0)
         assert res["value_at_critical"] == pytest.approx(0.0, abs=1e-14)
+
+    def test_newton_step_cap(self, monkeypatch):
+        # one Newton step lands on the critical point, but the cap leaves no
+        # step to see the gradient vanish there
+        monkeypatch.setattr(contours, "_NEWTON_STEPS", 1)
+        tab = table_from_dict({(1, 1): -1.0, (1, 0): 0.2, (0, 1): 0.1, (0, 0): -0.02}, 4)
+        with pytest.raises(NewtonDiverged, match="within 1 iterations"):
+            critical_point_data(tab)
 
     def test_nonquadratic_newton(self):
         # F = -z v + 0.3 z^2 v^2: Newton from 0 stays at the origin critical point

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bargspec import spectral
-from bargspec.bargmann import MonomialSymbol, ToeplitzMatrix, assemble_toeplitz, toeplitz_radial
+from bargspec.bargmann import MonomialSymbol, assemble_toeplitz, toeplitz_radial
 from bargspec.quadratic import ComplexQuadraticForm, exact_quadratic_spectrum, reduce_quadratic
 from bargspec.spectral import (
     NoConvergence,
@@ -25,7 +25,7 @@ from bargspec.spectral import (
     sigma_min,
 )
 from bargspec.symbols import birkhoff_normal_form, table_from_dict
-from test_bargmann import BAND_MONOMIALS, band_symbols
+from test_bargmann import BAND_MONOMIALS, band_symbols, from_dense, lam_grid
 
 ROT = ComplexQuadraticForm(1.0, np.exp(0.9j * np.pi / 2), 0.0)
 
@@ -97,7 +97,7 @@ class TestBlockSpectrum:
         op = assemble_toeplitz(*case)
         full = np.linalg.eigvalsh(op.entries)
         atol = 1e-10 * np.linalg.norm(op.entries, 2)
-        spec = eigen_spectrum(ToeplitzMatrix.from_dense(op.entries, op.hbar), op.dim)
+        spec = eigen_spectrum(from_dense(op.entries, op.hbar), op.dim)
         assert spec.n_max_used == op.dim and len(spec.eigenvalues) == op.dim
         assert np.all(np.abs(spec.eigenvalues.imag) <= atol)
         assert np.allclose(np.sort(spec.eigenvalues.real), full, rtol=0.0, atol=atol)
@@ -118,7 +118,7 @@ class TestResolventGrid:
         m = toeplitz_radial([0.0, 1.0], 0.1, 48)
         field = resolvent_grid(m, (0.0, 0.6, -0.2, 0.2), (13, 9), workers=1)
         diag = 0.1 * (np.arange(48) + 1)
-        lam = field.lam_grid()
+        lam = lam_grid(field)
         expect = np.min(np.abs(lam[:, :, None] - diag[None, None, :]), axis=2)
         assert np.max(np.abs(field.sigma - expect)) < 1e-12
 
@@ -188,7 +188,7 @@ class TestBandedKernel:
         rect = (centre.real - 0.3, centre.real + 0.3, centre.imag - 0.2, centre.imag + 0.2)
         field = resolvent_grid(m, rect, (3, 2))
         floor = 1e-12 * float(np.abs(m.entries).sum(axis=0).max())
-        for (iy, ix), lam in np.ndenumerate(field.lam_grid()):
+        for (iy, ix), lam in np.ndenumerate(lam_grid(field)):
             ref = _dense_sigma(m.entries, lam)
             assert abs(field.sigma[iy, ix] - ref) <= max(1e-8 * ref, floor)
 
@@ -220,17 +220,18 @@ class TestBandedKernel:
         m = assemble_toeplitz(MonomialSymbol(coeffs), hbar, n)
         assert sigma_min(m, lam) == pytest.approx(_dense_sigma(m.entries, lam), rel=1e-8)
 
-    def test_unconverged_raises(self):
+    def test_unconverged_raises(self, monkeypatch):
         m = assemble_toeplitz(ROT.to_symbol(), 0.05, 256)
+        monkeypatch.setattr(spectral, "_MAX_STEPS", 1)
         with pytest.raises(NoConvergence, match="1 grid point.*after 1 steps"):
-            spectral._sigma_min_banded(m, np.array([0.2 + 0.1j]), max_iter=1)
+            spectral._sigma_min_banded(m, np.array([0.2 + 0.1j]))
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_non_finite_iterate_raises(self):
         mat = assemble_toeplitz(ROT.to_symbol(), 0.1, 32).entries.copy()
         mat[5, 5] = np.nan
         with pytest.raises(NoConvergence, match="non-finite"):
-            sigma_min(ToeplitzMatrix.from_dense(mat, 0.1), 0.3)
+            sigma_min(from_dense(mat, 0.1), 0.3)
 
     def test_zero_leading_pivot_needs_row_exchange(self):
         # lambda = M[0, 0] zeroes the leading diagonal entry of the even
@@ -308,7 +309,7 @@ class TestBandedKernel:
     def test_overflowing_sweep_is_at_the_floor(self):
         # I + 1000 S has ||A^-1|| ~ 1000^127: the U^H sweep overflows, and
         # sigma_min, below 1e-300, is reported as 0 without an error
-        op = ToeplitzMatrix.from_dense(np.eye(128) + 1000.0 * np.eye(128, k=1), 1.0)
+        op = from_dense(np.eye(128) + 1000.0 * np.eye(128, k=1), 1.0)
         for lam in (0.0, 0.5):
             assert sigma_min(op, lam) == 0.0
 
@@ -368,9 +369,10 @@ class TestAction:
             assert abs(res["value"] - res["closed_form"]) <= 1e-15 * abs(res["closed_form"])
             assert res["nodes"] == 32  # a constant integrand agrees at the first doubling
 
-    def test_unsettled_quadrature_raises(self):
+    def test_unsettled_quadrature_raises(self, monkeypatch):
+        monkeypatch.setattr(spectral, "_ACTION_TOL", -1.0)  # a negative tolerance is never met
         with pytest.raises(NoConvergence, match="65536 nodes"):
-            action_integral(1.0, 0.3, 1, tol=-1.0)  # a negative tolerance is never met
+            action_integral(1.0, 0.3, 1)
 
     def test_winding_doubles(self):
         one = action_integral(0.8 - 0.1j, 0.2 + 0.1j, 1)
@@ -395,10 +397,11 @@ class TestAction:
             w = (-1 + np.sqrt(1 + 0.4 * energy)) / 0.2
             assert val == pytest.approx(2 * np.pi * w, abs=1e-9)
 
-    def test_level_set_unsettled_raises(self):
+    def test_level_set_unsettled_raises(self, monkeypatch):
         ext = lambda x, v: x * v + 0.1 * (x * v) ** 2
+        monkeypatch.setattr(spectral, "_ACTION_TOL", -1.0)  # a negative tolerance is never met
         with pytest.raises(NoConvergence, match="16384 nodes"):
-            action_level_set(ext, 0.05, 1.0, tol=-1.0)  # a negative tolerance is never met
+            action_level_set(ext, 0.05, 1.0)
 
     def test_level_set_closure_failure(self):
         # a genuinely multivalued vbar-branch around the loop fails to close:
@@ -529,7 +532,7 @@ class TestMultiwell:
         assert not rep.jordan_pairs  # distinct lattices: no degeneracy flags
 
     @pytest.mark.parametrize("c, hbar", [(1 + 0.3j, 0.05), (0.8 * np.exp(0.1j), 0.02), (1.1 * np.exp(0.35j), 0.03)])
-    def test_jordan_pairs_match_exact_norm(self, c, hbar):
+    def test_jordan_pairs_match_exact_norm(self, c, hbar, monkeypatch):
         # the pairs flagged through the band's norm bounds are the pairs flagged
         # with the exact ||M||_2 (the dense matrix's largest singular value),
         # also at a gap factor that puts a gap between the bounds, where the
@@ -537,8 +540,8 @@ class TestMultiwell:
         sym = MonomialSymbol({key: c * v for key, v in {(2, 2): 1, (2, 0): -1, (0, 2): -1, (0, 0): 1}.items()})
 
         def run(factor):
-            return multiwell_compare(sym, hbar, wells=[1.0, -1.0], order=1, degree=4, n_start=128,
-                                     jordan_gap_factor=factor)
+            monkeypatch.setattr(spectral, "_JORDAN_GAP", factor)
+            return multiwell_compare(sym, hbar, wells=[1.0, -1.0], order=1, degree=4, n_start=128)
 
         rep = run(10.0)
         assert rep.jordan_pairs  # the tunnelling pairs at least
@@ -569,5 +572,5 @@ class TestMultiwell:
 class TestRawMatrixSpectrum:
     def test_raw_matrix_no_adaptivity(self):
         mat = np.diag([3.0, 1.0, 2.0]).astype(complex)
-        spec = eigen_spectrum(ToeplitzMatrix.from_dense(mat, 0.1), 2, 1e-10)
+        spec = eigen_spectrum(from_dense(mat, 0.1), 2, 1e-10)
         assert np.allclose(spec.eigenvalues, [1.0, 2.0])
