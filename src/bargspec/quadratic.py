@@ -27,7 +27,9 @@ which reproduces T(p^2+q^2) = T(2|z|^2) = diag 2 hbar (k+1).
 
 from __future__ import annotations
 
+import cmath
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,14 +88,6 @@ class ComplexQuadraticForm:
     @property
     def matrix(self) -> np.ndarray:
         return np.array([[self.a, self.c], [self.c, self.b]])
-
-    @property
-    def re_matrix(self) -> np.ndarray:
-        return self.matrix.real.copy()
-
-    @property
-    def im_matrix(self) -> np.ndarray:
-        return self.matrix.imag.copy()
 
     @property
     def det_f(self) -> complex:
@@ -209,8 +203,10 @@ def _lambda_min(form: ComplexQuadraticForm, theta: float) -> float:
     """Smaller eigenvalue tr/2 - sqrt(tr^2/4 - det) of
     Re(e^{i theta} F) = cos(theta) Re F - sin(theta) Im F, with the radicand
     written as the sum of squares it equals."""
-    m = np.cos(theta) * form.re_matrix - np.sin(theta) * form.im_matrix
-    return float((m[0, 0] + m[1, 1]) / 2 - np.hypot((m[0, 0] - m[1, 1]) / 2, m[0, 1]))
+    cos, sin = math.cos(theta), math.sin(theta)
+    m00, m11 = cos * form.a.real - sin * form.a.imag, cos * form.b.real - sin * form.b.imag
+    m01 = cos * form.c.real - sin * form.c.imag
+    return (m00 + m11) / 2 - math.hypot((m00 - m11) / 2, m01)
 
 
 def _arc_centre(form: ComplexQuadraticForm) -> float:
@@ -231,17 +227,18 @@ def _arc_centre(form: ComplexQuadraticForm) -> float:
     rho = 0.5, while the centre has smallest eigenvalue 5e-11.  (rho = 0
     leaves det M constant while the trace changes sign, so no angle works;
     atan2(0, 0) = 0 then fails the test.)  F is first divided by its largest
-    entry, which moves no angle and keeps the determinants in range.
+    entry, which moves no angle and keeps the determinants in range.  All on
+    Python floats: a 2 x 2 array costs more than the arithmetic.
     """
-    scale = np.abs(form.matrix).max() or 1.0
-    r, i = form.re_matrix / scale, form.im_matrix / scale
-    det_r = r[0, 0] * r[1, 1] - r[0, 1] ** 2
-    det_i = i[0, 0] * i[1, 1] - i[0, 1] ** 2
-    b = (det_r - det_i) / 2
-    c = -(r[0, 0] * i[1, 1] + r[1, 1] * i[0, 0] - 2 * r[0, 1] * i[0, 1]) / 2
+    # numpy's abs and arctan2 on purpose: Python's abs and math.atan2 round
+    # differently in the last bit, and every output of the reduction follows delta
+    scale = float(np.abs([form.a, form.b, form.c]).max()) or 1.0
+    (r00, i00), (r11, i11), (r01, i01) = ((x.real / scale, x.imag / scale) for x in (form.a, form.b, form.c))
+    b = ((r00 * r11 - r01**2) - (i00 * i11 - i01**2)) / 2
+    c = -(r00 * i11 + r11 * i00 - 2 * r01 * i01) / 2
     mid = float(np.arctan2(c, b)) / 2
-    if np.trace(r) * np.cos(mid) - np.trace(i) * np.sin(mid) < 0:
-        mid += np.pi
+    if (r00 + r11) * math.cos(mid) - (i00 + i11) * math.sin(mid) < 0:
+        mid += math.pi
     return mid
 
 
@@ -253,19 +250,21 @@ def _unit_size(form: ComplexQuadraticForm) -> tuple[ComplexQuadraticForm, int]:
     return (ComplexQuadraticForm(*(_ldexp(x, -e) for x in (form.a, form.b, form.c))) if e else form), e
 
 
-def _unit_conditions(unit: ComplexQuadraticForm) -> tuple[bool, bool, complex]:
-    """(elliptic, range_proper, E) of a form of unit size (`_unit_size`), as
-    `ellipticity_check` defines them."""
+def _unit_conditions(unit: ComplexQuadraticForm) -> tuple[bool, complex, float, float]:
+    """(elliptic, E) of a form of unit size (`_unit_size`), as
+    `ellipticity_check` defines them, and the centre of the admissible arc
+    (`_arc_centre`) with the smallest eigenvalue there (`_lambda_min`), from
+    which range_proper and delta are read."""
     a, b, c = unit.a, unit.b, unit.c  # explicit: np.linalg.det loses |log det| ulps
     re_det, im_det = a.real * b.real - c.real**2, a.imag * b.imag - c.imag**2
-    disc = np.imag(unit.det_f) ** 2 - 4.0 * re_det * im_det
+    disc = unit.det_f.imag ** 2 - 4.0 * re_det * im_det
     # the terms of disc in absolute value bound its rounding
     cross = abs(a.real * b.imag) + abs(b.real * a.imag) + 2 * abs(c.real * c.imag)
     scale = cross**2 + 4 * (abs(a.real * b.real) + c.real**2) * (abs(a.imag * b.imag) + c.imag**2)
-    real_value = abs(disc) <= 32 * np.finfo(float).eps * scale + np.finfo(float).tiny
-    value = re_det + im_det + 1j * (0.0 if real_value else np.sqrt(abs(disc)))
-    range_proper = _lambda_min(unit, _arc_centre(unit)) > -1e-14
-    return not (real_value and value.real <= 0.0), range_proper, value
+    real_value = abs(disc) <= 32 * sys.float_info.epsilon * scale + sys.float_info.min
+    value = re_det + im_det + 1j * (0.0 if real_value else math.sqrt(abs(disc)))
+    mid = _arc_centre(unit)
+    return not (real_value and value.real <= 0.0), value, mid, _lambda_min(unit, mid)
 
 
 def ellipticity_check(form: ComplexQuadraticForm) -> dict:
@@ -286,17 +285,23 @@ def ellipticity_check(form: ComplexQuadraticForm) -> dict:
     does not depend on the size of the form; E is multiplied back by 2^(2e).
     """
     unit, e = _unit_size(form)
-    elliptic, range_proper, value = _unit_conditions(unit)
-    return {"elliptic": elliptic, "range_proper": range_proper, "condition_value": _ldexp(value, 2 * e)}
+    elliptic, value, _, lam = _unit_conditions(unit)
+    return {"elliptic": elliptic, "range_proper": lam > -1e-14, "condition_value": _ldexp(value, 2 * e)}
+
+
+def _delta_at(mid: float, lam: float) -> complex:
+    """e^{i mid}, the delta at the arc centre mid, whose smallest eigenvalue
+    is lam; raises NoDeltaFound unless lam > 0."""
+    if lam <= 0:
+        raise NoDeltaFound("no rotation makes Re(delta f) positive definite")
+    return complex(math.cos(mid), math.sin(mid))
 
 
 def find_delta(form: ComplexQuadraticForm) -> complex:
     """Unit complex delta with Re(delta f) positive definite, chosen at the
     midpoint of the admissible angle arc, in closed form (`_arc_centre`)."""
     mid = _arc_centre(form)
-    if _lambda_min(form, mid) <= 0:
-        raise NoDeltaFound("no rotation makes Re(delta f) positive definite")
-    return complex(np.exp(1j * mid))
+    return _delta_at(mid, _lambda_min(form, mid))
 
 
 def _kappa2_matrix(alpha: float, beta: float, gamma: float, Delta: float) -> np.ndarray:
@@ -319,7 +324,7 @@ def _kappa2_matrix(alpha: float, beta: float, gamma: float, Delta: float) -> np.
     s = np.array([[alpha, gamma], [gamma, beta]])
     evals, vecs = np.linalg.eigh(s)  # ascending: columns are v_minus, v_plus
     rows = np.array([vecs[:, 1], vecs[:, 0]])
-    if np.linalg.det(rows) < 0:
+    if rows[0, 0] * rows[1, 1] < rows[0, 1] * rows[1, 0]:  # det < 0
         rows[1] = -rows[1]
     return rows
 
@@ -338,10 +343,11 @@ def reduce_quadratic(form: ComplexQuadraticForm, delta: complex | None = None) -
     scales with the form, so it is multiplied back by 2^e.
     """
     unit, e = _unit_size(form)
-    if not all(_unit_conditions(unit)[:2]):
+    elliptic, _, mid, lam = _unit_conditions(unit)
+    if not (elliptic and lam > -1e-14):
         raise NoDeltaFound("form fails the ellipticity / proper-range conditions")
     if delta is None:
-        delta = find_delta(unit)
+        delta = _delta_at(mid, lam)
     else:
         delta = complex(delta / abs(delta))
         if _lambda_min(unit, np.angle(delta)) <= 0:
@@ -353,20 +359,20 @@ def reduce_quadratic(form: ComplexQuadraticForm, delta: complex | None = None) -
     det0 = a0 * b0 - c0 * c0
     if not (a0 > 0 and det0 > 0):
         raise NoDeltaFound(f"Re(delta f) is not positive definite in floating point: a = {a0:.3e}, det = {det0:.3e}")
-    d0_real = np.sqrt(det0)
+    d0_real = math.sqrt(det0)
 
     kappa1 = np.array(
         [
-            [np.sqrt(a0 / d0_real), c0 / np.sqrt(d0_real * a0)],
-            [0.0, np.sqrt(d0_real / a0)],
+            [math.sqrt(a0 / d0_real), c0 / math.sqrt(d0_real * a0)],
+            [0.0, math.sqrt(d0_real / a0)],
         ]
     )
     alpha = ap / a0
     gamma = (cp * a0 - ap * c0) / (d0_real * a0)
     beta = (a0 * bp - 2 * cp * c0 + c0**2 * ap / a0) / det0
-    Delta = float(np.sqrt((beta - alpha) ** 2 + 4.0 * gamma**2))
+    Delta = math.sqrt((beta - alpha) ** 2 + 4.0 * gamma**2)
     zeta = (1 + 1j * (beta + alpha + Delta) / 2) / (1 + 1j * (beta + alpha - Delta) / 2)
-    if not np.isfinite([d0_real, alpha, beta, gamma, Delta, zeta]).all():
+    if not (all(map(math.isfinite, (d0_real, alpha, beta, gamma, Delta))) and cmath.isfinite(zeta)):
         raise ValueError(f"the reduction of {form} leaves the double range")
     kappa2 = _kappa2_matrix(alpha, beta, gamma, Delta)
     # principal root of a finite zeta != 0 (|1 + i x| >= 1): |arg w| <= pi/4, so Re w > 0

@@ -742,6 +742,8 @@ class MultiwellReport:
 
 
 _JORDAN_GAP = 10.0  # a near-degenerate pair lies within _JORDAN_GAP eps ||M||_2
+# the levels l = 0..4 of each well's predicted lattice, at every size of hbar d0
+_LATTICE_LEVELS = 5
 
 
 def multiwell_compare(
@@ -760,7 +762,9 @@ def multiwell_compare(
     from the hbar-graded normal form of the recentred symbol when its Hessian
     is diagonal (z zbar only), else from the leading-order quadratic lattice
     level + hbar (d0 (2l+1)/2 + tr/2); `WellPrediction.corrected` reports
-    which.  Matching is greedy by distance (`_greedy_pairs`), each
+    which.  Each lattice holds the levels l = 0..4, also when hbar |d0| is
+    far below 1, so a well scaled by a power of 2 is matched as the unscaled
+    one.  Matching is greedy by distance (`_greedy_pairs`), each
     prediction taken at most once; ties broken by eigenvalue modulus.
     Raises UnmatchedEigenvalue when an eigenvalue in the window is farther
     than half the local lattice spacing from every prediction."""
@@ -783,13 +787,12 @@ def multiwell_compare(
         form = ComplexQuadraticForm.from_zv_coefficients(t20, t11, t02)
         nf = reduce_quadratic(form)
         diagonal_hessian = abs(t20) < 1e-12 and abs(t02) < 1e-12
-        count = max(1, int(np.ceil(3.5 * hbar * abs(nf.d0) / max(abs(hbar * nf.d0), 1e-30))) + 1)
         if diagonal_hessian:
             f_loc = FormalSymbol.from_monomials(shifted, degree)
             profiles, _ = quantum_normal_form(f_loc, order, degree)
-            lattice = level + radial_toeplitz_eigenvalues(profiles, hbar, count)
+            lattice = level + radial_toeplitz_eigenvalues(profiles, hbar, _LATTICE_LEVELS)
         else:
-            ls = np.arange(count)
+            ls = np.arange(_LATTICE_LEVELS)
             lattice = level + hbar * (nf.d0 * (2 * ls + 1) / 2.0 + form.tr_f / 2.0)
         preds.append(
             WellPrediction(

@@ -31,9 +31,10 @@ one `bincount`.  Shifts in hbar, changes of order or degree and sums are
 slices and pads of the stack.
 
 The Lie transport applies X -> i hbar^{-1} [G, X]_# by the same table: the
-bracket pairs whose G entries lie in one homogeneous shell of G are a slice
-of it, and `quantum_lie_transport` collects these slices once per generator
-and runs each Lie term as one gather and `bincount`.  One rule,
+bracket pairs whose G entries lie in one homogeneous shell (k, m) of G are a
+slice of it.  Their index tables over the whole stack depend on the caps and
+the shell alone and are cached per shell (`_ad_shell`), so a generator only
+gathers its values, and each Lie term is one gather and `bincount`.  One rule,
 `_cut_orders`, sets the flags of both: a product drops a nonzero coefficient
 exactly when its factors' top degrees add up past the cap.
 
@@ -908,35 +909,54 @@ def _lie_series(f: FormalSymbol, ad, cap: int) -> tuple[FormalSymbol, float]:
         n += 1
 
 
+@lru_cache(maxsize=256)
+def _ad_shell(order: int, n: int, k: int, m: int) -> tuple[np.ndarray, ...]:
+    """The index tables of `_ad_operator` for the degree-m shell of G_k on
+    stacks (order + 1, n, n), nothing past total degree n - 1 (read-only):
+    per term, the output slot (real part; the imaginary part is the next
+    slot), the flat input position in X, the flat source position of its G
+    entry in the stack and the weight.
+
+    The j-th term of the shell sends X_l to hbar-order l + k + j - 1 by the
+    pairs of the kernel's bracket table `_sharp_pairs(n, n, j, n - 1, True)`
+    whose G entries have degree m, for 1 <= j <= m and every input order l
+    that lands within the cap; the terms run by j, then l, then pair.
+    """
+    steps = np.arange(order + 1)[:, None] * n * n
+    slots, cols, src, weights = [], [], [], []
+    for j in range(1, min(m, order + 1 - k) + 1):
+        pos, inp, out, weight = _sharp_pairs(n, n, j, n - 1, True)[-1][m]
+        l = steps[: order + 2 - k - j]  # input orders l, output orders l + k + j - 1
+        slots.append((out + 2 * (steps[k + j - 1] + l)).ravel())
+        cols.append((inp + l).ravel())
+        src.append(np.tile(pos + k * n * n, len(l)))
+        weights.append(np.tile(weight, len(l)))
+    tables = tuple(np.concatenate(x) for x in (slots, cols, src, weights))
+    for arr in tables:
+        arr.flags.writeable = False
+    return tables
+
+
 def _ad_operator(gen: np.ndarray):
     """X -> i hbar^{-1} [G, X]_# (the j >= 1 tail of the bracket, shifted down
     one hbar-order) for the generator stack gen (K+1, D+1, D+1), with nothing
     past total degree D, as a function on stacks of the same shape that
     returns a fresh stack.
 
-    The map is a sum over the nonzero homogeneous shells of G: the j-th term
-    of the degree-m shell of G_k sends X_l to hbar-order l + k + j - 1 by the
-    pairs of the kernel's bracket table `_sharp_pairs(D + 1, D + 1, j, D,
-    True)` whose G entries have degree m, a contiguous slice (a view) of it,
-    for 1 <= j <= m.  They are gathered once into one list of (output slots,
-    input, value) triples over the whole stack, the real and imaginary slot
-    of each output side by side, and each application is one gather, one
-    complex multiply and one `np.bincount`.
+    The map is a sum over the nonzero homogeneous shells (k, m) of G, and
+    the index tables of each shell, which depend on the caps and the shell
+    alone, are cached (`_ad_shell`).  Per generator only the values
+    weight * i G are gathered, over the shells in order, and each
+    application is one gather, one complex multiply and one `np.bincount`.
     """
     order, n = gen.shape[0] - 1, gen.shape[1]
-    igen, steps, ones = 1j * gen, np.arange(order + 1)[:, None] * n * n, np.ones((order + 1, 1))
-    slots, cols, vals = [], [], []
     ks, a, b = np.nonzero(gen)
-    for k, m in sorted(set(zip(ks.tolist(), (a + b).tolist()))):  # the nonzero shells
-        for j in range(1, min(m, order + 1 - k) + 1):
-            src, inp, out, weight = _sharp_pairs(n, n, j, n - 1, True)[-1][m]
-            l = steps[: order + 2 - k - j]  # input orders l, output orders l + k + j - 1
-            slots.append((out + 2 * (steps[k + j - 1] + l)).ravel())
-            cols.append((inp + l).ravel())
-            vals.append((weight * igen[k].take(src) * ones[: len(l)]).ravel())
-    if not vals:
+    # a constant (m = 0) commutes with every X
+    shells = [_ad_shell(order, n, k, m) for k, m in sorted(set(zip(ks.tolist(), (a + b).tolist()))) if m]
+    if not shells:
         return np.zeros_like
-    slots, cols, vals = np.concatenate(slots), np.concatenate(cols), np.concatenate(vals)
+    slots, cols, src, weight = shells[0] if len(shells) == 1 else (np.concatenate(x) for x in zip(*shells))
+    vals = weight * (1j * gen.take(src))
 
     def apply(x: np.ndarray) -> np.ndarray:
         terms = vals * x.take(cols)
@@ -958,6 +978,7 @@ def lie_transport(f: TaylorTable2D, gen: TaylorTable2D, degree: int | None = Non
     return quantum_lie_transport(FormalSymbol([f]), FormalSymbol([gen]), 0, degree).term(0)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # the Lie series raises at a non-finite term
 def quantum_lie_transport(
     f: FormalSymbol, gen: FormalSymbol, order: int, degree: int
 ) -> FormalSymbol:
@@ -966,25 +987,29 @@ def quantum_lie_transport(
     term cap is 8 (degree + order + 1).
 
     The j = 0 part of [G, X]_#, G_k X_l - X_l G_k, vanishes, so the bracket
-    series starts at j = 1.  ad is built once per generator from the
-    kernel's bracket tables (`_ad_operator`), and every Lie term is one
-    gather.  A term's flags are the kernel's: every order once G or X is
-    flagged, else the kernel's flag rule `_cut_orders` for the bracket."""
-    return _transport(f, gen, order, degree)[0]
+    series starts at j = 1.  ad is built once per generator from the index
+    tables of its shells, cached per shell beside the kernel's bracket
+    tables (`_ad_operator`), and every Lie term is one gather.  A term's
+    flags are the kernel's: every order once G or X is flagged, else the
+    kernel's flag rule `_cut_orders` for the bracket."""
+    return _transport(f.resized(order, degree), gen.resized(order, degree))[0]
 
 
-@np.errstate(over="ignore", invalid="ignore")  # the Lie series raises at a non-finite term
-def _transport(f: FormalSymbol, gen: FormalSymbol, order: int, degree: int) -> tuple[FormalSymbol, float]:
-    """`quantum_lie_transport` and the largest norm_inf of its Lie terms."""
-    gen = gen.resized(order, degree)
+def _transport(f: FormalSymbol, gen: FormalSymbol) -> tuple[FormalSymbol, float]:
+    """`quantum_lie_transport` of f and gen at the same caps, with nothing
+    past their degree, and the largest norm_inf of its Lie terms."""
+    order, degree = f.order, f.degree
     apply = _ad_operator(gen.c)
     every = np.ones(order + 1, dtype=bool)
+    gen_flagged = gen.truncated
 
     def ad(x: FormalSymbol) -> FormalSymbol:
-        flags = every if gen.truncated or x.truncated else _cut_orders(gen.c, x.c, order + 1, degree, 1, True)[1:]
-        return FormalSymbol._wrap(apply(x.c), flags)
+        # a term made with the flags `every` is flagged without a look at them
+        if gen_flagged or x.flags is every or x.truncated:
+            return FormalSymbol._wrap(apply(x.c), every)
+        return FormalSymbol._wrap(apply(x.c), _cut_orders(gen.c, x.c, order + 1, degree, 1, True)[1:])
 
-    return _lie_series(f.resized(order, degree), ad, 8 * (degree + order + 1))
+    return _lie_series(f, ad, 8 * (degree + order + 1))
 
 
 @dataclass
@@ -1001,17 +1026,15 @@ class NonEllipticHessian(NoDeltaFound):
 
 
 @lru_cache(maxsize=64)
-def _nonradial_mask(n: int, m: int) -> np.ndarray:
-    """Mask of the entries a + b = m, a != b, of an n x n table (read-only)."""
-    a = np.arange(n)
-    mask = (a[:, None] + a[None, :] == m) & (a[:, None] != a[None, :])
-    mask.flags.writeable = False
-    return mask
-
-
-def _nonradial(t: np.ndarray, m: int) -> np.ndarray:
-    """The terms z^a zbar^b, a != b, of total degree a + b = m of a table."""
-    return np.where(_nonradial_mask(t.shape[-1], m), t, 0.0)
+def _nonradial_shell(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The flat positions of the entries a + b = m, a != b, of an n x n
+    table, and 1 / (i (a - b)) there (read-only)."""
+    a, b = np.nonzero(np.add.outer(np.arange(n), np.arange(n)) == m)
+    pos = (a * n + b)[a != b]
+    out = (pos, _theta_reciprocal(n).take(pos))
+    for arr in out:
+        arr.flags.writeable = False
+    return out
 
 
 def birkhoff_normal_form(f: TaylorTable2D, degree: int | None = None) -> BirkhoffResult:
@@ -1022,13 +1045,15 @@ def birkhoff_normal_form(f: TaylorTable2D, degree: int | None = None) -> Birkhof
     d0 z vbar; `quantum_normal_form` at hbar-order 0 then removes all
     non-radial terms with homogeneous generators of degree 3..D.  Returns mu0
     with mu0(s) = s + O(s^2) such that the transported symbol equals
-    mu0(d0 z zbar) up to degree D.  Raises NonEllipticHessian, a
+    mu0(d0 z zbar) up to degree D.  f(0) and df(0) count as zero within
+    1e-12 of the largest coefficient, so f and s f, s a power of 2, give
+    mu0_s[a] = s^(1 - a) mu0[a] to the bit.  Raises NonEllipticHessian, a
     NoDeltaFound, when the quadratic part has no normal form, and
     NoConvergence when a coefficient of mu0 leaves the double range."""
     if degree is None:
         degree = f.degree
     f = f.resized(degree)
-    if abs(f.t[0, 0]) > 1e-12 or abs(f.t[1, 0]) > 1e-12 or abs(f.t[0, 1]) > 1e-12:
+    if max(abs(f.t[0, 0]), abs(f.t[1, 0]), abs(f.t[0, 1])) > 1e-12 * f.norm_inf():
         raise ValueError("expected f(0) = 0 and df(0) = 0")
     form = ComplexQuadraticForm.from_zv_coefficients(f.t[2, 0], f.t[1, 1], f.t[0, 2])
     try:
@@ -1036,7 +1061,7 @@ def birkhoff_normal_form(f: TaylorTable2D, degree: int | None = None) -> Birkhof
     except NoDeltaFound as exc:
         raise NonEllipticHessian(str(exc)) from exc
     pulled = pullback_linear(f, np.linalg.inv(nf.composed), degree)
-    profiles, gens = quantum_normal_form(FormalSymbol([pulled]), 0, degree)
+    profiles, gens = quantum_normal_form(FormalSymbol._wrap(pulled.t[None], [pulled.truncated]), 0, degree)
     # the profile is a series in s' = z zbar (reduced frame); as mu0(d0 s'):
     # mu0(x) = sum_a profile[a] (x/d0)^a, where a zero profile[a] gives 0
     # even when d0^a leaves the double range
@@ -1054,6 +1079,7 @@ def birkhoff_normal_form(f: TaylorTable2D, degree: int | None = None) -> Birkhof
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")  # the Lie series raises at a non-finite term
 def quantum_normal_form(
     f: FormalSymbol, order: int, degree: int
 ) -> tuple[list[np.ndarray], list[FormalSymbol]]:
@@ -1063,42 +1089,52 @@ def quantum_normal_form(
     G taken at increasing (hbar-order, degree), until the symbol is radial at
     every hbar-order up to the caps.  Requires the quadratic part to be
     c * z zbar already (diagonal Hessian, up to 1e-12 |c|): the
-    theta-cohomology is then solvable for every non-radial term.
+    theta-cohomology is then solvable for every non-radial term.  Each
+    generator is one homogeneous shell, and the symbol stays at the caps,
+    so every transport runs on the stacks as they are.
 
     Returns (radial profiles R_k by hbar-order, list of generators).  The
     eigenvalues of T(f) near the bottom well are the exact diagonal values of
-    T(R) up to the truncation error of the caps.  Raises NoConvergence when
-    an hbar-order keeps a non-radial residual above 1e-9 relative after its
+    T(R) up to the truncation error of the caps.  Every threshold is relative:
+    f(0) and df(0) count as zero within 1e-12 S, S the largest coefficient of
+    the hbar^0 table of f, a shell whose non-radial part is below 1e-13 S
+    needs no generator, and the result is radial when its non-radial residual
+    is below 1e-9 of the result's largest coefficient.  So f and s f, s a
+    power of 2, give profiles s R_k with the same generators, to the bit.
+    Raises NoConvergence when an hbar-order keeps a larger residual after its
     generators, which happens when the Lie terms grow so far past the result
     that their cancellation leaves no digit of it; the message names the
     order, the degree and log10 of the largest Lie term over the result.
     """
     f = f.resized(order, degree)
-    t0 = f.term(0)
-    if abs(t0.t[0, 0]) > 1e-12 or abs(t0.t[1, 0]) > 1e-12 or abs(t0.t[0, 1]) > 1e-12:
+    t0 = f.c[0]
+    size = float(np.abs(t0).max())
+    if max(abs(t0[0, 0]), abs(t0[1, 0]), abs(t0[0, 1])) > 1e-12 * size:
         raise ValueError("expected f(0) = 0 and df(0) = 0 at hbar-order 0")
-    d0 = complex(t0.t[1, 1])
-    if max(abs(t0.t[2, 0]), abs(t0.t[0, 2])) > 1e-12 * abs(d0):
+    d0 = complex(t0[1, 1])
+    if max(abs(t0[2, 0]), abs(t0[0, 2])) > 1e-12 * abs(d0):
         raise ValueError("quadratic part must be proportional to z zbar")
     if d0 == 0:
         raise NonEllipticHessian("vanishing z zbar coefficient")
-    current, largest = f, 0.0
+    current, largest, inv_d0 = f, 0.0, 1.0 / d0
     gens: list[FormalSymbol] = []
     offdiag = ~np.eye(degree + 1, dtype=bool)
     for k in range(order + 1):
         for m in range(3 if k == 0 else 1, degree + 1):
-            nonrad = _nonradial(current.c[k], m)
-            if np.max(np.abs(nonrad)) < 1e-13:
+            pos, reciprocal = _nonradial_shell(degree + 1, m)
+            nonrad = current.c[k].take(pos)
+            if np.abs(nonrad).max() < 1e-13 * size:
                 continue
+            # the theta-antiderivative of the shell over d0
             gen = FormalSymbol._wrap(np.zeros_like(current.c), np.zeros(order + 1, dtype=bool))
-            gen.c[k] = _theta_inverse(nonrad) * (1.0 / d0)
+            gen.c[k].flat[pos] = nonrad * reciprocal * inv_d0
             gens.append(gen)
-            current, size = _transport(current, gen, order, degree)
-            largest = max(largest, size)
+            current, lie = _transport(current, gen)
+            largest = max(largest, lie)
         # the order-k part is now radial through all degrees, unless the
         # cancellations of the transport ate the digits that would show it
         resid = float(np.abs(np.where(offdiag, current.c[k], 0.0)).max())
-        scale = max(1.0, current.norm_inf())
+        scale = current.norm_inf()
         if not resid < 1e-9 * scale:
             lost = log10(max(largest / scale, 1.0))
             raise NoConvergence(

@@ -515,6 +515,21 @@ class TestMultiwell:
         for i, w, l, dist in rep.matches:
             assert abs(rep.eigenvalues[i] - exact[l]) < 1e-9
 
+    def test_tiny_hessian_matches_as_unscaled(self):
+        # scaled by 2^-110, hbar |d0| is 3.9e-35; each lattice keeps its five
+        # levels and the report is the unscaled one, scaled
+        coeffs, s = {(1, 1): 1.0, (2, 2): 0.1}, 2.0**-110
+        ref = multiwell_compare(MonomialSymbol(coeffs), 0.05, wells=[0.0], order=3, degree=8)
+        got = multiwell_compare(
+            MonomialSymbol({k: s * v for k, v in coeffs.items()}), 0.05, wells=[0.0], order=3, degree=8
+        )
+        assert abs(0.05 * got.wells[0].d0) < 1e-30
+        assert [len(w.lattice) for w in got.wells] == [len(w.lattice) for w in ref.wells] == [5]
+        assert [m[:3] for m in got.matches] == [m[:3] for m in ref.matches]
+        assert len(got.matches) == 3
+        assert np.allclose(got.wells[0].lattice / s, ref.wells[0].lattice, rtol=1e-12, atol=0)
+        assert np.allclose(got.eigenvalues / s, ref.eigenvalues, rtol=1e-12, atol=0)
+
     def test_distinct_hessians(self):
         # scale one well by 1.5 via |z^2-1|^2 (1 + s (z + zbar)/2) with s = 0.2
         c, s = 1 + 0.3j, 0.2

@@ -23,6 +23,7 @@ from bargspec.symbols import (
     NonzeroAverage,
     TaylorTable2D,
     _ad_operator,
+    _ad_shell,
     _beyond_degree,
     _cut_orders,
     _dz,
@@ -795,6 +796,22 @@ class TestBirkhoff:
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
+    # z zbar + 0.3 (z^2 zbar + z zbar^2) + 0.1 |z|^4 + 0.2i (z^3 - zbar^3)
+    SCALED_WELL = {(1, 1): 1.0, (2, 1): 0.3, (1, 2): 0.3, (2, 2): 0.1, (3, 0): 0.2j, (0, 3): -0.2j}
+
+    @pytest.mark.parametrize("e", [50, -50])
+    def test_scale_covariant_to_the_bit(self, e):
+        # s f with s = 2^e: the reduction and every Lie term scale exactly and
+        # every threshold is relative, so mu0_s[a] = s^(1 - a) mu0[a] to the bit
+        s = 2.0**e
+        ref = birkhoff_normal_form(table_from_dict(self.SCALED_WELL, 6), 6)
+        got = birkhoff_normal_form(table_from_dict({k: s * v for k, v in self.SCALED_WELL.items()}, 6), 6)
+        assert np.array_equal(got.mu0 * s ** (np.arange(7) - 1.0), ref.mu0)
+        assert got.d0 == s * ref.d0
+        assert len(got.generators) == len(ref.generators) == 4
+        assert all(np.array_equal(g.t, h.t) for g, h in zip(got.generators, ref.generators))
+
+
 class TestLieSeries:
     """exp(ad_G) for G = c |z|^2 rotates: t[a, b] -> t[a, b] e^{i c (a - b)}
     at every hbar-order; the series never terminates, so the term cap decides."""
@@ -910,6 +927,30 @@ class TestLieOperator:
         assert_matches(got.c, got.flags, loop.c, loop.flags)
 
 
+    def test_shell_tables_are_cached_without_values(self):
+        # two generators on the shell (k, m) = (1, 4) with different
+        # coefficients: the second transport reuses the first one's index
+        # tables, and each matches the convolution loop
+        rng = np.random.default_rng(23)
+        order, degree = 2, 8
+        f = stack(rng, order, degree, False)
+        a = np.arange(degree + 1)
+        shell = a[:, None] + a[None, :] == 4
+        _ad_shell.cache_clear()
+        for c in (0.2, -0.7j):
+            gen = np.zeros((order + 1, degree + 1, degree + 1), dtype=complex)
+            gen[1] = np.where(shell, c * (rng.normal(size=shell.shape) + 1j * rng.normal(size=shell.shape)), 0.0)
+            gen = FormalSymbol._wrap(gen, np.zeros(order + 1, dtype=bool))
+            got = quantum_lie_transport(f, gen, order, degree)
+            loop, _ = _lie_series(f, lambda x: loop_ad(gen, x, order, degree), 8 * (degree + order + 1))
+            assert_matches(got.c, got.flags, loop.c, loop.flags)
+        info = _ad_shell.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        for table in _ad_shell(order, degree + 1, 1, 4):
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 0
+
+
 # the anharmonic well of the optimal-truncation study: z zbar + 0.05 |z|^4
 # + 0.03 (z^2 zbar + z zbar^2) + 0.01i z^3 zbar
 NF_WELL = {(1, 1): 1.0, (2, 2): 0.05, (2, 1): 0.03, (1, 2): 0.03, (3, 1): 0.01j}
@@ -983,6 +1024,15 @@ class TestQuantumNormalForm:
         # at degree 4 the terms stay small enough
         br = birkhoff_normal_form(table_from_dict(coeffs, 4), 4)
         assert np.isfinite(br.mu0).all()
+
+    @pytest.mark.parametrize("e", [-60, 50])
+    def test_lost_digits_raise_at_every_scale(self, e):
+        # the residual test is relative to the result, so the lost-digits
+        # symbol of `test_lost_digits_raise` scaled by 2^e raises too
+        coeffs = {(1, 1): 1.0, (3, 0): 1e3, (0, 4): 1e5}
+        with pytest.raises(NoConvergence, match=r"hbar-order 0 .* at degree 8, ") as err:
+            birkhoff_normal_form(table_from_dict({k: 2.0**e * v for k, v in coeffs.items()}, 8), 8)
+        assert float(re.search(r"so ([\d.]+) digits are lost", str(err.value)).group(1)) > 15
 
     def test_radial_input_is_fixed_point(self):
         f = FormalSymbol([radial_table(np.array([0.0, 1.0, 0.3]), 8)])
