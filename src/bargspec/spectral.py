@@ -775,18 +775,18 @@ def multiwell_compare(
         local = symbol.recenter(x_n)
         level = local.coeffs.get((0, 0), 0.0)
         levels.append(level)
-        grad = (local.coeffs.get((1, 0), 0.0), local.coeffs.get((0, 1), 0.0))
-        if max(abs(grad[0]), abs(grad[1])) > 1e-10:
-            raise ValueError(f"well {x_n} is not a critical point (df = {grad})")
         shifted = MonomialSymbol(
             {k: v for k, v in local.coeffs.items() if k != (0, 0)}
         )
+        grad = (shifted.coeffs.get((1, 0), 0.0), shifted.coeffs.get((0, 1), 0.0))
+        if max(abs(grad[0]), abs(grad[1])) > 1e-10 * max(map(abs, shifted.coeffs.values()), default=0.0):
+            raise ValueError(f"well {x_n} is not a critical point (df = {grad})")
         t20 = shifted.coeffs.get((2, 0), 0.0)
         t11 = shifted.coeffs.get((1, 1), 0.0)
         t02 = shifted.coeffs.get((0, 2), 0.0)
         form = ComplexQuadraticForm.from_zv_coefficients(t20, t11, t02)
         nf = reduce_quadratic(form)
-        diagonal_hessian = abs(t20) < 1e-12 and abs(t02) < 1e-12
+        diagonal_hessian = max(abs(t20), abs(t02)) <= 1e-12 * abs(t11)
         if diagonal_hessian:
             f_loc = FormalSymbol.from_monomials(shifted, degree)
             profiles, _ = quantum_normal_form(f_loc, order, degree)

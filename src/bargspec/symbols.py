@@ -36,7 +36,10 @@ slice of it.  Their index tables over the whole stack depend on the caps and
 the shell alone and are cached per shell (`_ad_shell`), so a generator only
 gathers its values, and each Lie term is one gather and `bincount`.  One rule,
 `_cut_orders`, sets the flags of both: a product drops a nonzero coefficient
-exactly when its factors' top degrees add up past the cap.
+exactly when its factors' top degrees add up past the cap.  The kernel reads
+those top degrees in one pass per operand (`_tops`), which gives both the
+flags and the trim of the operand to its top degree, and does no work at all
+when an operand is zero.
 
 Degree and hbar-order caps are independent; any operation that drops a
 nonzero coefficient marks its result `truncated` and callers that need
@@ -457,41 +460,48 @@ def _sharp_pairs(nf: int, ng: int, j: int, degree: int, bracket: bool) -> tuple[
     return out + (shells,)
 
 
-def _cut_orders(f: np.ndarray, g: np.ndarray, order: int, degree: int, j_min: int = 0, bracket: bool = False):
-    """Per hbar-order o of the series of `_sharp`, whether the degree cap
-    drops a nonzero coefficient: whether d^j f_k dbar^j g_l, or for a bracket
-    also d^j g_l dbar^j f_k, has top degree past `degree` for some
-    j >= j_min with j + k + l = o.  The top degree of d^j T is the largest
-    a + b - j over nonzero T[a, b] within the table's total degree with
-    a >= j (b >= j for dbar), over every t-layer of a t-stack.  The top
-    parts of two nonzero polynomials multiply to a nonzero polynomial, so
-    these are exactly the products that drop a nonzero coefficient."""
-    n = max(f.shape[-1], g.shape[-1])
-    nonzero = np.zeros((2, order + 1, n, n), dtype=bool)
-    for side, x in zip(nonzero, (f[: order + 1], g[: order + 1])):
-        m = x.shape[-1]
-        side[: len(x), :m, :m] = (x.any(axis=1) if x.ndim == 4 else x != 0) & ~_beyond_degree(m)
-    r = np.arange(n)
-    deg = np.where(nonzero, r[:, None] + r, -np.inf)
-    # the largest degree in the rows, then the columns, >= j, less j: the top
-    # degrees of d^j and dbar^j of f and g by (hbar-order, j), -inf where they vanish
-    above = np.maximum.accumulate(np.concatenate([deg.max(axis=3), deg.max(axis=2)])[..., ::-1], axis=-1)[..., ::-1]
-    top = np.full(above.shape[:2] + (order + 1,), -np.inf)
-    top[..., :n] = above[..., : order + 1]
-    f_dz, g_dz, f_dzbar, g_dzbar = top - np.arange(order + 1)
-    cut = f_dz[:, None] + g_dzbar > degree  # by (k, l, j)
+@lru_cache(maxsize=64)
+def _shifted_degrees(n: int, count: int) -> np.ndarray:
+    """a + b - j at the entries (a, b) of a flat n x n table within its total
+    degree with a >= j, then with b >= j, for j < count; -inf elsewhere.
+    Shape (2, count, n * n), read-only."""
+    a, b = np.divmod(np.arange(n * n), n)
+    j = np.arange(count)[:, None]
+    out = np.where(np.stack([a >= j, b >= j]) & (a + b <= n - 1), a + b - j, -np.inf)
+    out.flags.writeable = False
+    return out
+
+
+def _tops(x: np.ndarray, order: int) -> np.ndarray:
+    """The top degrees of d^j x_k and dbar^j x_k, j <= order, for stacked
+    tables x (K+1, n, n) or a t-stack (K+1, T+1, n, n): the largest a + b - j
+    over the entries x_k[a, b] within the table's total degree that are
+    nonzero on some t-layer, with a >= j (b >= j for dbar), -inf where the
+    derivative vanishes.  Shape (K+1, 2, order+1), by (k, d or dbar, j)."""
+    n = x.shape[-1]
+    nonzero = (x.any(axis=1) if x.ndim == 4 else x != 0).reshape(len(x), 1, 1, n * n)
+    return np.where(nonzero, _shifted_degrees(n, order + 1), -np.inf).max(axis=-1)
+
+
+def _cut(f_top: np.ndarray, g_top: np.ndarray, order: int, degree: int, j_min: int, bracket: bool) -> np.ndarray:
+    """The flags of `_cut_orders` from the `_tops` of its operands."""
+    cut = f_top[:, None, 0] + g_top[:, 1] > degree  # by (k, l, j)
     if bracket:
-        cut |= f_dzbar[:, None] + g_dz > degree
-    k, l, j = np.nonzero(cut)
-    o = (k + l + j)[j >= j_min]
+        cut |= f_top[:, None, 1] + g_top[:, 0] > degree
+    k, l, j = np.nonzero(cut[..., j_min:])
+    o = k + l + j + j_min
     return np.bincount(o[o <= order], minlength=order + 1) > 0
 
 
-def _span(x: np.ndarray) -> int:
-    """1 + the top degree of the nonzero entries of stacked tables (..., n, n)."""
-    n = x.shape[-1]
-    nonzero = x.reshape(-1, n, n).any(axis=0) & ~_beyond_degree(n)
-    return int(np.add.outer(np.arange(n), np.arange(n))[nonzero].max(initial=0)) + 1
+def _cut_orders(f: np.ndarray, g: np.ndarray, order: int, degree: int, j_min: int = 0, bracket: bool = False):
+    """Per hbar-order o of the series of `_sharp`, whether the degree cap
+    drops a nonzero coefficient: whether d^j f_k dbar^j g_l, or for a bracket
+    also d^j g_l dbar^j f_k, has top degree (`_tops`, over every t-layer of a
+    t-stack) past `degree` for some j >= j_min with j + k + l = o.  The top
+    parts of two nonzero polynomials multiply to a nonzero polynomial, so
+    these are exactly the products that drop a nonzero coefficient."""
+    f, g = f[: order + 1], g[: order + 1]
+    return _cut(_tops(f, order), _tops(g, order), order, degree, j_min, bracket)
 
 
 def _sharp(
@@ -503,36 +513,49 @@ def _sharp(
     f and g stack hbar-orders on axis 0: shape (K+1, n, n), or (K+1, T+1, n, n)
     with a polynomial in the homotopy time t on axis 1; the product keeps the
     longer operand's t cap and raises DegreeOverflow when a nonzero
-    coefficient lands past it.  For each j, every pair of nonzero tables
-    (k, s) x (l, u) with j + k + l <= order meets the entry pairs of
-    `_sharp_pairs` in one gather per operand and one `np.bincount` over the
-    real and imaginary parts side by side; zero tables, and entries past an
-    operand's top degree, cost nothing.  `top_only` computes hbar-order
+    coefficient lands past it.  When either operand has no nonzero table the
+    product is zero and nothing is flagged, and no further work is done.
+    Otherwise one pass per operand (`_tops`) gives the top degrees of its
+    derivatives, from which come both the flags of `_cut_orders` and the trim
+    of the operand to its top degree.  For each j, every pair of nonzero
+    tables (k, s) x (l, u) with j + k + l <= order meets the entry pairs of
+    `_sharp_pairs` in one flat `take` per operand and one `np.bincount` over
+    the real and imaginary parts side by side; zero tables, and entries past
+    an operand's top degree, cost nothing.  `top_only` computes hbar-order
     `order` alone.  Returns the product, of shape (order+1, [T+1,] degree+1,
-    degree+1), and the flags of `_cut_orders`.
+    degree+1), and the flags.
     """
     timed = f.ndim == 4
     if not timed:
         f, g = f[:, None], g[:, None]
     f, g = f[: order + 1], g[: order + 1]
-    dropped = _cut_orders(f, g, order, degree, j_min, bracket)
+    n = degree + 1
+    t_len, t_out = max(f.shape[1], g.shape[1]), f.shape[1] + g.shape[1] - 1
+    if not (f.any() and g.any()):
+        out = np.zeros((order + 1, t_len, n, n), dtype=complex)
+        return (out if timed else out[:, 0]), np.zeros(order + 1, dtype=bool)
+    f_top, g_top = _tops(f, order), _tops(g, order)
+    dropped = _cut(f_top, g_top, order, degree, j_min, bracket)
     if top_only:
         dropped[:order] = False
-    f, g = (x[..., :m, :m] for x, m in ((f, _span(f)), (g, _span(g))))
-    nf, ng, n = f.shape[-1], g.shape[-1], degree + 1
-    t_len, t_out = max(f.shape[1], g.shape[1]), f.shape[1] + g.shape[1] - 1
-    out = np.zeros(2 * (order + 1) * t_out * n * n)
+    # each operand trimmed to 1 + its top degree and flattened; a gather reads
+    # the entries of its nonzero tables at their row offsets
+    nf, ng = (int(max(top[:, 0, 0].max(), 0.0)) + 1 for top in (f_top, g_top))
+    f, g = f[..., :nf, :nf], g[..., :ng, :ng]
     fk, fs = np.nonzero(f.any(axis=(2, 3)))
     gl, gu = np.nonzero(g.any(axis=(2, 3)))
-    f, g = f.reshape(f.shape[:2] + (-1,)), g.reshape(g.shape[:2] + (-1,))
+    f_rows, g_rows = (fk * f.shape[1] + fs) * nf * nf, (gl * g.shape[1] + gu) * ng * ng
+    f, g = f.ravel(), g.ravel()
+    out = np.zeros(2 * (order + 1) * t_out * n * n)
+    base = fk[:, None] + gl
     for j in range(j_min, min(order, nf - 1, ng - 1) + 1):
-        lands = fk[:, None] + gl + j
+        lands = base + j
         p, q = np.nonzero(lands == order if top_only else lands <= order)
         if not len(p):
             continue
         fi, gi, slots, weight, _ = _sharp_pairs(nf, ng, j, degree, bracket)
-        terms = f[fk[p, None], fs[p, None], fi]
-        terms *= g[gl[q, None], gu[q, None], gi]
+        terms = f.take(f_rows[p, None] + fi)
+        terms *= g.take(g_rows[q, None] + gi)
         terms *= weight
         slots = ((2 * n * n * (lands[p, q] * t_out + fs[p] + gu[q]))[:, None] + slots).ravel()
         out += np.bincount(slots, terms.view(float).ravel(), len(out))
@@ -801,6 +824,10 @@ def moser_normal_form(
 
     is integrated exactly: every coefficient is polynomial in t.  corr is the
     j >= 2 tail of hbar^{-1}[mu, i b]_# (the j = 1 part cancels {mu, b}).
+    R = rdot + Q with Q = a # rdot + rdot # a* + a # rdot # a*: the stack
+    q1 = a # rdot gains one order per step, formed before rdot_k (which it
+    does not read, as a_0 = 0), and Q_k = (q1 + (rdot + q1) # a*)_k takes
+    two kernel products.
     The order-k flags of the result mark a dropped coefficient in a kernel
     product of orders <= k, or a truncated input.  Raises NoConvergence,
     naming the first such hbar-order, when a(1) or r(1) is not finite.
@@ -823,7 +850,7 @@ def moser_normal_form(
     inv_mu0_prime = radial_table(reciprocal_profile(np.diagonal(mu_prime[0]), degree // 2 + 1), degree).t
 
     shape = (order + 1, order + 2, n, n)
-    a, astar, b, rdot, g_t, mu_t = (np.zeros(shape, dtype=complex) for _ in range(6))
+    a, astar, b, rdot, q1, g_t, mu_t = (np.zeros(shape, dtype=complex) for _ in range(7))
     g_t[:, 0], mu_t[:, 0] = g.c, mu.c
     theta = _theta_weights(n)
     flags = mu.flags | g.flags
@@ -845,11 +872,10 @@ def moser_normal_form(
             rhs += -1j * _t_shift(_at(bracket, k - 1, drops))
             # corr_k: j >= 2 tail of hbar^{-1} [mu, i b]_# at order k (uses b_j, j <= k-1)
             rhs += -1j * _at(_sharp(mu_t, b[:k], k + 1, degree, 2, bracket=True, top_only=True), k + 1, drops)
-            # Q_k = (a # rdot + rdot # a* + a # rdot # a*)_k
-            q1 = _at(_sharp(a[: k + 1], rdot[: k + 1], k, degree), slice(None), drops)
-            q2 = _at(_sharp(rdot[: k + 1], astar[: k + 1], k, degree, top_only=True), k, drops)
-            q12 = _at(_sharp(q1, astar[: k + 1], k, degree, top_only=True), k, drops)
-            rhs += q1[k] + q2 + q12
+            # Q_k: q1 = a # rdot gains its order k, then (rdot + q1) # a*, which
+            # reads q1 below order k only, as a*_0 = 0
+            q1[k] = _at(_sharp(a[: k + 1], rdot[: k + 1], k, degree, top_only=True), k, drops)
+            rhs += q1[k] + _at(_sharp(rdot[: k + 1] + q1[: k + 1], astar[: k + 1], k, degree, top_only=True), k, drops)
             # lower-mu transport terms: - sum_{j>=1} mu_j' d_theta b_{k-j}
             for j in range(1, k + 1):
                 rhs -= _at(_sharp(mu_prime[j][None, None], (b[k - j] * theta)[None], 0, degree), 0, drops)

@@ -530,6 +530,38 @@ class TestMultiwell:
         assert np.allclose(got.wells[0].lattice / s, ref.wells[0].lattice, rtol=1e-12, atol=0)
         assert np.allclose(got.eigenvalues / s, ref.eigenvalues, rtol=1e-12, atol=0)
 
+    # z zbar + 0.2 (z^2 + zbar^2) + 0.1 |z|^4: a non-diagonal Hessian at well 0
+    SKEW_WELL = {(1, 1): 1.0, (2, 0): 0.2, (0, 2): 0.2, (2, 2): 0.1}
+
+    @staticmethod
+    def scaled_well(coeffs, e):
+        sym = MonomialSymbol({k: 2.0**e * v for k, v in coeffs.items()})
+        return multiwell_compare(sym, 0.05, wells=[0.0], order=1, degree=4)
+
+    def test_nondiagonal_hessian_routes_to_the_lattice_at_every_scale(self):
+        # the Hessian test is relative to |t11|: scaled by 2^-50, the well is
+        # still matched by the quadratic lattice, as at scale 1
+        ref, got = (self.scaled_well(self.SKEW_WELL, e) for e in (0, -50))
+        for rep in (ref, got):
+            assert len(rep.matches) == 3 and not rep.wells[0].corrected
+        assert [m[:3] for m in got.matches] == [m[:3] for m in ref.matches]
+        assert np.allclose(got.residuals * 2.0**50, ref.residuals, rtol=1e-9, atol=0)
+
+    @pytest.mark.parametrize("e", [50, -50])
+    def test_diagonal_hessian_routes_to_the_normal_form_at_every_scale(self, e):
+        radial = {(1, 1): 1.0, (2, 2): 0.1}
+        ref, got = self.scaled_well(radial, 0), self.scaled_well(radial, e)
+        assert ref.wells[0].corrected and got.wells[0].corrected
+        assert [m[:3] for m in got.matches] == [m[:3] for m in ref.matches]
+        assert len(got.matches) == 3
+
+    @pytest.mark.parametrize("e", [0, -50])
+    def test_gradient_test_is_relative(self, e):
+        # 0.3 (z + zbar) is no critical point at any scale, also where the
+        # gradient is far below 1e-10
+        with pytest.raises(ValueError, match="not a critical point"):
+            self.scaled_well({**self.SKEW_WELL, (1, 0): 0.3, (0, 1): 0.3}, e)
+
     def test_distinct_hessians(self):
         # scale one well by 1.5 via |z^2-1|^2 (1 + s (z + zbar)/2) with s = 0.2
         c, s = 1 + 0.3j, 0.2

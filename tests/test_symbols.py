@@ -277,6 +277,69 @@ class TestSharpKernel:
             ref = plain(self.at_time(ft, tau), self.at_time(gt, tau))
             assert (self.at_time(timed, tau) - ref).norm_inf() <= 1e-12 * ref.norm_inf()
 
+    @staticmethod
+    def sparse_stack(rng, orders, n, t_layers, zero):
+        """Random (orders, t_layers, n, n) tables of t-degree <= 2 with nothing
+        past total degree n - 1: some tables, t-layers and entries zeroed, at
+        a density of 0.1 to 1, and the rest confined to a + b <= a cap below
+        n - 1; all zero when `zero`."""
+        x = np.zeros((orders, t_layers, n, n), dtype=complex)
+        x[:, :3] = rng.normal(size=x[:, :3].shape) + 1j * rng.normal(size=x[:, :3].shape)
+        x[..., _beyond_degree(n, int(rng.integers(0, n)))] = 0.0
+        x[rng.random(x.shape[:2]) < 0.3] = 0.0
+        x[:, rng.random(x.shape[1]) < 0.3] = 0.0
+        x[rng.random(x.shape) > rng.choice([0.1, 0.5, 1.0])] = 0.0
+        return 0.0 * x if zero else x
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        timed=st.booleans(),
+        zero=st.sampled_from(["none", "f", "g"]),
+        top_only=st.booleans(),
+        bracket=st.booleans(),
+        j_min=st.integers(0, 2),
+    )
+    def test_sparse_stacks_match_loop(self, seed, timed, zero, top_only, bracket, j_min):
+        # the early return on a zero operand and the trim to each operand's
+        # top degree give the values and flags of the pair-by-pair loop
+        rng = np.random.default_rng(seed)
+        order, degree = int(rng.integers(0, 4)), int(rng.integers(2, 9))
+        # unequal t caps too; with 5 t-layers on one side every product fits
+        t_layers = [(3, 5), (5, 3), (5, 5)][rng.integers(3)] if timed else (1, 1)
+        f, g = (
+            self.sparse_stack(rng, int(rng.integers(1, order + 2)), int(rng.integers(2, degree + 3)), t, zero == x)
+            for x, t in zip(("f", "g"), t_layers)
+        )
+        if not timed:
+            f, g = f[:, 0], g[:, 0]
+        got, got_flags = _sharp(f, g, order, degree, j_min, bracket, top_only)
+        ref, ref_flags = (bracket_loop if bracket else sharp_loop)(f, g, order, degree, j_min)
+        # a bracket's two series can cancel to roundoff: the tolerance is on their size
+        scale = max(np.abs(sharp_loop(x, y, order, degree, j_min)[0]).max() for x, y in ((f, g), (g, f))[: 1 + bracket])
+        if top_only:
+            ref[:order], ref_flags[:order] = 0.0, False
+        assert got.shape == ref.shape
+        assert np.abs(got - ref).max() <= 1e-13 * scale
+        assert np.array_equal(got_flags, ref_flags)
+
+    @pytest.mark.parametrize("bracket", [False, True])
+    def test_monomial_pairs_match_loop(self, bracket):
+        # every pair of monomials z^a zbar^b of degree <= 3, over 2 hbar-orders:
+        # the top degrees of a lone entry, also in row or column 0, set the
+        # trim and the flags
+        n, order, degree = 4, 2, 3
+        monomials = [(k, a, b) for k in range(2) for a in range(n) for b in range(n - a)]
+        for (k, a, b), (l, c, d) in product(monomials, monomials):
+            f, g = np.zeros((2, n, n), dtype=complex), np.zeros((2, n, n), dtype=complex)
+            f[k, a, b], g[l, c, d] = 1.0 + 0.5j, 0.5 - 1.0j
+            for j_min, top_only in product((0, 1), (False, True)):
+                got, got_flags = _sharp(f, g, order, degree, j_min, bracket, top_only)
+                ref, ref_flags = (bracket_loop if bracket else sharp_loop)(f, g, order, degree, j_min)
+                if top_only:
+                    ref[:order], ref_flags[:order] = 0.0, False
+                assert np.abs(got - ref).max() <= 1e-13 and np.array_equal(got_flags, ref_flags)
+
     def test_t_product_past_the_cap_raises(self):
         # t^2 # t^2 = t^4 does not fit a 3-layer t-axis (t-degree at most 2)
         x = np.zeros((1, 3, 3, 3), dtype=complex)
@@ -567,8 +630,180 @@ class TestSharpInverse:
             sharp_inverse(FormalSymbol.constant(1.0, 2, 2))
 
 
+# moser_normal_form(mu, g, 3, 10) for g = rand_symbol(default_rng(5), 0, 4, 10),
+# keyed by whether mu is TestMoser.GRADED (else TestMoser.MU): the flags, the
+# entries 0..5 of r(1)'s profiles (the rest are zero) and the order-3 table of
+# a(1) by rows a, entries b <= 10 - a.
+MOSER_PINNED = {
+    False: {
+        "flags": [False, False, True, True],
+        "r": [
+            [
+                -0.8019314252534474-1.324358995628145j, -0.9582652054360887+1.6000190889991115j,
+                -0.06308597192528916-0.5894312580326048j, 0,
+                0, 0,
+            ],
+            [0] * 6,
+            [
+                -0.45080186813571904-0.4209958404721232j, 5.595640856704632+3.5669489381255852j,
+                3.3441054897007207-2.6060208766662227j, 2.449518239404011-0.7989456214832523j,
+                -2.9605947323337506e-16+7.401486830834377e-17j, -9.25185853854297e-17+0j,
+            ],
+            [
+                -0.6613631954758664-0.6234342543040038j, -2.8833061750028675-1.0820839354107348j,
+                -9.572748924995638-13.798997856111967j, 2.3165390996349394e-15+5.657231156941259e-16j,
+                9.276296928292355e-16-7.145435259670696e-16j, 1.1458514868008936e-16+9.39391758296821e-16j,
+            ],
+        ],
+        "a3": [
+            [
+                0.22540093406785952+0.2104979202360616j, -0.010457962916966185+2.171475650703563j,
+                0.8524618015402738-1.3477986462643765j, -1.625959810290212+0.7677691747093055j,
+                1.1660703990603354+0.1628209403898676j, -0.4928989308822044+0.14509181572813384j,
+                -0.15574879586500479+0.13517311875244364j, -0.16003058642745524-0.0916963113938199j,
+                0.03899536321875356+0.15888992216536904j, 0.037444553004447906-0.11481008878122229j,
+                -0.0646075382099505+0.04180628531119988j,
+            ],
+            [
+                2.434906051140322+1.3315326645250567j, -2.467138830614383-1.4717573419107908j,
+                1.0392099191068738-4.573498460822759j, 0.6073694879781903+1.7653072767318865j,
+                3.3131323995260296+0.8197912860684349j, 0.653082347599319+0.23593688829364787j,
+                -0.14237902861824459-0.45381506855690945j, -0.2458456875278714+0.43664535031526347j,
+                0.3478954173920919+0.028320545744342913j, -0.03430098145971572-0.2015984215133233j,
+            ],
+            [
+                -0.2280127392441172-0.8357749840327378j, -2.5899752404414156+2.9878602364091273j,
+                0.09686702890953591+2.927557649007371j, 0.710024478288542-8.778375441664137j,
+                2.916880521079926+4.974805294623136j, 0.9116040543275125-1.4052330346277941j,
+                -0.9322903011718036+0.22781280385882965j, -0.008246717224110032+0.760261087898862j,
+                -0.11152634862952984-0.5124804920589178j,
+            ],
+            [
+                -0.2993485033472689-1.1318170714117768j, 2.8741918792644974-2.4748824434895655j,
+                0.7349117079838234+18.46734614812124j, -0.07810894868465512+2.887432282495356j,
+                1.732846544647861-2.23030083254604j, -0.019683607446731914-1.6816952757814934j,
+                -0.6076732613843441+0.6968709019020741j, 0.2946250321200041+0.715185677470151j,
+            ],
+            [
+                0.4951113898902501-0.6000650474868672j, -3.5678427922842637+5.540390864055597j,
+                -0.11535157747964347+4.917751412684523j, 2.084060760161977-0.04056072434839364j,
+                0.8894419642241217-0.5160961312220547j, -1.614017498664489-0.0247276827300957j,
+                -1.1286061538908225+0.2717548025630046j,
+            ],
+            [
+                -0.5926795162968009+1.0253813825977138j, -1.7045227472070654-0.030250999266251428j,
+                0.40395793895444904-0.40824528037158125j, 1.8392443228168962+0.5894777501345464j,
+                0.5032338239201165-0.20641873856050968j, -1.6624806539213026-0.36323318221601j,
+            ],
+            [
+                -0.5475353386077435-0.2198166212738697j, -0.14006514673925974-0.029183671444950463j,
+                0.8040816345021634+1.2136742691179698j, 0.2404726294296689-0.10942282106161563j,
+                -0.7440102749831452-1.2067584462526602j,
+            ],
+            [
+                -0.12889456745097555+0.00015360139695122299j, 0.3914084360308283+0.2214956392702015j,
+                0.06771886837402248+0.4292107214294696j, -0.2914755322441524-0.5523570850040436j,
+            ],
+            [
+                0.07999777243062511+0.01809192059763533j, -0.023795664988940778+0.1956679815091588j,
+                -0.18648596535077835-0.08115017320624557j,
+            ],
+            [
+                -0.005008982539177318+0.005522776086359396j, -0.03949116249852204+0.05550426321179169j,
+            ],
+            [
+                -0.0021568668025481233+0.018453630227865392j,
+            ],
+        ],
+    },
+    True: {
+        "flags": [True, True, True, True],
+        "r": [
+            [
+                -0.8019314252534474-1.324358995628145j, -0.9582652054360887+1.6000190889991115j,
+                -0.06308597192528916-0.5894312580326048j, 0,
+                0, 0,
+            ],
+            [0] * 6,
+            [
+                -0.45080186813571904-0.4209958404721232j, 5.950321145680489+3.7293860687817153j,
+                0.10705306382724367-3.3916964357659203j, 2.8589232053085705+0.572006694666749j,
+                -1.1435970388240575+0.14286289016354092j, 0.33553848442552714-0.12802633418990056j,
+            ],
+            [
+                -0.7034627795230788-0.5783540674904318j, 0.18541586366955554-0.9470124593226741j,
+                -10.467411287181971-15.412163650474056j, 9.043753230913742+4.140447364975335j,
+                -5.209848383721668+0.32103537960674616j, 1.9988239823419078-0.6942538965304186j,
+            ],
+        ],
+        "a3": [
+            [
+                0.22540093406785952+0.2104979202360616j, -0.007974346696013698+2.167271198322908j,
+                0.8201927774768062-1.374636724584346j, -1.6526969992900402+0.9075921480114951j,
+                1.4696699663291113+0.06773262129969813j, -0.8010694265685377+0.1371296889697703j,
+                0.06584204442704983+0.3929241048063274j, -0.14567465899857418-0.2937997969482612j,
+                -0.0064481182578260965+0.3198410917371802j, 0.037444553004447906-0.11481008878122229j,
+                -0.0646075382099505+0.04180628531119988j,
+            ],
+            [
+                2.437633738898769+1.319199377884749j, -2.9060182876846636-1.5440340989397772j,
+                0.5277095524231805-6.066767983137129j, 1.035566499783956+2.715699035778138j,
+                4.002069629238357-1.0175927188267353j, -1.0606946483291588+0.7918565191927976j,
+                1.2079363219382686-1.2897309356811792j, -0.29102897865064176-0.24406983903196433j,
+                0.5721253757127277+0.2918964532066485j, -0.12238120229287999-0.521629804343371j,
+            ],
+            [
+                -0.6602841280859684-0.7481481256272511j, -4.60578100410659+2.7751941382789043j,
+                5.10972980168932+3.293926749589015j, 2.1076045541334927-5.5905588285221075j,
+                -0.9805747778804332+4.5090067549043376j, -2.060139783515944+0.7852681150237875j,
+                -0.6448191779044297-0.4254369625976671j, -0.693887683456264+2.2584033330700706j,
+                0.13086570835577238-0.3804732533745435j,
+            ],
+            [
+                -0.5127235532680428-0.6690503914663097j, 5.224281359262742-1.7026453671424882j,
+                2.6770272635820707+15.061703188129426j, -6.425054094193095+0.5159787532098534j,
+                0.9130970516984016+2.24358619999556j, 0.5027526975608929-5.522743042189717j,
+                0.31265473208974504+0.07918979848349705j, 1.074054265849294+0.5738877945614786j,
+            ],
+            [
+                1.033293136861312-0.9239014049988361j, -2.510930846454795+7.323326735058539j,
+                -4.481523638421954+7.240393894591664j, -3.22185513119096-12.997793890743077j,
+                5.172515370231388-3.014154732405557j, -2.1513670149709228+0.06288709460729835j,
+                -0.7886841228657353+4.173888303436964j,
+            ],
+            [
+                -0.6234380065186939+1.405622535312226j, -2.285153874205891+1.2949950064345064j,
+                1.1195375905469063-8.627277268726536j, 3.2058507246489127-5.168366462930633j,
+                4.174413477783066+7.569559275821499j, -4.211950110267482+2.7449037461189976j,
+            ],
+            [
+                -0.37503410175716395-0.03237930205195048j, -0.11807571876105626-2.156476241404724j,
+                2.993661423690656-0.29688305716408325j, 1.165103064022587+6.154164777496389j,
+                -2.3482814407749473+2.088922409157898j,
+            ],
+            [
+                -0.251277697555192-0.1510242450424827j, 1.1157875759506721+0.08218157791725936j,
+                0.7592508648889326+2.007599759780632j, -2.668931522395619-0.012327670791046907j,
+            ],
+            [
+                0.1703006006760885+0.014715837706739999j, 0.2660948249081986+0.27003181785069985j,
+                -1.167879352842419+0.1421243507981241j,
+            ],
+            [
+                -0.005008982539177318+0.005522776086359396j, -0.20607606645359822+0.09604470641928052j,
+            ],
+            [
+                -0.0021568668025481233+0.018453630227865392j,
+            ],
+        ],
+    },
+}
+
+
 class TestMoser:
     MU = FormalSymbol([radial_table(np.array([0.0, 1.0]), 10)])
+    GRADED = FormalSymbol([radial_table(np.array([0.0, 1.0, 0.15 - 0.05j]), 10),
+                           radial_table(np.array([0.2, 0.1j]), 10)])
 
     def test_constant_commutes(self):
         g = FormalSymbol.constant(0.5 + 0.25j, 0, 10)
@@ -613,6 +848,22 @@ class TestMoser:
                     deg,
                 )
                 assert (lhs - rhs).norm_inf() < 1e-10
+
+    @pytest.mark.parametrize("graded", [False, True])
+    def test_pinned(self, graded):
+        # Q_k = (q1 + (rdot + q1) # a*)_k, q1 = a # rdot, with q1_k formed
+        # while rdot_k is still zero; the graded mu has nonzero lower-mu terms
+        ref = MOSER_PINNED[graded]
+        g = rand_symbol(np.random.default_rng(5), 0, 4, 10)
+        res = moser_normal_form(self.GRADED if graded else self.MU, g, 3, 10)
+        assert list(res.flags) == ref["flags"]
+        r, r_ref = np.array(res.r_final), np.array(ref["r"])
+        assert not r[:, 6:].any()
+        assert np.all(np.abs(r[:, :6] - r_ref).max(axis=1) <= 1e-13 * np.abs(r_ref).max(axis=1))
+        a3 = np.zeros((11, 11), dtype=complex)
+        for i, row in enumerate(ref["a3"]):
+            a3[i, : len(row)] = row
+        assert np.abs(res.a_final.term(3).t - a3).max() <= 1e-13 * np.abs(a3).max()
 
     def test_rejects_bad_mu(self):
         with pytest.raises(ValueError):
