@@ -5,7 +5,12 @@ lattice matching.
 
 The solvers read the banded blocks of `ToeplitzMatrix.blocks()`, never the
 dense matrix.  `eigen_spectrum` solves block by block and labels each
-eigenvalue with its block.  A resolvent grid is one batched computation: every
+eigenvalue with its block.  It wants only the few smallest eigenvalues of
+each block, and finds them by Arnoldi on the block's LU inverse, whose
+largest eigenvalues they are (shift-invert at 0: Saad, Numerical Methods for
+Large Eigenvalue Problems, 2011, ch. 7), with numpy alone; a block too small
+for that route, singular, or whose Arnoldi process breaks down gets a dense
+`np.linalg.eigvals`.  A resolvent grid is one batched computation: every
 block A of every M - lambda gets a banded Householder QR, of which only R is
 kept, and block inverse iteration on A^H A = R^H R, two triangular sweeps a
 step, runs vectorised over all of them with a per-pair convergence mask
@@ -118,7 +123,16 @@ def eigen_spectrum(
 
     The loop is its own, not `bargmann.settle`: its gap is a matching of two
     spectra, its cap n_cap need not be a power of 2 times the start, and the
-    NoConvergence it raises hands back the last SpectrumResult."""
+    NoConvergence it raises hands back the last SpectrumResult.
+
+    Each block B (m x m) gives its k_wanted smallest-|lambda| eigenvalues by
+    Arnoldi on B^-1 (`_block_smallest`): 1/theta for the k_wanted
+    largest-modulus Ritz values theta, once each has the relative residual
+    |h_{p+1,p}| |y_p| <= 1e-13 |theta|.  A block goes to a dense
+    `np.linalg.eigvals` instead when the Arnoldi basis would hold more than
+    half of it (every small block, and k_wanted >= m - 2), when B is singular
+    or its inverse is not finite, and when the Arnoldi process breaks down;
+    so every eigenvalue returned is converged."""
     n = m.dim
     prev = None
     while True:
@@ -127,7 +141,7 @@ def eigen_spectrum(
         if band.shape[0] == 1:  # diagonal: the eigenvalues are the entries
             ev, sec = band[0, :, 0], np.arange(g)
         else:
-            evs = [np.linalg.eigvals(_band_dense(band[~pad[:, r], r], kl)) for r in range(g)]
+            evs = [_block_smallest(_band_dense(band[~pad[:, r], r], kl), k_wanted) for r in range(g)]
             ev, sec = np.concatenate(evs), np.repeat(np.arange(g), [len(e) for e in evs])
         order = np.argsort(np.abs(ev))[:k_wanted]
         ev, sec = ev[order], sec[order]
@@ -152,6 +166,72 @@ def eigen_spectrum(
                 raise NoConvergence(f"truncation cap {n_cap} reached at n = {n} before a comparison", result)
             raise NoConvergence(f"eigenvalues still moving by {gap:.3e} at n = {n}", result)
         n = min(2 * n, n_cap)
+
+
+def _block_smallest(block: np.ndarray, k: int) -> np.ndarray:
+    """The k smallest-|lambda| eigenvalues of the dense block B (m x m), by
+    Arnoldi on B^-1 (Saad, Numerical Methods for Large Eigenvalue Problems,
+    2nd ed., 2011, ch. 6-7), or all m of them by a dense `np.linalg.eigvals`.
+
+    The Arnoldi process starts from a fixed vector of unit-modulus entries
+    and orthogonalises each new vector by classical Gram-Schmidt, twice.  Its
+    basis starts at 2k + 20 vectors (ARPACK's default ncv is max(2k + 1,
+    20)); at each basis size p the k largest-modulus Ritz values theta of H_p
+    are taken once each has |h_{p+1,p}| |y_p| <= 1e-13 |theta| (y the unit
+    eigenvector of H_p), else the basis grows by half, to at most m/2; where
+    one growth would reach m/2, the basis starts there.  The basis array
+    grows with p, and is never allocated at m/2 up front.  B^-1 is scaled by
+    a power of 2, so a block scaled by 2^e gives its eigenvalues scaled by
+    2^e.
+
+    The dense route takes the block when the basis would hold more than half
+    of it, when B is singular or its inverse is not finite, and when a new
+    Arnoldi vector is zero to roundoff (an invariant subspace that may miss
+    eigenvalues)."""
+    m = len(block)
+    p = 2 * k + 20
+    if 2 * p > m:
+        return np.linalg.eigvals(block)
+    if 2 * (p + p // 2) > m:  # one growth would reach m/2: test there only
+        p = m // 2
+    try:
+        inv = np.linalg.inv(block)
+    except np.linalg.LinAlgError:
+        return np.linalg.eigvals(block)
+    # B^-1 scaled by a power of 2 to largest part in [0.5, 1), exactly, keeps
+    # the squared norms of the Arnoldi vectors in the double range; the
+    # reductions run over views, with no temporary the size of the inverse
+    top = max(inv.real.max(), -inv.real.min(), inv.imag.max(), -inv.imag.min())
+    if not np.isfinite(top):
+        return np.linalg.eigvals(block)
+    scale = 2.0 ** -np.frexp(top)[1]
+    inv *= scale
+    basis = np.empty((p + 1, m), dtype=complex)  # the Arnoldi vectors, one per row
+    h = np.zeros((p + 1, p), dtype=complex)
+    basis[0] = np.exp(1j * np.arange(m) ** 2.0) / np.sqrt(m)
+    j = 0
+    while True:
+        for j in range(j, p):
+            w = inv @ basis[j]
+            q = basis[: j + 1]
+            for _ in range(2):
+                c = (w.conj() @ q.T).conj()
+                w -= c @ q
+                h[: j + 1, j] += c
+            h[j + 1, j] = norm = np.sqrt(np.vdot(w, w).real)
+            if norm <= m * np.finfo(float).eps * np.linalg.norm(h[: j + 2, j]):
+                return np.linalg.eigvals(block)
+            basis[j + 1] = w / norm
+        theta, y = np.linalg.eig(h[:p, :p])
+        want = np.argsort(-np.abs(theta))[:k]
+        if np.all(np.abs(h[p, p - 1] * y[p - 1, want]) <= 1e-13 * np.abs(theta[want])):
+            return scale / theta[want]
+        grown = min(p + p // 2, m // 2)
+        if grown == p:
+            return np.linalg.eigvals(block)
+        basis = np.concatenate([basis, np.empty((grown - p, m), dtype=complex)])
+        h = np.pad(h, ((0, grown - p), (0, grown - p)))
+        j, p = p, grown
 
 
 # ---------------------------------------------------------------------------

@@ -471,3 +471,27 @@ def test_cli_tasks_leave_scipy_unloaded(tmp_path):
     )
     proc = subprocess.run([sys.executable, "-c", code, json.dumps(runs)], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_spectrum_arnoldi_route_leaves_scipy_and_numpy_random_unloaded():
+    # at --n-max 64 the first truncation's 32 x 32 blocks are too small for
+    # the Arnoldi route and go to a dense eigvals; the second truncation's
+    # 64 x 64 blocks take it, through np.linalg.inv, and neither scipy nor
+    # numpy.random (about 9 ms on first import) is loaded
+    quad = json.dumps({"2,0": [0.3, 0.1], "1,1": [1.0, 0.0], "0,2": [0.3, -0.1]})
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from bargspec import cli\n"
+        "sizes = {'eigvals': [], 'inv': []}\n"
+        "def spy(name):\n"
+        "    call = getattr(np.linalg, name)\n"
+        "    return lambda a: sizes[name].append(len(a)) or call(a)\n"
+        "np.linalg.eigvals, np.linalg.inv = spy('eigvals'), spy('inv')\n"
+        "assert cli.main(['spectrum', '--symbol', sys.argv[1], '--hbar', '0.1', '--count', '5', '--n-max', '64']) == 0\n"
+        "assert sizes == {'eigvals': [32, 32], 'inv': [64, 64]}, sizes\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' or m.startswith('numpy.random'))\n"
+        "assert not loaded, loaded\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code, quad], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -1,15 +1,19 @@
 """Spectral lab: adaptive eigensolves, resolvent grids and pseudospectra,
 action integrals, Bohr-Sommerfeld residuals, multi-well matching."""
 
+import contextlib
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bargspec import spectral
 from bargspec.bargmann import MonomialSymbol, assemble_toeplitz, toeplitz_radial
-from bargspec.quadratic import ComplexQuadraticForm, exact_quadratic_spectrum, reduce_quadratic
+from bargspec.quadratic import ComplexQuadraticForm, ellipticity_check, exact_quadratic_spectrum, reduce_quadratic
 from bargspec.spectral import (
     NoConvergence,
     NonClosedContour,
@@ -111,6 +115,193 @@ class TestBlockSpectrum:
         # in the parity block l mod 2
         spec = eigen_spectrum(assemble_toeplitz(ROT.to_symbol(), 0.1, 64), 5, 1e-8)
         assert list(spec.sectors) == [0, 1, 0, 1, 0]
+
+
+def two_well(c: complex) -> MonomialSymbol:
+    """c (|z|^4 - z^2 - zbar^2 + 1), whose wells z = +-1 share the level 0."""
+    return MonomialSymbol({key: c * v for key, v in {(2, 2): 1, (2, 0): -1, (0, 2): -1, (0, 0): 1}.items()})
+
+
+PQ = MonomialSymbol({(2, 0): -0.5j, (0, 2): 0.5j})  # the symbol pq
+
+
+@st.composite
+def arnoldi_cases(draw):
+    """(operator, k, quadratic form or None) whose every block holds at least
+    twice the first Arnoldi basis of `_block_smallest`, m >= 2 (2k + 20):
+    random elliptic quadratic forms (arg b <= 0.45 pi), two-well symbols and
+    the non-Hermitian band symbols, at sizes odd as often as even, so that
+    the blocks differ in size."""
+    k = draw(st.integers(1, 16))
+    form = None
+    source = draw(st.sampled_from(["quadratic", "two-well", "band"]))
+    if source == "quadratic":
+        form = ComplexQuadraticForm(
+            draw(st.floats(0.7, 1.3)),
+            draw(st.floats(0.7, 1.3)) * np.exp(1j * draw(st.floats(0.0, 0.45 * np.pi))),
+            complex(draw(st.floats(-0.15, 0.15)), draw(st.floats(-0.15, 0.15))),
+        )
+        assume(ellipticity_check(form)["elliptic"])
+        symbol, hbar = form.to_symbol(), draw(st.sampled_from([0.05, 0.1]))
+    elif source == "two-well":
+        c = draw(st.floats(0.8, 1.1)) * np.exp(1j * draw(st.floats(0.1, 0.35)))
+        symbol, hbar = two_well(c), draw(st.sampled_from([0.02, 0.05, 0.1]))
+    else:
+        symbol, hbar, _ = draw(band_symbols(hermitian=False))
+    band = assemble_toeplitz(symbol, hbar, 16).blocks()[0]
+    assume(band.shape[0] > 1)  # a diagonal operator never reaches the block solver
+    n = max(128, 2 * band.shape[1] * (2 * k + 20)) + draw(st.integers(0, 63))
+    return assemble_toeplitz(symbol, hbar, n), k, form
+
+
+def dense_reference(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The eigenvalues w of a block by a dense solve, and the tolerance of a
+    comparison with each: 1e-10 |w| plus a first-order perturbation bound
+    kappa (1e-12 |w| + eps ||B|| (64 + (|w| / sigma_min)^2)).  kappa is the
+    eigenvalue's condition number; 64 eps ||B|| bounds the backward error of
+    a dense eigensolve; 1e-12 |w| covers the Arnoldi route's residual test,
+    and eps ||B|| (|w| / sigma_min)^2 its LU inverse, whose error
+    eps ||B|| ||B^-1||^2 moves 1/w, and so w by |w|^2 times as much.  For
+    the paper's well-conditioned eigenvalues the bound is a few 1e-11 |w|;
+    the band symbols make blocks with kappa up to 1e14, whose eigenvalues no
+    solver gets to 1e-10."""
+    w, vl, vr = sla.eig(block, left=True, right=True)
+    s = sla.svdvals(block)
+    eps = np.finfo(float).eps
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        kappa = 1.0 / np.abs(np.einsum("ij,ij->j", vl.conj(), vr))  # unit eigenvectors
+        tol = 1e-10 * np.abs(w) + kappa * (1e-12 * np.abs(w) + eps * s[0] * (64 + (np.abs(w) / s[-1]) ** 2))
+    return w, np.nan_to_num(tol, nan=np.inf)  # a defective eigenvalue (kappa inf) bounds nothing
+
+
+@contextlib.contextmanager
+def counting(name: str):
+    """Count the calls of np.linalg.<name> inside the block."""
+    with mock.patch.object(np.linalg, name, wraps=getattr(np.linalg, name)) as spy:
+        yield spy
+
+
+class TestBlockSolver:
+    """`_block_smallest`, Arnoldi on the block inverse, against dense eigensolves."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=arnoldi_cases())
+    def test_matches_dense_eigvals(self, case):
+        op, k, form = case
+        band, pad, kl = op.blocks()
+        for r in range(band.shape[1]):
+            block = spectral._band_dense(band[~pad[:, r], r], kl)
+            got = spectral._block_smallest(block, k)
+            got = got[np.argsort(np.abs(got))][:k]
+            w, tol = dense_reference(block)
+            # each returned eigenvalue is near a dense one
+            dist = np.abs(got[:, None] - w[None, :])
+            assert np.all((dist <= tol).any(axis=1))
+            # the sorted moduli agree: a pair of near-equal moduli (the +-
+            # pairs of T(pq), say) may come in either order, and an
+            # ill-conditioned one may trade places with its neighbour
+            near = np.argmin(dist - tol, axis=1)
+            small = np.argsort(np.abs(w))[:k]
+            assert np.all(np.abs(np.abs(got) - np.abs(w[small])) <= np.maximum(tol[small], tol[near]))
+            if form is not None:  # block r holds the levels r, r + 2, ...
+                exact = exact_quadratic_spectrum(form, op.hbar, 2 * k + 4)[r::2]
+                err = np.abs(got[:, None] - exact[None, :]).min(axis=1)
+                assert np.all(err <= 1e-9 * np.abs(got) + tol[near])
+
+    @pytest.mark.parametrize(
+        "symbol, hbar, n, k",
+        [(ROT.to_symbol(), 0.05, 256, 5), (two_well(1 + 0.3j), 0.02, 512, 16), (PQ, 0.1, 256, 3)],
+        ids=["rotated-oscillator", "two-well", "pq"],
+    )
+    def test_paper_operators_take_the_arnoldi_route(self, symbol, hbar, n, k):
+        band, pad, kl = assemble_toeplitz(symbol, hbar, n).blocks()
+        for r in range(band.shape[1]):
+            block = spectral._band_dense(band[~pad[:, r], r], kl)
+            with counting("eigvals") as dense:
+                got = spectral._block_smallest(block, k)
+            assert dense.call_count == 0 and len(got) == k
+            w, tol = dense_reference(block)
+            small = np.argsort(np.abs(w))[:k]
+            assert np.all(np.abs(np.sort(np.abs(got)) - np.abs(w[small])) <= tol[small])
+
+    @pytest.mark.parametrize("k, calls", [(6, (1, 0)), (7, (0, 1))], ids=["fits", "over-half"])
+    def test_basis_over_half_the_block_goes_dense(self, k, calls):
+        # m = 64: a basis of 2k + 20 = 32 vectors fits, 34 does not, and that
+        # block goes dense before any inverse is formed
+        band, pad, kl = assemble_toeplitz(ROT.to_symbol(), 0.1, 128).blocks()
+        block = spectral._band_dense(band[:, 0], kl)
+        with counting("inv") as inv, counting("eigvals") as dense:
+            got = spectral._block_smallest(block, k)
+        assert (inv.call_count, dense.call_count) == calls
+        assert len(got) == (k if calls == (1, 0) else 64)
+
+    def test_one_test_where_one_growth_reaches_half_the_block(self):
+        # the two-well blocks of the spectra benchmark's multiwell slot: k 16,
+        # m = 128; 52 vectors would grow to 78 > 64, so the basis starts at 64,
+        # with one Ritz test
+        band, pad, kl = assemble_toeplitz(two_well(0.95 * np.exp(0.2j)), 0.02, 256).blocks()
+        for r in range(band.shape[1]):
+            with counting("eigvals") as dense, counting("eig") as ritz:
+                spectral._block_smallest(spectral._band_dense(band[:, r], kl), 16)
+            assert (dense.call_count, ritz.call_count) == (0, 1)
+
+    def test_singular_block_goes_dense(self):
+        # T(z) is strictly lower triangular: inv raises, and every truncation
+        # is solved densely, with the exact eigenvalue 0
+        with counting("eigvals") as dense, counting("inv") as inv:
+            spec = eigen_spectrum(assemble_toeplitz(MonomialSymbol({(1, 0): 1.0}), 0.1, 128), 3)
+        assert inv.call_count == dense.call_count == 2
+        assert spec.n_max_used == 256 and np.all(spec.eigenvalues == 0)
+
+    def test_breakdown_goes_dense(self):
+        # two distinct eigenvalues: the Krylov space of every start vector has
+        # dimension 2, so the third Arnoldi vector is zero to roundoff
+        block = np.diag(np.repeat([2.0, 1.0], 64)).astype(complex)
+        with counting("eigvals") as dense, counting("inv") as inv:
+            got = spectral._block_smallest(block, 3)
+        assert inv.call_count == dense.call_count == 1
+        assert np.array_equal(np.sort(got.real), np.repeat([1.0, 2.0], 64))
+
+    def test_non_finite_inverse_goes_dense(self):
+        # subnormal entries: the inverse overflows
+        block = 1e-310 * np.diag(np.arange(1.0, 129.0)).astype(complex) + 1e-311 * np.eye(128, k=-1)
+        with counting("eigvals") as dense:
+            got = spectral._block_smallest(block, 3)
+        assert dense.call_count == 1
+        assert np.allclose(np.sort(got.real)[:3], [1e-310, 2e-310, 3e-310], rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("e", [-700, 700])
+    def test_scale_invariant(self, e):
+        # B^-1 is scaled by a power of 2 to largest part below 1, so a block
+        # scaled by 2^e gives the eigenvalues scaled by 2^e, bit for bit, and
+        # by the Arnoldi route: the squared norms of its vectors stay in range
+        band, pad, kl = assemble_toeplitz(ROT.to_symbol(), 0.05, 256).blocks()
+        block = spectral._band_dense(band[:, 0], kl)
+        with counting("eigvals") as dense:
+            got = spectral._block_smallest(block * 2.0**e, 5)
+        assert dense.call_count == 0
+        assert np.array_equal(got, spectral._block_smallest(block, 5) * 2.0**e)
+
+    def test_basis_memory_grows_with_the_basis(self):
+        # m = 1024, k = 5: the inverse and a basis of 31 vectors, never an
+        # (m/2) x m array (which would add half the inverse again)
+        band, pad, kl = assemble_toeplitz(ROT.to_symbol(), 0.05, 2048).blocks()
+        block = spectral._band_dense(band[:, 0], kl)
+        tracemalloc.start()
+        try:
+            with counting("eigvals") as dense:
+                spectral._block_smallest(block, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert dense.call_count == 0
+        assert peak < 1.5 * block.nbytes
+
+    def test_unsettled_spectrum_still_raises_at_the_cap(self):
+        # pq is hyperbolic, and the eigenvalues of T(pq)'s truncations keep
+        # moving: the loop runs to the cap as before, now in seconds
+        with pytest.raises(NoConvergence, match=r"still moving by .* at n = 4096"):
+            eigen_spectrum(assemble_toeplitz(PQ, 0.1, 64), 3)
 
 
 class TestResolventGrid:
