@@ -1,9 +1,9 @@
 """Command-line front end and experiment runner.
 
 Subcommands: spectrum, pseudospec, normal-form, action, birkhoff, moser,
-verify, run (config-file runner).  Every subcommand but run is a task in
-TASKS; `run` executes the same tasks from a JSON config, writes one artifact
-per task and then a manifest of SHA-256 hashes.
+multiwell, verify, run (config-file runner).  Every subcommand but run is a
+task in TASKS; `run` executes the same tasks from a JSON config, writes one
+artifact per task and then a manifest of SHA-256 hashes.
 
 Exit codes: 0 success, 1 config error (bad argument, config, symbol or file),
 2 tolerance failure, 3 convergence failure.  A tolerance failure does not
@@ -15,9 +15,13 @@ symbol whose quadratic part has no normal form (p^2 - q^2), and 3 when a Lie
 term or a coefficient of mu0 is not finite, or when the cancellations of the
 Lie transport leave a non-radial residual (the message names the hbar-order,
 the degree and the digits lost); `moser` exits 3 when a(1) or r(1) is not
-finite, and names the hbar-order.  Every exception that exits 3 is a
-`NoConvergence`, and every one that exits 2 a `NoDeltaFound`.  A symbol with
-a run of signs (--p^2, p^2 +- q^2) or a trailing sign exits 1.
+finite, and names the hbar-order.  `multiwell` exits 2 when an eigenvalue in
+the window has no prediction within half the lattice spacing, as when a
+two-well symbol is given one well, and 1 on an empty or non-finite `--wells`
+or a well that is not a critical point.  Every exception that exits 3 is a
+`NoConvergence`, and every one that exits 2 a `NoDeltaFound` or an
+`UnmatchedEigenvalue`.  A symbol with a run of signs (--p^2, p^2 +- q^2) or a
+trailing sign exits 1.
 
 Floats are printed with repr (shortest round-trip representation); identical
 config + seed therefore yields byte-identical artifacts.
@@ -42,13 +46,15 @@ from .quadratic import (
     phase_and_weights,
     reduce_quadratic,
 )
-from .spectral import action_integral, eigen_spectrum, resolvent_grid
+from .spectral import UnmatchedEigenvalue, action_integral, eigen_spectrum, multiwell_compare, resolvent_grid
 from . import acceptance, symbols
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_TOLERANCE = 2
 EXIT_CONVERGENCE = 3
+# the exceptions that are tolerance failures: they exit 2 and do not stop `run`
+TOLERANCE_FAILURES = (NoDeltaFound, UnmatchedEigenvalue)
 
 
 class ParseError(ValueError):
@@ -313,6 +319,29 @@ def _action(sym: MonomialSymbol | None, p: dict) -> tuple[str, int]:
     return _json(doc, indent=None), EXIT_OK if ok else EXIT_TOLERANCE
 
 
+def _multiwell(sym: MonomialSymbol, p: dict) -> tuple[str, int]:
+    wells = _list(p, "wells", complex)
+    order, degree = _get(p, "order", int, 3), _get(p, "degree", int, 12)
+    _require(bool(wells) and all(np.isfinite(w) for w in wells),
+             f"wells needs one or more finite complex numbers, got {wells}")
+    _require(order >= 0 and degree >= 2, f"multiwell needs order >= 0 and degree >= 2, got {order} and {degree}")
+    rep = multiwell_compare(sym, p["hbar"][0], wells, order, degree, n_start=p["n_max"])
+    doc = {
+        "wells": [
+            {"location": w.location, "level": w.level, "d0": w.d0, "corrected": w.corrected, "lattice": w.lattice}
+            for w in rep.wells
+        ],
+        "eigenvalues": rep.eigenvalues,
+        "matches": rep.matches,
+        "residuals": rep.residuals,
+        "jordan_pairs": rep.jordan_pairs,
+        "window_radius": rep.window_radius,
+        "n_max_used": rep.spectrum.n_max_used,
+        "convergence_gap": rep.spectrum.convergence_gap,
+    }
+    return _json(doc), EXIT_OK
+
+
 def _verify(sym: MonomialSymbol | None, p: dict) -> tuple[str, int]:
     """Prints each criterion's line as it finishes; the artifact holds them all."""
     only = _list(p, "only", int, default=[])
@@ -336,6 +365,7 @@ TASKS = {
     "action": Task(_action, "action.json", needs_symbol=False),
     "birkhoff": Task(_birkhoff, "birkhoff.json"),
     "moser": Task(_moser, "moser.json"),
+    "multiwell": Task(_multiwell, "multiwell.json"),
     "verify": Task(_verify, "verify.txt", needs_symbol=False),
 }
 
@@ -395,7 +425,7 @@ def cmd_run(args) -> int:
         params = {**task, "hbar": hbars, "n_max": n_max, "tol": tolerances.get(kind), "seed": seed}
         try:
             text, task_status = TASKS[kind].run(sym, params)
-        except NoDeltaFound as exc:  # a tolerance failure: the remaining tasks still run
+        except TOLERANCE_FAILURES as exc:  # the remaining tasks still run
             tolerance_failure = tolerance_failure or exc
             continue
         _emit(text, path)
@@ -434,7 +464,7 @@ def _csv(text: str) -> list[str]:
 # options whose value may start with "-" without being a plain number, as in
 # --rect -0.5,0.5,0,1 or --symbol -p^2-q^2, which argparse would read as an
 # unknown option; such a value is attached to its option, --rect=-0.5,...
-_DASH_VALUE_OPTIONS = ("--symbol", "--rect", "--res", "--d", "--energy")
+_DASH_VALUE_OPTIONS = ("--symbol", "--rect", "--res", "--d", "--energy", "--wells")
 
 
 def _attach_dash_values(argv: list[str]) -> list[str]:
@@ -488,6 +518,13 @@ def build_parser() -> argparse.ArgumentParser:
     ms.add_argument("--order", type=int)
     ms.add_argument("--degree", type=int)
 
+    mw = symbol_task("multiwell", "spectrum near a common well level matched to per-well lattices")
+    mw.add_argument("--hbar", type=float, nargs=1, required=True)
+    mw.add_argument("--wells", type=_csv, required=True, help="comma-separated complex critical points")
+    mw.add_argument("--order", type=int)
+    mw.add_argument("--degree", type=int)
+    mw.add_argument("--n-max", type=int, default=256)
+
     vf = sub.add_parser("verify", help="run the acceptance suite")
     vf.add_argument("--only", type=_csv, help="comma-separated criterion indices, 1 to 12")
     vf.add_argument("--seed", type=int, help="seed for randomised corpora")
@@ -505,7 +542,7 @@ def main(argv: list[str] | None = None) -> int:
     except NoConvergence as exc:
         print(f"convergence failure: {exc}", file=sys.stderr)
         return EXIT_CONVERGENCE
-    except NoDeltaFound as exc:  # a ValueError, so it must come first
+    except TOLERANCE_FAILURES as exc:  # NoDeltaFound is a ValueError, so this must come first
         print(f"tolerance failure: {exc}", file=sys.stderr)
         return EXIT_TOLERANCE
     except (ValueError, OSError) as exc:

@@ -13,7 +13,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bargspec.bargmann import MonomialSymbol
 from bargspec.cli import ParseError, main, parse_symbol
+from bargspec.spectral import multiwell_compare
+
+# (1 + 0.3i) |z^2 - 1|^2: wells at z = +-1 sharing the level 0
+TWO_WELL = '{"2,2": [1, 0.3], "2,0": [-1, -0.3], "0,2": [-1, -0.3], "0,0": [1, 0.3]}'
 
 
 class TestParseSymbol:
@@ -152,6 +157,30 @@ class TestSubcommands:
         doc = json.loads(capsys.readouterr().out)
         assert max(abs(x[0]) + abs(x[1]) for p in doc["r_final"] for x in p) < 1e-12
 
+    def test_multiwell_json_is_the_report(self, capsys):
+        argv = ["multiwell", "--symbol", TWO_WELL, "--hbar", "0.1", "--wells", "1,-1", "--order", "2", "--degree", "8"]
+        assert main(argv) == 0
+        doc = json.loads(capsys.readouterr().out)
+        rep = multiwell_compare(MonomialSymbol.from_json(TWO_WELL), 0.1, [1, -1], order=2, degree=8)
+
+        def pairs(values):
+            return [[z.real, z.imag] for z in np.asarray(values).tolist()]
+
+        # every float round-trips through repr, so == is equality to the bit
+        assert doc["wells"] == [
+            {"location": [w.location.real, w.location.imag], "level": [w.level.real, w.level.imag],
+             "d0": [w.d0.real, w.d0.imag], "corrected": w.corrected, "lattice": pairs(w.lattice)}
+            for w in rep.wells
+        ]
+        assert doc["eigenvalues"] == pairs(rep.eigenvalues)
+        assert doc["matches"] == [list(m) for m in rep.matches]
+        assert doc["residuals"] == rep.residuals.tolist()
+        assert doc["jordan_pairs"] == [list(j) for j in rep.jordan_pairs]
+        assert doc["window_radius"] == rep.window_radius
+        assert doc["n_max_used"] == rep.spectrum.n_max_used
+        assert doc["convergence_gap"] == rep.spectrum.convergence_gap
+        assert len(doc) == 8 and len(doc["matches"]) == 8
+
     def test_birkhoff_tiny_d0_prints_finite_json(self, capsys):
         # d0^10 underflows to 0; the zero coefficients of mu0 stay 0, not NaN
         assert main(["birkhoff", "--symbol", '{"1,1":[1e-40,0],"2,2":[1,0]}', "--degree", "10"]) == 0
@@ -225,19 +254,25 @@ class TestConfigRunner:
         assert (tmp_path / "out" / "eig.csv").read_bytes() == first
 
     def test_tolerance_failure_runs_remaining_tasks(self, tmp_path, capsys):
-        # p^2 - q^2 has no normal form: that task fails, the action task
-        # still runs and the manifest lists its artifact
-        cfg = json.loads(self.make_config(tmp_path, []).read_text())
-        cfg["symbol"] = {"inline": {"2,0": [1, 0], "0,2": [1, 0]}}
-        cfg["tasks"] = [{"type": "normal-form"}, {"type": "action"}]
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps(cfg))
-        assert main(["run", "--config", str(path)]) == 2
-        assert capsys.readouterr().err.startswith("tolerance failure:")
-        out_dir = tmp_path / "out"
-        manifest = json.loads((out_dir / "manifest.json").read_text())
-        assert [item["path"] for item in manifest["artifacts"]] == [str(out_dir / "action.json")]
-        assert not (out_dir / "nf.json").exists()
+        # the first task fails a tolerance, the action task still runs and
+        # the manifest lists its artifact
+        cases = [
+            # p^2 - q^2 has no normal form
+            ({"2,0": [1, 0], "0,2": [1, 0]}, {"type": "normal-form"}, "nf.json"),
+            # one of two wells: the other well's eigenvalues have no prediction
+            (json.loads(TWO_WELL), {"type": "multiwell", "wells": [1]}, "multiwell.json"),
+        ]
+        for case, (symbol, task, artifact) in enumerate(cases):
+            cfg = json.loads(self.make_config(tmp_path, []).read_text())
+            out_dir = tmp_path / f"out{case}"
+            cfg.update(out_dir=str(out_dir), symbol={"inline": symbol}, hbar=[0.05], tasks=[task, {"type": "action"}])
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps(cfg))
+            assert main(["run", "--config", str(path)]) == 2
+            assert capsys.readouterr().err.startswith("tolerance failure:")
+            manifest = json.loads((out_dir / "manifest.json").read_text())
+            assert [item["path"] for item in manifest["artifacts"]] == [str(out_dir / "action.json")]
+            assert not (out_dir / artifact).exists()
 
 
 def _config(doc):
@@ -310,19 +345,34 @@ EXIT_CONTRACT = {
     "run-birkhoff-non-elliptic": (
         _config({**_BASE, "symbol": {"shorthand": "p^2-q^2"}, "tasks": [{"type": "birkhoff"}, {"type": "action"}]}), 2
     ),
+    "multiwell-well-not-critical": (["multiwell", "--symbol", TWO_WELL, "--hbar", "0.05", "--wells", "0.5"], 1),
+    "multiwell-well-inf": (["multiwell", "--symbol", TWO_WELL, "--hbar", "0.05", "--wells", "inf"], 1),
+    "run-multiwell-no-wells": (_config({**_BASE, "tasks": [{"type": "multiwell", "wells": []}]}), 1),
+    # the quadratic part at the well has no normal form, as in normal-form
+    "multiwell-hyperbolic-well": (["multiwell", "--symbol", "p^2-q^2", "--hbar", "0.1", "--wells", "0"], 2),
+    # the eigenvalues near -1 have no prediction
+    "multiwell-one-of-two-wells": (["multiwell", "--symbol", TWO_WELL, "--hbar", "0.05", "--wells", "1"], 2),
+    "run-multiwell-unmatched": (
+        _config({**_BASE, "hbar": [0.05], "symbol": {"inline": json.loads(TWO_WELL)},
+                 "tasks": [{"type": "multiwell", "wells": [1]}, {"type": "action"}]}), 2
+    ),
 }
 
 
 def test_one_class_per_exit_code():
     from bargspec.bargmann import NoConvergence, QuadratureError
+    from bargspec.cli import TOLERANCE_FAILURES
     from bargspec.contours import NewtonDiverged
     from bargspec.quadratic import NoDeltaFound
-    from bargspec.spectral import InversionFailed, NonClosedContour
+    from bargspec.spectral import InversionFailed, NonClosedContour, UnmatchedEigenvalue
     from bargspec.symbols import NonEllipticHessian
 
     assert all(issubclass(cls, NoConvergence) for cls in (QuadratureError, InversionFailed, NonClosedContour,
                                                           NewtonDiverged))
     assert issubclass(NonEllipticHessian, NoDeltaFound)
+    # exit 2: a missing normal form, or an eigenvalue with no predicted level
+    assert TOLERANCE_FAILURES == (NoDeltaFound, UnmatchedEigenvalue)
+    assert not issubclass(UnmatchedEigenvalue, (NoConvergence, ValueError))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")  # a warning would be a second stderr line
@@ -384,6 +434,21 @@ _COMMAND_VALUES = {
     ("moser", "--symbol"): (_VALUES["--symbol"][0] | _SCALED_WELL, _VALUES["--symbol"][1]),
     ("birkhoff", "--degree"): (st.integers(2, 10).map(str), st.integers(-3, 1).map(str) | _TEXT),
     ("moser", "--degree"): (st.integers(0, 6).map(str), st.integers(-9, -1).map(str) | _TEXT),
+    # families that settle within n 256 at these hbar; a symbol whose wells
+    # need n 4096 (the two-well at hbar 1e-3) would crawl
+    ("multiwell", "--symbol"): (
+        st.sampled_from(["p^2+q^2", "|z|^2+0.3*z^2", _QUAD, "p^2 + 2*q^2", "-p^2-q^2", "|z|^2+|z|^4", TWO_WELL]),
+        _VALUES["--symbol"][1],
+    ),
+    ("multiwell", "--hbar"): (
+        st.sampled_from(["0.05", "0.1", "0.3", "1"]),
+        st.floats().filter(lambda h: not 0 < h <= 1).map(repr) | _TEXT,
+    ),
+    ("multiwell", "--wells"): (
+        st.sampled_from(["0", "1,-1", "-1,1", "1", "-1"]),
+        st.sampled_from(["", "inf", "nan", "1,,-1", "-inf,1", "1,nan"]) | _TEXT,
+    ),
+    ("multiwell", "--degree"): (st.integers(2, 12).map(str), st.integers(-3, 1).map(str) | _TEXT),
 }
 _OPTIONS = {
     "spectrum": ["--symbol", "--hbar", "--count", "--n-max"],
@@ -392,6 +457,7 @@ _OPTIONS = {
     "birkhoff": ["--symbol", "--degree"],
     "moser": ["--symbol", "--order", "--degree"],
     "action": ["--d", "--energy", "--winding"],
+    "multiwell": ["--symbol", "--hbar", "--wells", "--order", "--degree", "--n-max"],
 }
 
 
@@ -459,6 +525,8 @@ def test_cli_tasks_leave_scipy_unloaded(tmp_path):
         ["action", "--d", "1,0", "--energy", "0.3,0.1"],
         ["pseudospec", "--symbol", quad, "--hbar", "0.1", "--rect", "0.05,0.2,0.05,0.17", "--res", "6,6",
          "--n-max", "64", "--c", "0.3"],
+        ["multiwell", "--symbol", TWO_WELL, "--hbar", "0.1", "--wells", "1,-1", "--order", "1", "--degree", "4",
+         "--n-max", "32"],
         ["run", "--config", str(config)],
     ]
     code = (

@@ -796,6 +796,22 @@ class TestMultiwell:
             expect = [(i, j, g) for (i, j), g in gaps.items() if g < factor * eps * norm]
             assert [(i, j, g) for i, j, g, _ in report.jordan_pairs] == expect
 
+    @settings(max_examples=20, deadline=None)
+    @given(a=st.floats(0.2, 3.0), b=st.floats(-2.0, 2.0))
+    def test_conjugated_coefficients_conjugate_the_report(self, a, b):
+        # conjugating every coefficient of c |z^2 - 1|^2 conjugates T(f)
+        # entrywise: an arbiter with no second route, so it catches a
+        # conjugation slip that the lattice and the spectrum share
+        def report(c):
+            sym = MonomialSymbol({key: c * v for key, v in {(2, 2): 1, (2, 0): -1, (0, 2): -1, (0, 0): 1}.items()})
+            return multiwell_compare(sym, 0.05, wells=[1.0, -1.0], order=2, degree=8, n_start=32)
+
+        rep, conj = report(complex(a, b)), report(complex(a, -b))
+        np.testing.assert_allclose(
+            np.sort_complex(conj.eigenvalues), np.sort_complex(rep.eigenvalues.conj()), rtol=1e-12, atol=0
+        )
+        np.testing.assert_allclose(np.sort(conj.residuals), np.sort(rep.residuals), rtol=1e-12, atol=0)
+
     def test_rejects_noncritical_well(self):
         with pytest.raises(ValueError):
             multiwell_compare(DOUBLE_WELL, 0.02, wells=[0.5])
