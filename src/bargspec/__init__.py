@@ -8,8 +8,6 @@ from .bargmann import (
     ToeplitzMatrix,
     assemble_toeplitz,
     inner_product_oracle,
-    monomial_matrix,
-    toeplitz_radial,
 )
 from .quadratic import (
     ComplexQuadraticForm,

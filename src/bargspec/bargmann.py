@@ -9,9 +9,10 @@ acts on e_k with the single nonzero matrix element
 so it fills the one diagonal a - b.  `ToeplitzMatrix` stores the truncated
 operator by diagonal and owns its split into banded blocks by index mod the
 gcd g of the offsets, which never couple (parity blocks for symbols in z^2,
-zbar^2 and |z|^2).  The dense n x n matrix is built only on request
-(`entries`).  Factorial ratios are products of linear factors, exact to a
-few ulp far beyond n_max ~ 1e3.
+zbar^2 and |z|^2): `blocks()`, how the solvers and criteria read it.  The
+dense matrix (`entries`) is built only on request, for the tests and the
+benchmark.  Factorial ratios are products of linear factors, exact to a few
+ulp far beyond n_max ~ 1e3.
 
 `inner_product_oracle` recomputes any entry by 2-D numerical quadrature and
 is kept fully independent of the closed form above; it is the arbiter used by
@@ -42,9 +43,7 @@ __all__ = [
     "NoConvergence",
     "check_hbar",
     "monomial_band_entries",
-    "monomial_matrix",
     "assemble_toeplitz",
-    "toeplitz_radial",
     "radial_diagonal",
     "settle",
     "gaussian_mean",
@@ -120,19 +119,25 @@ class MonomialSymbol:
         return sum(c * z**a * vbar**b for (a, b), c in self.coeffs.items())
 
     def recenter(self, x0: complex) -> "MonomialSymbol":
-        """Taylor-expand around z = x0: returns g with g(w) = f(x0 + w), exact."""
+        """Taylor-expand around z = x0: returns g with g(w) = f(x0 + w), exact.
+        ValueError, with no warning, when g leaves the double range."""
         from math import comb
 
         x0 = complex(x0)
-        x0c = np.conj(x0)
+        x0c = x0.conjugate()
         out: dict[tuple[int, int], complex] = {}
-        for (a, b), c in self.coeffs.items():
-            for j in range(a + 1):
-                for k in range(b + 1):
-                    key = (j, k)
-                    out[key] = out.get(key, 0.0) + (
-                        c * comb(a, j) * comb(b, k) * x0 ** (a - j) * x0c ** (b - k)
-                    )
+        try:
+            for (a, b), c in self.coeffs.items():
+                for j in range(a + 1):
+                    for k in range(b + 1):
+                        key = (j, k)
+                        out[key] = out.get(key, 0.0) + (
+                            c * comb(a, j) * comb(b, k) * x0 ** (a - j) * x0c ** (b - k)
+                        )
+        except OverflowError:  # from Python's complex power
+            out = None
+        if out is None or not all(map(cmath.isfinite, out.values())):
+            raise ValueError(f"recentring the symbol at z = {x0} leaves the double range")
         return MonomialSymbol(out)
 
     # -- JSON wire format: {"alpha,beta": [re, im]} --
@@ -165,9 +170,9 @@ class ToeplitzMatrix:
 
     @cached_property
     def entries(self) -> np.ndarray:
-        """The dense n x n matrix, built on first access.  Read-only: the
-        solvers read `diags` and `blocks()`, so a write here would change
-        nothing they compute."""
+        """The dense n x n matrix, built on first access and read only by the
+        tests and the benchmark.  Read-only: the solvers read `blocks()`, so a
+        write here would change nothing they compute."""
         m = np.zeros((self.dim, self.dim), dtype=complex)
         for d, vals in self.diags.items():
             k = np.arange(max(-d, 0), self.dim - max(d, 0))
@@ -230,11 +235,6 @@ def monomial_band_entries(alpha: int, beta: int, hbar: float, n_max: int) -> np.
     return vals
 
 
-def monomial_matrix(alpha: int, beta: int, hbar: float, n_max: int) -> ToeplitzMatrix:
-    """Matrix of T_hbar(z^alpha zbar^beta) in the truncated basis."""
-    return assemble_toeplitz(MonomialSymbol({(alpha, beta): 1.0}), hbar, n_max)
-
-
 def assemble_toeplitz(symbol: MonomialSymbol, hbar: float, n_max: int) -> ToeplitzMatrix:
     """Linear combination of monomial bands; edge rows past n_max are dropped."""
     hbar = check_hbar(hbar)
@@ -261,14 +261,6 @@ def radial_diagonal(moments: np.ndarray, hbar: float, n_max: int) -> np.ndarray:
             continue
         diag += g * hbar**j * ratio
     return diag
-
-
-def toeplitz_radial(moments, hbar: float, n_max: int) -> ToeplitzMatrix:
-    """T_hbar(g(|z|^2)) for a polynomial radial profile g: diagonal matrix."""
-    moments = np.asarray(moments, dtype=complex)
-    sym = MonomialSymbol({(j, j): g for j, g in enumerate(moments) if g != 0})
-    diag = radial_diagonal(moments, hbar, n_max)
-    return ToeplitzMatrix({0: diag}, diag.size, check_hbar(hbar), sym)
 
 
 def settle(value, n: int, doublings: int, tol, what: str):

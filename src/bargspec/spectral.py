@@ -3,21 +3,21 @@ matrices, resolvent-norm grids and c-analytic pseudospectra, action integrals
 on complexified energy levels, Bohr-Sommerfeld index residuals, and multi-well
 lattice matching.
 
-The solvers read the banded blocks of `ToeplitzMatrix.blocks()`, never the
-dense matrix.  `eigen_spectrum` solves block by block and labels each
-eigenvalue with its block.  It wants only the few smallest eigenvalues of
-each block, and finds them by Arnoldi on the block's LU inverse, whose
-largest eigenvalues they are (shift-invert at 0: Saad, Numerical Methods for
-Large Eigenvalue Problems, 2011, ch. 7), with numpy alone; a block too small
-for that route, singular, or whose Arnoldi process breaks down gets a dense
-`np.linalg.eigvals`.  A resolvent grid is one batched computation: every
-block A of every M - lambda gets a banded Householder QR, of which only R is
-kept, and block inverse iteration on A^H A = R^H R, two triangular sweeps a
-step, runs vectorised over all of them with a per-pair convergence mask
-(Trefethen, Computation of pseudospectra, Acta Numerica 1999, sections 3-4).
-`multiwell_compare` takes its 2-norm and Jordan-pair test from the blocks.
-`sigma_min` is the same kernel at one point; the tests compare both against
-a dense SVD.
+The solvers read only the banded blocks of `ToeplitzMatrix.blocks()`, never
+its diagonals or dense matrix.  `eigen_spectrum` solves block by block and
+labels each eigenvalue with its block.  It wants only the few smallest
+eigenvalues of each block, and finds them by Arnoldi on the block's LU
+inverse, whose largest eigenvalues they are (shift-invert at 0: Saad,
+Numerical Methods for Large Eigenvalue Problems, 2011, ch. 7), with numpy
+alone; a block too small for that route, singular, or whose Arnoldi
+process breaks down gets a dense `np.linalg.eigvals`.  A resolvent grid is
+one batched computation: every block A of every M - lambda gets a banded
+Householder QR, of which only R is kept, and block inverse iteration on
+A^H A = R^H R, two triangular sweeps a step, runs vectorised over all of
+them with a per-pair convergence mask (Trefethen, Computation of
+pseudospectra, Acta Numerica 1999, sections 3-4).  `multiwell_compare` takes
+its 2-norm and Jordan-pair test from the blocks.  `sigma_min` is the same
+kernel at one point; the tests compare both against a dense SVD.
 
 The Bohr-Sommerfeld residuals invert the closed-form quantisation curve, the
 diagonal of a radial normal form at a real index (`quantisation_curve`).
@@ -410,14 +410,10 @@ def _sigma_min_banded(op: ToeplitzMatrix, lams: np.ndarray) -> np.ndarray:
     lams = np.asarray(lams, dtype=complex).ravel()
     band, pad, kl = op.blocks()
     m, g, _ = band.shape
-    # column and row sums of |M| from the diagonals: diags[d][k] = M[k+d, k],
-    # and np.roll(diags[d], d) puts M[i, i-d] at i (zero where it wraps)
-    offsets = sorted(op.diags)
-    colsum = sum((np.abs(op.diags[d]) for d in offsets), np.zeros(op.dim))
-    rowsum = sum((np.roll(np.abs(op.diags[d]), d) for d in offsets[::-1]), np.zeros(op.dim))
-    diag = op.diags.get(0, np.zeros(op.dim))
-    off_colsum = colsum - np.abs(diag)
+    colsum, rowsum = _band_sums(np.abs(band), kl)
     norm = max(colsum.max(), rowsum.max())
+    diag = band[:, :, kl]
+    off_colsum, diag = (colsum - np.abs(diag))[~pad], diag[~pad]
     out = np.empty(lams.size)
     chunk = max(1, _CHUNK_ENTRIES // band.size)
     for s in range(0, lams.size, chunk):
@@ -503,11 +499,8 @@ def _block_inverse_iteration(a, kl, g, floor) -> np.ndarray:
         done = live & (over | ((it >= 3) & settled) | ((it >= 2) & (est <= floor)))
         slow = live & ~done & (it >= 4) & np.all(rates > 0.5, axis=0)
         sigma[idx[done]] = est[done]
-        if slow.any():
-            import scipy.linalg as sla
-
-            for j in np.flatnonzero(slow):
-                sigma[idx[j]] = sla.svdvals(_band_dense(a[..., j], kl))[-1]
+        for j in np.flatnonzero(slow):
+            sigma[idx[j]] = np.linalg.svd(_band_dense(a[..., j], kl), compute_uv=False)[-1]
         live &= ~(done | slow)
         if not live.any():
             return sigma
@@ -838,7 +831,8 @@ def multiwell_compare(
     predicted lattices.
 
     The window is the disc of radius 3.5 hbar max|d0| about the common
-    level.  Each well must be a critical point of the symbol; lattices come
+    level; its eigenvalues are the smallest of T(f - level), plus the level.
+    Each well must be a critical point of the symbol; lattices come
     from the hbar-graded normal form of the recentred symbol when its Hessian
     is diagonal (z zbar only), else from the leading-order quadratic lattice
     level + hbar (d0 (2l+1)/2 + tr/2); `WellPrediction.corrected` reports
@@ -888,10 +882,13 @@ def multiwell_compare(
         raise ValueError("wells do not share a common level")
     radius = 3.5 * hbar * max(abs(p.d0) for p in preds)
 
-    # adaptively converged spectrum, then restrict to the window
-    m = assemble_toeplitz(symbol, hbar, n_start)
+    # the smallest eigenvalues of T(f - centre) are those nearest the level (no shift at 0: -0.0 + 0 is +0.0)
+    shift = {} if centre == 0 else {(0, 0): symbol.coeffs.get((0, 0), 0.0) - centre}
+    m = assemble_toeplitz(MonomialSymbol({**symbol.coeffs, **shift}), hbar, n_start)
     total_pred = sum(np.sum(np.abs(p.lattice - centre) <= radius) for p in preds)
     spec = eigen_spectrum(m, k_wanted=max(int(total_pred) + 6, 10))
+    if shift:
+        spec.eigenvalues = spec.eigenvalues + centre
     near = np.abs(spec.eigenvalues - centre) <= radius
     in_window, sectors = spec.eigenvalues[near], spec.sectors[near]
     # stable order: by modulus (ties in the greedy matching break this way)
@@ -956,19 +953,25 @@ def multiwell_compare(
     )
 
 
+def _band_sums(mag: np.ndarray, kl: int) -> tuple[np.ndarray, np.ndarray]:
+    """Column and row sums, (m, g) each, of the blocks of the nonnegative band mag (m, g, w) from
+    `ToeplitzMatrix.blocks()`: [j, r] sums column (row) j of block r, in row (column) order.  The
+    band is zero outside each block, so clipped column indices gather zeros."""
+    m, g, w = mag.shape
+    i, c = np.indices((m, w))
+    col = np.clip(i - kl + c, 0, m - 1)[:, None, :] * g + np.arange(g)[None, :, None]
+    colsum = np.bincount(col.ravel(), mag.ravel(), m * g).reshape(m, g)
+    return colsum, sum(mag[:, :, k] for k in range(w))
+
+
 def _norm2_bounds(band: np.ndarray, kl: int) -> tuple[float, float]:
     """lo <= max_r ||B_r||_2 <= hi for the blocks of `band` (m, g, w) from
     `ToeplitzMatrix.blocks()`: the largest column 2-norm below and the
-    largest sqrt(||B_r||_1 ||B_r||_inf) above.  The band is zero outside each
-    block, so clipped column indices gather zeros."""
-    m, g, w = band.shape
-    i, c = np.indices((m, w))
-    col = np.clip(i - kl + c, 0, m - 1)[:, None, :] * g + np.arange(g)[None, :, None]
+    largest sqrt(||B_r||_1 ||B_r||_inf) above."""
     mag = np.abs(band)
-    col_abs = np.bincount(col.ravel(), mag.ravel(), m * g).reshape(m, g)
-    col_sq = np.bincount(col.ravel(), (mag**2).ravel(), m * g).reshape(m, g)
-    lo = float(np.sqrt(col_sq.max()))
-    hi = float(np.sqrt(col_abs.max(axis=0) * mag.sum(axis=2).max(axis=0)).max())
+    col_abs, row_abs = _band_sums(mag, kl)
+    lo = float(np.sqrt(_band_sums(mag**2, kl)[0].max()))
+    hi = float(np.sqrt(col_abs.max(axis=0) * row_abs.max(axis=0)).max())
     return lo, hi
 
 

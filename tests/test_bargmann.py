@@ -17,9 +17,7 @@ from bargspec.bargmann import (
     gaussian_mean,
     inner_product_oracle,
     monomial_band_entries,
-    monomial_matrix,
     radial_diagonal,
-    toeplitz_radial,
 )
 
 # monomials z^a zbar^b on each diagonal offset a - b of the offset sets; the
@@ -99,18 +97,18 @@ def _dense_blocks(mat):
 
 def test_monomial_zz_diagonal():
     # T(|z|^2) at hbar = 0.1: diag(0.1, ..., 0.5)
-    m = monomial_matrix(1, 1, 0.1, 5)
+    m = assemble_toeplitz(MonomialSymbol({(1, 1): 1.0}), 0.1, 5)
     assert np.allclose(m.entries, np.diag([0.1, 0.2, 0.3, 0.4, 0.5]), atol=1e-15)
 
 
 def test_monomial_identity():
-    m = monomial_matrix(0, 0, 0.37, 6)
+    m = assemble_toeplitz(MonomialSymbol({(0, 0): 1.0}), 0.37, 6)
     assert np.allclose(m.entries, np.eye(6))
 
 
 def test_monomial_creation_band():
     # alpha=1, beta=0: M[k+1, k] = sqrt(hbar (k+1))
-    m = monomial_matrix(1, 0, 0.25, 4)
+    m = assemble_toeplitz(MonomialSymbol({(1, 0): 1.0}), 0.25, 4)
     sub = np.diagonal(m.entries, offset=-1)
     assert np.allclose(sub, np.sqrt(0.25 * np.arange(1, 4)))
     assert np.allclose(sub[:2], [0.5, np.sqrt(0.5)])
@@ -134,21 +132,18 @@ def test_assemble_two_band_hermitian_pair():
 
 
 def test_radial_profile_examples():
-    m = toeplitz_radial([0.0, 1.0], 0.1, 4)
-    assert np.allclose(np.diagonal(m.entries), [0.1, 0.2, 0.3, 0.4])
-    m2 = toeplitz_radial([0.0, 0.0, 1.0], 1.0, 3)
-    assert np.allclose(np.diagonal(m2.entries), [2.0, 6.0, 12.0])
-    m3 = toeplitz_radial([], 0.3, 3)
-    assert np.allclose(m3.entries, 0.0)
+    assert np.allclose(radial_diagonal([0.0, 1.0], 0.1, 4), [0.1, 0.2, 0.3, 0.4])
+    assert np.allclose(radial_diagonal([0.0, 0.0, 1.0], 1.0, 3), [2.0, 6.0, 12.0])
+    assert np.allclose(radial_diagonal([], 0.3, 3), 0.0)
 
 
 def test_radial_matches_monomial_assembly():
-    # assemble({(j,j):1}) equals toeplitz_radial(s^j) for j <= 3
+    # assemble({(j,j):1}) equals the radial diagonal of s^j for j <= 3
     hbar, n = 0.15, 9
     for j in range(4):
         a = assemble_toeplitz(MonomialSymbol({(j, j): 1.0}), hbar, n)
-        b = toeplitz_radial([0.0] * j + [1.0], hbar, n)
-        assert np.allclose(a.entries, b.entries, atol=1e-13)
+        b = np.diag(radial_diagonal([0.0] * j + [1.0], hbar, n))
+        assert np.allclose(a.entries, b, atol=1e-13)
 
 
 def test_oracle_unit_examples():
@@ -214,7 +209,7 @@ def test_gaussian_mean_raises_when_unsettled():
     n=st.integers(2, 30),
 )
 def test_bandedness(alpha, beta, n):
-    m = monomial_matrix(alpha, beta, 0.2, n).entries
+    m = assemble_toeplitz(MonomialSymbol({(alpha, beta): 1.0}), 0.2, n).entries
     rows, cols = np.nonzero(m)
     assert np.all(rows - cols == alpha - beta)
 
@@ -222,19 +217,19 @@ def test_bandedness(alpha, beta, n):
 @settings(max_examples=25, deadline=None)
 @given(alpha=st.integers(0, 3), beta=st.integers(0, 3))
 def test_adjoint_symmetry(alpha, beta):
-    a = monomial_matrix(alpha, beta, 0.3, 12).entries
-    b = monomial_matrix(beta, alpha, 0.3, 12).entries
+    a = assemble_toeplitz(MonomialSymbol({(alpha, beta): 1.0}), 0.3, 12).entries
+    b = assemble_toeplitz(MonomialSymbol({(beta, alpha): 1.0}), 0.3, 12).entries
     assert np.allclose(a, b.conj().T, atol=1e-13)
 
 
 def test_overflow_guard():
     with pytest.raises(ValueError, match="factorial-safe range"):
-        monomial_matrix(3, 0, 0.1, 20_000_000)
+        assemble_toeplitz(MonomialSymbol({(3, 0): 1.0}), 0.1, 20_000_000)
 
 
 def test_invalid_inputs():
     with pytest.raises(ValueError):
-        monomial_matrix(-1, 0, 0.1, 4)
+        assemble_toeplitz(MonomialSymbol({(-1, 0): 1.0}), 0.1, 4)
     with pytest.raises(ValueError):
         assemble_toeplitz(MonomialSymbol({(1, 1): 1.0}), 1.5, 4)
     with pytest.raises(ValueError):

@@ -347,6 +347,10 @@ EXIT_CONTRACT = {
     ),
     "multiwell-well-not-critical": (["multiwell", "--symbol", TWO_WELL, "--hbar", "0.05", "--wells", "0.5"], 1),
     "multiwell-well-inf": (["multiwell", "--symbol", TWO_WELL, "--hbar", "0.05", "--wells", "inf"], 1),
+    # finite wells whose recentred symbol leaves the double range: through
+    # Python's complex power (1e200) and through a product (1e100)
+    "multiwell-well-1e200": (["multiwell", "--symbol", TWO_WELL, "--hbar", "0.05", "--wells", "1e200"], 1),
+    "multiwell-well-1e100": (["multiwell", "--symbol", TWO_WELL, "--hbar", "0.05", "--wells", "1e100"], 1),
     "run-multiwell-no-wells": (_config({**_BASE, "tasks": [{"type": "multiwell", "wells": []}]}), 1),
     # the quadratic part at the well has no normal form, as in normal-form
     "multiwell-hyperbolic-well": (["multiwell", "--symbol", "p^2-q^2", "--hbar", "0.1", "--wells", "0"], 2),
@@ -525,6 +529,9 @@ def test_cli_tasks_leave_scipy_unloaded(tmp_path):
         ["action", "--d", "1,0", "--energy", "0.3,0.1"],
         ["pseudospec", "--symbol", quad, "--hbar", "0.1", "--rect", "0.05,0.2,0.05,0.17", "--res", "6,6",
          "--n-max", "64", "--c", "0.3"],
+        # its grid points take the inverse iteration's dense-SVD fallback
+        ["pseudospec", "--symbol", '{"1,0":[-0.5,0],"0,1":[0.5,0],"3,0":[0.5,0],"0,3":[-0.5,0]}', "--hbar", "0.1",
+         "--n-max", "54", "--rect=-3.7,-3.69,0.3,0.31", "--res", "2,2"],
         ["multiwell", "--symbol", TWO_WELL, "--hbar", "0.1", "--wells", "1,-1", "--order", "1", "--degree", "4",
          "--n-max", "32"],
         ["run", "--config", str(config)],

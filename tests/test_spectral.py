@@ -8,11 +8,11 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.linalg as sla
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bargspec import spectral
-from bargspec.bargmann import MonomialSymbol, assemble_toeplitz, toeplitz_radial
+from bargspec.bargmann import MonomialSymbol, assemble_toeplitz, radial_diagonal
 from bargspec.quadratic import ComplexQuadraticForm, ellipticity_check, exact_quadratic_spectrum, reduce_quadratic
 from bargspec.spectral import (
     NoConvergence,
@@ -48,7 +48,7 @@ def numerical_range_boundary(mat: np.ndarray, n_angles: int = 128) -> np.ndarray
 
 class TestEigenSpectrum:
     def test_diagonal(self):
-        spec = eigen_spectrum(toeplitz_radial([0.0, 1.0], 0.1, 64), 3, 1e-10)
+        spec = eigen_spectrum(assemble_toeplitz(MonomialSymbol({(1, 1): 1.0}), 0.1, 64), 3, 1e-10)
         assert np.allclose(spec.eigenvalues, [0.1, 0.2, 0.3])
         assert spec.convergence_gap < 1e-12
 
@@ -306,7 +306,7 @@ class TestBlockSolver:
 
 class TestResolventGrid:
     def test_normal_case_exactness(self):
-        m = toeplitz_radial([0.0, 1.0], 0.1, 48)
+        m = assemble_toeplitz(MonomialSymbol({(1, 1): 1.0}), 0.1, 48)
         field = resolvent_grid(m, (0.0, 0.6, -0.2, 0.2), (13, 9), workers=1)
         diag = 0.1 * (np.arange(48) + 1)
         lam = lam_grid(field)
@@ -624,7 +624,7 @@ class TestBohrSommerfeld:
         br = birkhoff_normal_form(tab)
         maxima = []
         for hbar in (0.1, 0.05):
-            diag = toeplitz_radial([0.0, 1.0, 0.1], hbar, 16).entries.diagonal()[:6]
+            diag = radial_diagonal([0.0, 1.0, 0.1], hbar, 16)[:6]
             rho = bohr_sommerfeld_residuals(np.array(diag), br.normal_form, hbar, mu0=br.mu0)
             maxima.append(rho.max())
         # quadratic-in-hbar (or faster) decay of the residuals
@@ -702,7 +702,7 @@ class TestMultiwell:
     def test_single_well_reduces_to_lattice(self):
         sym = MonomialSymbol({(1, 1): 1.0, (2, 2): 0.1})
         rep = multiwell_compare(sym, 0.05, wells=[0.0], order=3, degree=8)
-        exact = toeplitz_radial([0.0, 1.0, 0.1], 0.05, 10).entries.diagonal()
+        exact = radial_diagonal([0.0, 1.0, 0.1], 0.05, 10)
         for i, w, l, dist in rep.matches:
             assert abs(rep.eigenvalues[i] - exact[l]) < 1e-9
 
@@ -811,6 +811,29 @@ class TestMultiwell:
             np.sort_complex(conj.eigenvalues), np.sort_complex(rep.eigenvalues.conj()), rtol=1e-12, atol=0
         )
         np.testing.assert_allclose(np.sort(conj.residuals), np.sort(rep.residuals), rtol=1e-12, atol=0)
+
+    @settings(max_examples=20, deadline=None)
+    @given(a=st.floats(0.2, 3.0), b=st.floats(-2.0, 2.0), x=st.floats(-3.5, 3.5), y=st.floats(-3.5, 3.5))
+    @example(a=1.0, b=0.3, x=-1.0, y=-0.3)  # the wells' level -(1 + 0.3i)
+    def test_level_shift_shifts_the_report(self, a, b, x, y):
+        # T(f + kappa) = T(f) + kappa, so the report at the wells' level kappa
+        # is the report at level 0 shifted by kappa: the eigenvalues are those
+        # nearest the level, not those of smallest modulus
+        c, kappa = complex(a, b), complex(x, y)
+
+        def report(shift):
+            coeffs = {key: c * v for key, v in {(2, 2): 1, (2, 0): -1, (0, 2): -1, (0, 0): 1}.items()}
+            coeffs[(0, 0)] += shift
+            return multiwell_compare(MonomialSymbol(coeffs), 0.05, wells=[1.0, -1.0], order=2, degree=8, n_start=32)
+
+        rep, shifted = report(0.0), report(kappa)
+        tol = 1e-12 * max(1.0, abs(kappa))
+        assert len(shifted.eigenvalues) == len(rep.eigenvalues) > 0
+        for got, ref in ((shifted.eigenvalues, rep.eigenvalues),
+                         (shifted.spectrum.eigenvalues, rep.spectrum.eigenvalues)):
+            np.testing.assert_allclose(np.sort_complex(got), np.sort_complex(ref + kappa), rtol=0, atol=tol)
+        assert sorted(t[1:3] for t in shifted.matches) == sorted(t[1:3] for t in rep.matches)
+        np.testing.assert_allclose(np.sort(shifted.residuals), np.sort(rep.residuals), rtol=0, atol=tol)
 
     def test_rejects_noncritical_well(self):
         with pytest.raises(ValueError):
