@@ -6,11 +6,15 @@ lattice matching.
 The solvers read only the banded blocks of `ToeplitzMatrix.blocks()`, never
 its diagonals or dense matrix.  `eigen_spectrum` solves block by block and
 labels each eigenvalue with its block.  It wants only the few smallest
-eigenvalues of each block, and finds them by Arnoldi on the block's LU
+eigenvalues of each block, and finds them by Arnoldi on the block's
 inverse, whose largest eigenvalues they are (shift-invert at 0: Saad,
 Numerical Methods for Large Eigenvalue Problems, 2011, ch. 7), with numpy
 alone; a block too small for that route, singular, or whose Arnoldi
-process breaks down gets a dense `np.linalg.eigvals`.  A resolvent grid is
+process breaks down gets a dense `np.linalg.eigvals`.  Each truncation's
+block is the leading part of the next one's, so each doubling grows the
+last inverse by a Schur complement and inverts only the new trailing part
+(Higham, Accuracy and Stability of Numerical Algorithms, 2002, ch. 13),
+guarded by the backward error of one solve.  A resolvent grid is
 one batched computation: every block A of every M - lambda gets a banded
 Householder QR, of which only R is kept, and block inverse iteration on
 A^H A = R^H R, two triangular sweeps a step, runs vectorised over all of
@@ -132,16 +136,32 @@ def eigen_spectrum(
     `np.linalg.eigvals` instead when the Arnoldi basis would hold more than
     half of it (every small block, and k_wanted >= m - 2), when B is singular
     or its inverse is not finite, and when the Arnoldi process breaks down;
-    so every eigenvalue returned is converged."""
+    so every eigenvalue returned is converged.
+
+    The truncations nest: while the block count g stays, each block is the
+    leading part of the next size's.  So each size keeps its blocks'
+    inverses, and the next grows each from the last by a Schur complement
+    (`_grown_inverse`), inverting only the new trailing part: a doubling
+    costs O((m/2)^3 + m^2 r), r the bandwidth, not O(m^3).  The first size,
+    a block whose last solve went dense, and a grown inverse whose solve of
+    the Arnoldi start vector has a backward error above 1e-12 are inverted
+    whole; the last size, at n_cap or of a raw matrix, keeps nothing."""
     n = m.dim
     prev = None
+    held: list[list] = []  # per block, its inverse at the last size (see _block_smallest)
     while True:
         band, pad, kl = (m if n == m.dim else assemble_toeplitz(m.symbol, m.hbar, n)).blocks()
         g = band.shape[1]
         if band.shape[0] == 1:  # diagonal: the eigenvalues are the entries
             ev, sec = band[0, :, 0], np.arange(g)
         else:
-            evs = [_block_smallest(_band_dense(band[~pad[:, r], r], kl), k_wanted) for r in range(g)]
+            if len(held) != g:  # a block is the leading part of the next size's only while g stays
+                held = [[] for _ in range(g)]
+            evs = []
+            for r in range(g):
+                evs.append(_block_smallest(_band_dense(band[~pad[:, r], r], kl), k_wanted, held[r]))
+                if m.symbol is None or n >= n_cap:  # no next size to grow
+                    held[r].clear()
             ev, sec = np.concatenate(evs), np.repeat(np.arange(g), [len(e) for e in evs])
         order = np.argsort(np.abs(ev))[:k_wanted]
         ev, sec = ev[order], sec[order]
@@ -168,7 +188,7 @@ def eigen_spectrum(
         n = min(2 * n, n_cap)
 
 
-def _block_smallest(block: np.ndarray, k: int) -> np.ndarray:
+def _block_smallest(block: np.ndarray, k: int, held: list | None = None) -> np.ndarray:
     """The k smallest-|lambda| eigenvalues of the dense block B (m x m), by
     Arnoldi on B^-1 (Saad, Numerical Methods for Large Eigenvalue Problems,
     2nd ed., 2011, ch. 6-7), or all m of them by a dense `np.linalg.eigvals`.
@@ -187,15 +207,30 @@ def _block_smallest(block: np.ndarray, k: int) -> np.ndarray:
     The dense route takes the block when the basis would hold more than half
     of it, when B is singular or its inverse is not finite, and when a new
     Arnoldi vector is zero to roundoff (an invariant subspace that may miss
-    eigenvalues)."""
+    eigenvalues).
+
+    `held`, from `eigen_spectrum`, carries the block's inverse from one
+    truncation to the next.  On entry it is empty or holds [A^-1 2^-e, e]
+    for the leading block A of B (the last size's block, scaled as above);
+    then B^-1 is grown from it (`_grown_inverse`), inverting only the
+    trailing part, and B is inverted whole when the grown inverse fails its
+    backward-error test.  On return it holds B^-1 in that form when the
+    Arnoldi route returned, the very array the iteration used, and is empty
+    otherwise.  A direct call keeps nothing."""
     m = len(block)
+    held = [] if held is None else held
+    old, held[:] = held[:], []
     p = 2 * k + 20
     if 2 * p > m:
         return np.linalg.eigvals(block)
     if 2 * (p + p // 2) > m:  # one growth would reach m/2: test there only
         p = m // 2
+    start = np.exp(1j * np.arange(m) ** 2.0) / np.sqrt(m)
     try:
-        inv = np.linalg.inv(block)
+        inv = _grown_inverse(block, *old, start) if old else None
+        old = None  # A^-1 goes before B is inverted whole
+        if inv is None:
+            inv = np.linalg.inv(block)
     except np.linalg.LinAlgError:
         return np.linalg.eigvals(block)
     # B^-1 scaled by a power of 2 to largest part in [0.5, 1), exactly, keeps
@@ -204,11 +239,12 @@ def _block_smallest(block: np.ndarray, k: int) -> np.ndarray:
     top = max(inv.real.max(), -inv.real.min(), inv.imag.max(), -inv.imag.min())
     if not np.isfinite(top):
         return np.linalg.eigvals(block)
-    scale = 2.0 ** -np.frexp(top)[1]
+    e = np.frexp(top)[1]
+    scale = 2.0**-e
     inv *= scale
     basis = np.empty((p + 1, m), dtype=complex)  # the Arnoldi vectors, one per row
     h = np.zeros((p + 1, p), dtype=complex)
-    basis[0] = np.exp(1j * np.arange(m) ** 2.0) / np.sqrt(m)
+    basis[0] = start
     j = 0
     while True:
         for j in range(j, p):
@@ -225,6 +261,7 @@ def _block_smallest(block: np.ndarray, k: int) -> np.ndarray:
         theta, y = np.linalg.eig(h[:p, :p])
         want = np.argsort(-np.abs(theta))[:k]
         if np.all(np.abs(h[p, p - 1] * y[p - 1, want]) <= 1e-13 * np.abs(theta[want])):
+            held[:] = [inv, e]
             return scale / theta[want]
         grown = min(p + p // 2, m // 2)
         if grown == p:
@@ -232,6 +269,74 @@ def _block_smallest(block: np.ndarray, k: int) -> np.ndarray:
         basis = np.concatenate([basis, np.empty((grown - p, m), dtype=complex)])
         h = np.pad(h, ((0, grown - p), (0, grown - p)))
         j, p = p, grown
+
+
+# the largest backward error of a grown inverse's solve (see _grown_inverse)
+_GROWN_BACKWARD_ERROR = 1e-12
+
+
+def _grown_inverse(block: np.ndarray, old: np.ndarray, e, v: np.ndarray) -> np.ndarray | None:
+    """B^-1 for the block B (m x m), grown from old = A^-1 2^-e, the inverse
+    of its leading h x h block A as `_block_smallest` holds it, by the Schur
+    complement of A (Higham, Accuracy and Stability of Numerical Algorithms,
+    2nd ed., 2002, ch. 13):
+
+        S = B22 - B21 A^-1 B12,  P = A^-1 B12,  Q = B21 A^-1,
+        B^-1 = [[A^-1 + P S^-1 Q, -P S^-1], [-S^-1 Q, S^-1]].
+
+    B12 and B21 are zero outside a ku x ku and a kl x kl corner, so only the
+    nonzero columns of P and rows of Q are formed, S is B22 less a kl x ku
+    corner, and every product but the inverse of S has inner dimension at
+    most r = max(kl, ku): O((m - h)^3 + m^2 r) against O(m^3) for B whole.
+    A^-1 is unscaled into the new array, exactly (a power of 2), and not
+    copied otherwise.
+
+    Raises LinAlgError when S, and so B (det B = det A det S), is singular.
+    Returns None, and B is to be inverted whole, when the backward error of
+    y = B^-1 v as a solution of B y = v, for the Arnoldi start vector v,
+
+        eta = |B y - v|_max / (|B|_max |y|_max),
+
+    exceeds _GROWN_BACKWARD_ERROR = 1e-12: |.|_max is a vector's largest
+    |entry| and, for B, its entries' largest real or imaginary part, read
+    with no temporary (and no square, which could overflow).  The inverse
+    of an LU factorisation with partial pivoting has an eta of order m eps
+    times the pivot growth, and in practice far less: at most 7.2e-17 on
+    the blocks of pq, the rotated oscillator and the two-well from 128 to
+    2048, and so for their grown inverses.  A grown inverse carries the
+    error of A^-1, about eps cond(A) relative, which the sum
+    A^-1 + P S^-1 Q cancels only to that accuracy, so its eta grows like
+    eps cond(A) / cond(B).  The bound thus passes an inverse as good as
+    LU's and stops one grown from a near-singular A (cond(A) above about
+    1e4 cond(B)) where B itself is not.  A non-finite inverse gives a NaN
+    eta, passes, and goes to the dense route at the caller's finiteness
+    test."""
+    m, h = len(block), len(old)
+    x = np.empty((m, m), dtype=complex)
+    a_inv = x[:h, :h]
+    np.multiply(old, 2.0**e, out=a_inv)  # exact: a power of 2
+    # B12 = B[:h, h:] and B21 = B[h:, :h]: their nonzero columns and rows,
+    # and within those the nonzero rows of B12 and columns of B21
+    cols = np.flatnonzero(block[:h, h:].any(axis=0))
+    i12 = np.flatnonzero(block[:h, h + cols].any(axis=1))
+    b12 = block[np.ix_(i12, h + cols)]
+    rows = np.flatnonzero(block[h:, :h].any(axis=1))
+    j21 = np.flatnonzero(block[h + rows, :h].any(axis=0))
+    b21 = block[np.ix_(h + rows, j21)]
+    p = a_inv[:, i12] @ b12  # the nonzero columns of A^-1 B12
+    q = b21 @ a_inv[j21]  # the nonzero rows of B21 A^-1
+    s = block[h:, h:].copy()  # the Schur complement S = B22 - B21 A^-1 B12
+    s[np.ix_(rows, cols)] -= q[:, i12] @ b12
+    x[h:, h:] = np.linalg.inv(s)
+    del s
+    s_inv = x[h:, h:]
+    np.matmul(s_inv[:, rows], -q, out=x[h:, :h])  # -S^-1 Q
+    np.matmul(-p, s_inv[cols], out=x[:h, h:])  # -P S^-1
+    a_inv -= p @ x[h:, :h][cols]  # A^-1 + P S^-1 Q
+    y = x @ v
+    b_max = max(block.real.max(), -block.real.min(), block.imag.max(), -block.imag.min())
+    eta = np.abs(block @ y - v).max() / (b_max * np.abs(y).max())
+    return None if eta > _GROWN_BACKWARD_ERROR else x
 
 
 # ---------------------------------------------------------------------------
@@ -838,8 +943,10 @@ def multiwell_compare(
     level + hbar (d0 (2l+1)/2 + tr/2); `WellPrediction.corrected` reports
     which.  Each lattice holds the levels l = 0..4, also when hbar |d0| is
     far below 1, so a well scaled by a power of 2 is matched as the unscaled
-    one.  Matching is greedy by distance (`_greedy_pairs`), each
-    prediction taken at most once; ties broken by eigenvalue modulus.
+    one.  The window's eigenvalues are ordered by distance from the level,
+    so the report of f + kappa is that of f shifted by kappa.  Matching is
+    greedy by distance (`_greedy_pairs`), each prediction taken at most once;
+    ties broken by that order.
     Raises UnmatchedEigenvalue when an eigenvalue in the window is farther
     than half the local lattice spacing from every prediction."""
     hbar = check_hbar(hbar)
@@ -891,8 +998,8 @@ def multiwell_compare(
         spec.eigenvalues = spec.eigenvalues + centre
     near = np.abs(spec.eigenvalues - centre) <= radius
     in_window, sectors = spec.eigenvalues[near], spec.sectors[near]
-    # stable order: by modulus (ties in the greedy matching break this way)
-    order = np.argsort(np.abs(in_window))
+    # stable order: by distance from the level (ties in the greedy matching break this way)
+    order = np.argsort(np.abs(in_window - centre))
     in_window, sectors = in_window[order], sectors[order]
 
     spacing = min(abs(hbar * p.d0) for p in preds)

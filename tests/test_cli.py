@@ -330,6 +330,8 @@ EXIT_CONTRACT = {
     "spectrum-n-max-oversized": (["spectrum", "--symbol", "p^2+q^2", "--hbar", "0.1", "--n-max", "20000000"], 1),
     "symbol-exponent-oversized": (["spectrum", "--symbol", '{"10000000,0":[1,0]}', "--hbar", "0.1"], 1),
     "missing-argument": (["spectrum", "--hbar", "0.1"], 1),
+    # pq is hyperbolic: its truncations' eigenvalues keep moving up to the cap, n = 4096
+    "spectrum-pq-at-the-cap": (["spectrum", "--symbol", "p*q", "--hbar", "0.1", "--count", "3"], 3),
     "run-symbol-path-missing": (_config({**_BASE, "symbol": {"path": "missing.json"}, "tasks": _SPECTRUM}), 1),
     "run-hbar-string": (_config({**_BASE, "hbar": ["a"], "tasks": _SPECTRUM}), 1),
     "run-hbar-out-of-range": (_config({**_BASE, "hbar": [1.5], "tasks": _SPECTRUM}), 1),

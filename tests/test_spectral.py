@@ -304,6 +304,182 @@ class TestBlockSolver:
             eigen_spectrum(assemble_toeplitz(PQ, 0.1, 64), 3)
 
 
+def start_vector(m: int) -> np.ndarray:
+    """The Arnoldi start vector of `_block_smallest`."""
+    return np.exp(1j * np.arange(m) ** 2.0) / np.sqrt(m)
+
+
+def relative_residual(a: np.ndarray, kl: int, x: np.ndarray) -> float:
+    """||B X - I||_1 / (||B||_1 ||X||_1) for the block B of the band a (m, w),
+    a[i, c] = B[i, i - kl + c].  B X - I is formed from the band in extended
+    precision (np.clongdouble), 256 columns at a time, so that the rounding of
+    the product does not blur a residual near eps."""
+    m, w = a.shape
+    col_sums = []
+    for j in range(0, m, 256):
+        xp = np.zeros((m + w - 1, min(256, m - j)), dtype=np.clongdouble)
+        xp[kl : kl + m] = x[:, j : j + 256]
+        r = sum(a[:, c, None].astype(np.clongdouble) * xp[c : c + m] for c in range(w))
+        r[np.arange(j, j + r.shape[1]), np.arange(r.shape[1])] -= 1.0
+        col_sums.append(np.abs(r).sum(axis=0))
+    norm_b = np.abs(spectral._band_dense(a, kl)).sum(axis=0).max()
+    return float(np.concatenate(col_sums).max() / (norm_b * np.abs(x).sum(axis=0).max()))
+
+
+def assert_smallest(got: np.ndarray, block: np.ndarray, k: int) -> None:
+    """got holds k smallest-modulus eigenvalues of the block, each within
+    `dense_reference`'s tolerance of a dense one, with the dense k smallest
+    moduli (a tie may come in either order)."""
+    got = got[np.argsort(np.abs(got))][:k]
+    w, tol = dense_reference(block)
+    dist = np.abs(got[:, None] - w[None, :])
+    assert np.all((dist <= tol).any(axis=1))
+    near = np.argmin(dist - tol, axis=1)
+    small = np.argsort(np.abs(w))[:k]
+    assert np.all(np.abs(np.abs(got) - np.abs(w[small])) <= np.maximum(tol[small], tol[near]))
+
+
+class TestGrownInverse:
+    """Each doubling of `eigen_spectrum` grows a block's inverse from the last
+    size's by the Schur complement of the leading block (`_grown_inverse`)."""
+
+    @pytest.mark.parametrize(
+        "symbol, hbar",
+        [(PQ, 0.1), (ROT.to_symbol(), 0.05), (two_well(1 + 0.3j), 0.02)],
+        ids=["pq", "rotated-oscillator", "two-well"],
+    )
+    def test_residual_at_every_doubling(self, symbol, hbar):
+        # blocks of 64 to 2048, each inverse grown from the last one: its
+        # relative residual stays within 2x of np.linalg.inv's
+        x = None
+        for n in 128 * 2 ** np.arange(6):
+            band, pad, kl = assemble_toeplitz(symbol, hbar, int(n)).blocks()
+            assert band.shape[1] == 2 and not pad.any()
+            block = spectral._band_dense(band[:, 0], kl)
+            direct = np.linalg.inv(block)
+            if x is None:
+                x = direct
+                continue
+            x = spectral._grown_inverse(block, x, 0, start_vector(len(block)))
+            assert x is not None
+            assert relative_residual(band[:, 0], kl, x) <= 2 * relative_residual(band[:, 0], kl, direct)
+
+    @settings(max_examples=30, deadline=None)
+    @given(case=arnoldi_cases())
+    def test_grown_route_matches_dense_eigvals(self, case):
+        # each block's inverse grown from its leading half's: the k smallest
+        # eigenvalues are the dense ones within dense_reference's tolerance
+        op, k, form = case
+        band, pad, kl = op.blocks()
+        for r in range(band.shape[1]):
+            block = spectral._band_dense(band[~pad[:, r], r], kl)
+            m, h = len(block), len(block) // 2
+            try:
+                held = [np.linalg.inv(block[:h, :h]), 0]
+            except np.linalg.LinAlgError:
+                continue
+            with counting("inv") as inv:
+                got = spectral._block_smallest(block, k, held)
+            shapes = [call.args[0].shape for call in inv.call_args_list]
+            # only the trailing half is inverted, unless the backward-error
+            # check sends a block of the ill-conditioned band symbols whole
+            assert shapes == [(m - h, m - h)] or (form is None and shapes == [(m - h, m - h), (m, m)])
+            assert_smallest(got, block, k)
+
+    def test_near_singular_leading_half_is_inverted_whole(self):
+        # a tridiagonal block whose leading half A has a Schur complement of
+        # zero to roundoff while B is well-conditioned: the inverse grown from
+        # A's fails the backward-error check, B is inverted whole, and the
+        # eigenvalues are B's
+        rng = np.random.default_rng(7)
+        m, h = 128, 64
+        sub, sup = (rng.uniform(0.5, 1.0, m - 1) * np.exp(2j * np.pi * rng.uniform(size=m - 1)) for _ in range(2))
+        block = np.diag(3.0 * np.exp(2j * np.pi * rng.uniform(size=m))) + np.diag(sub, -1) + np.diag(sup, 1)
+        lead = np.linalg.inv(block[: h - 1, : h - 1])
+        block[h - 1, h - 1] = sub[h - 2] * lead[h - 2, h - 2] * sup[h - 2]
+        assert np.linalg.cond(block[:h, :h]) > 1e14 and np.linalg.cond(block) < 1e3
+        held = [np.linalg.inv(block[:h, :h]), 0]
+        assert spectral._grown_inverse(block, held[0], 0, start_vector(m)) is None
+        with counting("inv") as inv:
+            got = spectral._block_smallest(block, 3, held)
+        assert [call.args[0].shape for call in inv.call_args_list] == [(m - h, m - h), (m, m)]
+        assert_smallest(got, block, 3)
+
+    @pytest.mark.parametrize("symbol, hbar, k", [(PQ, 0.1, 3), (two_well(1 + 0.3j), 0.02, 16)], ids=["pq", "two-well"])
+    def test_each_doubling_inverts_only_the_trailing_half(self, symbol, hbar, k):
+        # g = 2 blocks of n / 2, tol 0 so that every size up to the cap runs:
+        # the first size that takes the Arnoldi route (n / 2 >= 2 (2k + 20))
+        # inverts its blocks whole, every later size only their trailing
+        # halves, n / 4
+        with counting("inv") as inv, pytest.raises(NoConvergence):
+            eigen_spectrum(assemble_toeplitz(symbol, hbar, 128), k, tol=0.0, n_cap=1024)
+        sizes = [n for n in (128, 256, 512, 1024) if n // 2 >= 2 * (2 * k + 20)]
+        expect = [(sizes[0] // 2,) * 2] * 2 + [(n // 4,) * 2 for n in sizes[1:] for _ in range(2)]
+        assert [call.args[0].shape for call in inv.call_args_list] == expect
+
+
+def transposed(symbol: MonomialSymbol) -> MonomialSymbol:
+    """f^tau, c_ab and c_ba swapped: T(f^tau) = T(f)^T."""
+    return MonomialSymbol({(b, a): c for (a, b), c in symbol.coeffs.items()})
+
+
+def conjugated(symbol: MonomialSymbol) -> MonomialSymbol:
+    """conj f: T(conj f) = T(f)^H."""
+    return MonomialSymbol({(b, a): np.conj(c) for (a, b), c in symbol.coeffs.items()})
+
+
+def rotated(symbol: MonomialSymbol, phi: float) -> MonomialSymbol:
+    """f(e^{i phi} z): T = U T(f) U^-1 with U = diag(e^{i k phi}) unitary."""
+    return MonomialSymbol({(a, b): c * np.exp(1j * (a - b) * phi) for (a, b), c in symbol.coeffs.items()})
+
+
+class TestSymmetries:
+    """The exact symmetries of the quantisation at the eigensolver: f^tau,
+    conj f and f(e^{i phi} z) give T(f)'s spectrum, conjugated for conj f.
+    Arbiters of `eigen_spectrum`'s doubling and grown inverses that need no
+    second route; the transpose swaps each block's sub- and superdiagonals,
+    so corners with kl != ku grow both ways."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(case=arnoldi_cases(), phi=st.floats(0.0, 2 * np.pi))
+    def test_symmetric_symbols_share_the_spectrum(self, case, phi):
+        op, k, _ = case
+        n = op.dim
+
+        def spectrum(symbol):  # the sizes n and 2n: the second grows the first's inverses
+            try:
+                return eigen_spectrum(assemble_toeplitz(symbol, op.hbar, n), k, n_cap=2 * n)
+            except NoConvergence as err:
+                return err.result
+
+        ref = spectrum(op.symbol)
+        assert ref.n_max_used == 2 * n
+        # each eigenvalue's tolerance is that of the nearest dense one of its block
+        band, pad, kl = assemble_toeplitz(op.symbol, op.hbar, 2 * n).blocks()
+        tol = np.empty(len(ref.eigenvalues))
+        for r in range(band.shape[1]):
+            at = ref.sectors == r
+            if at.any():
+                w, t = dense_reference(spectral._band_dense(band[~pad[:, r], r], kl))
+                tol[at] = t[np.argmin(np.abs(ref.eigenvalues[at, None] - w[None, :]) - t, axis=1)]
+        edge = np.abs(ref.eigenvalues).max() - tol
+        order = np.argsort(np.abs(ref.eigenvalues))
+        for spec, back in ((spectrum(transposed(op.symbol)), lambda v: v),
+                           (spectrum(conjugated(op.symbol)), np.conj),
+                           (spectrum(rotated(op.symbol, phi)), lambda v: v)):
+            got = back(spec.eigenvalues)
+            assert len(got) == len(ref.eigenvalues)
+            assert np.all(np.abs(np.sort(np.abs(got)) - np.abs(ref.eigenvalues[order])) <= tol[order])
+            # paired within blocks (a pair across two is the largest double, as
+            # _greedy_pairs strikes out with inf); an eigenvalue tied with the
+            # k-th modulus may be either member of the tie, and is checked by
+            # its modulus only
+            dist = np.abs(got[:, None] - ref.eigenvalues[None, :])
+            dist[spec.sectors[:, None] != ref.sectors[None, :]] = np.finfo(float).max
+            for _, j, d in spectral._greedy_pairs(dist):
+                assert d <= tol[j] or np.abs(ref.eigenvalues[j]) >= edge[j]
+
+
 class TestResolventGrid:
     def test_normal_case_exactness(self):
         m = assemble_toeplitz(MonomialSymbol({(1, 1): 1.0}), 0.1, 48)
@@ -829,11 +1005,24 @@ class TestMultiwell:
         rep, shifted = report(0.0), report(kappa)
         tol = 1e-12 * max(1.0, abs(kappa))
         assert len(shifted.eigenvalues) == len(rep.eigenvalues) > 0
-        for got, ref in ((shifted.eigenvalues, rep.eigenvalues),
-                         (shifted.spectrum.eigenvalues, rep.spectrum.eigenvalues)):
-            np.testing.assert_allclose(np.sort_complex(got), np.sort_complex(ref + kappa), rtol=0, atol=tol)
-        assert sorted(t[1:3] for t in shifted.matches) == sorted(t[1:3] for t in rep.matches)
-        np.testing.assert_allclose(np.sort(shifted.residuals), np.sort(rep.residuals), rtol=0, atol=tol)
+        np.testing.assert_allclose(
+            np.sort_complex(shifted.spectrum.eigenvalues), np.sort_complex(rep.spectrum.eigenvalues + kappa),
+            rtol=0, atol=tol,
+        )
+        # the window runs by distance from the level, so the reports agree in
+        # eigenvalue order; only eigenvalues whose distances lie within 2 tol
+        # (each report moves them by up to tol) may come in either order
+        dist = np.abs(rep.eigenvalues)
+        assert np.all(np.diff(dist) >= 0)
+        ties = np.cumsum(np.r_[0, np.diff(dist) > 2 * tol])
+        for t in np.unique(ties):
+            at = np.flatnonzero(ties == t)
+            np.testing.assert_allclose(
+                np.sort_complex(shifted.eigenvalues[at]), np.sort_complex(rep.eigenvalues[at] + kappa), rtol=0, atol=tol
+            )
+            assert sorted(shifted.matches[i][1:3] for i in at) == sorted(rep.matches[i][1:3] for i in at)
+            np.testing.assert_allclose(np.sort(shifted.residuals[at]), np.sort(rep.residuals[at]), rtol=0, atol=tol)
+        assert [t[0] for t in shifted.matches] == list(range(len(rep.eigenvalues)))
 
     def test_rejects_noncritical_well(self):
         with pytest.raises(ValueError):
