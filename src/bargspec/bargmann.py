@@ -7,12 +7,12 @@ acts on e_k with the single nonzero matrix element
     <e_{k+a-b}, T(z^a zbar^b) e_k> = hbar^{(a+b)/2} (k+a)! / sqrt(k! (k+a-b)!)
 
 so it fills the one diagonal a - b.  `ToeplitzMatrix` stores the truncated
-operator by diagonal and owns its split into banded blocks by index mod the
-gcd g of the offsets, which never couple (parity blocks for symbols in z^2,
-zbar^2 and |z|^2): `blocks()`, how the solvers and criteria read it.  The
-dense matrix (`entries`) is built only on request, for the tests and the
-benchmark.  Factorial ratios are products of linear factors, exact to a few
-ulp far beyond n_max ~ 1e3.
+operator as its banded blocks by index mod the gcd g of the offsets, which
+never couple (parity blocks for symbols in z^2, zbar^2 and |z|^2):
+`blocks()`, how the solvers and criteria read it.  Every dense matrix, the
+whole one (`entries`, built only on request, for the tests and the
+benchmark) or one block's, comes from `_band_dense`.  Factorial ratios are
+products of linear factors, exact to a few ulp far beyond n_max ~ 1e3.
 
 `inner_product_oracle` recomputes any entry by 2-D numerical quadrature and
 is kept fully independent of the closed form above; it is the arbiter used by
@@ -160,10 +160,15 @@ class MonomialSymbol:
 
 @dataclass(frozen=True)
 class ToeplitzMatrix:
-    """Compression P_N T_hbar(f) P_N to the first n basis states, stored by
-    diagonal: diags[d][k] = M[k + d, k], zero where k + d lies outside."""
+    """Compression P_N T_hbar(f) P_N to the first n = dim basis states, stored
+    as its blocks B_r by index mod g, the gcd of the offsets of the nonzero
+    diagonals (g = n if none is nonzero): B_r holds the indices r + g i,
+    i < m = ceil(n / g), with kl = max(offset)/g sub- and ku = max(-offset)/g
+    superdiagonals, in band[i, r, c] = B_r[i, i - kl + c], (m, g, kl+ku+1),
+    zero outside the matrix and on the rows r + g i >= n that pad B_r to m x m."""
 
-    diags: dict[int, np.ndarray]
+    band: np.ndarray
+    kl: int
     dim: int
     hbar: float
     symbol: MonomialSymbol | None = field(default=None, compare=False)
@@ -173,38 +178,27 @@ class ToeplitzMatrix:
         """The dense n x n matrix, built on first access and read only by the
         tests and the benchmark.  Read-only: the solvers read `blocks()`, so a
         write here would change nothing they compute."""
-        m = np.zeros((self.dim, self.dim), dtype=complex)
-        for d, vals in self.diags.items():
-            k = np.arange(max(-d, 0), self.dim - max(d, 0))
-            m[k + d, k] = vals[k]
-        m.flags.writeable = False
-        return m
+        m, g, w = self.band.shape
+        # read row-major over (i, r), the band is M's own, indexed by row r + g i
+        dense = _band_dense(self.band.reshape(m * g, w)[: self.dim], self.kl, g)
+        dense.flags.writeable = False
+        return dense
 
     def blocks(self) -> tuple[np.ndarray, np.ndarray, int]:
-        """The blocks by index mod g, in band form.
+        """The stored band, `pad` (m, g), true on the rows r + g i >= n, and kl."""
+        m, g, _ = self.band.shape
+        pad = g * np.arange(m)[:, None] + np.arange(g)[None, :] >= self.dim
+        return self.band, pad, self.kl
 
-        With g the gcd of the offsets of the nonzero diagonals, block r holds
-        the indices r + g i, i < m = ceil(n / g), with kl = max(offset)/g sub-
-        and ku = max(-offset)/g superdiagonals.  With no nonzero offset, g = n.
-        Returns band (m, g, kl+ku+1), band[i, r, c] = B_r[i, i - kl + c] (zero
-        outside the matrix), `pad` (m, g), true on the rows r + g i >= n that
-        make every block m x m, and kl.
-        """
-        n = self.dim
-        offsets = [d for d, vals in self.diags.items() if vals.any()]
-        if not any(offsets):
-            g, kl, ku = n, 0, 0
-        else:
-            g = math.gcd(*offsets)
-            kl, ku = max(max(offsets), 0) // g, max(-min(offsets), 0) // g
-        m = -(-n // g)
-        row = g * np.arange(m)[:, None] + np.arange(g)[None, :]
-        band = np.zeros((m, g, kl + ku + 1), dtype=complex)
-        for d in offsets:
-            col = row - d
-            inside = (row < n) & (col >= 0) & (col < n)
-            band[:, :, kl - d // g] = np.where(inside, self.diags[d][np.clip(col, 0, n - 1)], 0.0)
-        return band, row >= n, kl
+
+def _band_dense(a: np.ndarray, kl: int, g: int = 1) -> np.ndarray:
+    """The m x m matrix of one band a (m, w) of stride g, a[i, c] = A[i, i + g (c - kl)]."""
+    i, c = np.indices(a.shape)
+    col = i + g * (c - kl)
+    inside = (col >= 0) & (col < a.shape[0])
+    dense = np.zeros((a.shape[0],) * 2, dtype=complex)
+    dense[i[inside], col[inside]] = a[inside]
+    return dense
 
 
 def monomial_band_entries(alpha: int, beta: int, hbar: float, n_max: int) -> np.ndarray:
@@ -236,14 +230,23 @@ def monomial_band_entries(alpha: int, beta: int, hbar: float, n_max: int) -> np.
 
 
 def assemble_toeplitz(symbol: MonomialSymbol, hbar: float, n_max: int) -> ToeplitzMatrix:
-    """Linear combination of monomial bands; edge rows past n_max are dropped."""
+    """Linear combination of monomial bands; edge rows past n_max are dropped.
+    Each diagonal d, indexed by row R = r + g i, is band column kl - d/g."""
     hbar = check_hbar(hbar)
-    n_max = check_truncation(n_max)
-    diags: dict[int, np.ndarray] = {}
+    n = check_truncation(n_max)
+    rows: dict[int, np.ndarray] = {}  # offset d -> M[R, R - d]
     for (a, b), c in symbol.coeffs.items():
-        vals = monomial_band_entries(a, b, hbar, n_max)
-        diags[a - b] = diags.get(a - b, np.zeros(n_max, dtype=complex)) + c * vals
-    return ToeplitzMatrix(diags, n_max, hbar, symbol)
+        # the entries past the truncation are zero, so the roll puts zeros where R - d lies outside
+        rows[a - b] = rows.get(a - b, 0) + c * np.roll(monomial_band_entries(a, b, hbar, n), a - b)
+    # a diagonal that underflows to zero couples nothing
+    offsets = [d for d, vals in rows.items() if vals.any()]
+    g = math.gcd(*offsets) or n  # with no nonzero offset, every index is its own block
+    kl, ku = max(offsets + [0]) // g, -min(offsets + [0]) // g
+    m = -(-n // g)
+    band = np.zeros((m, g, kl + ku + 1), dtype=complex)
+    for d in offsets:
+        band.reshape(m * g, -1)[:n, kl - d // g] = rows[d]
+    return ToeplitzMatrix(band, kl, n, hbar, symbol)
 
 
 def radial_diagonal(moments: np.ndarray, hbar: float, n_max: int) -> np.ndarray:

@@ -3,13 +3,13 @@ matrices, resolvent-norm grids and c-analytic pseudospectra, action integrals
 on complexified energy levels, Bohr-Sommerfeld index residuals, and multi-well
 lattice matching.
 
-The solvers read only the banded blocks of `ToeplitzMatrix.blocks()`, never
-its diagonals or dense matrix.  `eigen_spectrum` solves block by block and
-labels each eigenvalue with its block.  It wants only the few smallest
-eigenvalues of each block, and finds them by Arnoldi on the block's
-inverse, whose largest eigenvalues they are (shift-invert at 0: Saad,
-Numerical Methods for Large Eigenvalue Problems, 2011, ch. 7), with numpy
-alone; a block too small for that route, singular, or whose Arnoldi
+The solvers read only the banded blocks of `ToeplitzMatrix.blocks()`, and
+a block they need dense comes from `bargmann._band_dense`.  `eigen_spectrum`
+solves block by block and labels each eigenvalue with its block.  It wants
+only the few smallest eigenvalues of each block, and finds them by Arnoldi
+on the block's inverse, whose largest eigenvalues they are (shift-invert at
+0: Saad, Numerical Methods for Large Eigenvalue Problems, 2011, ch. 7), with
+numpy alone; a block too small for that route, singular, or whose Arnoldi
 process breaks down gets a dense `np.linalg.eigvals`.  Each truncation's
 block is the leading part of the next one's, so each doubling grows the
 last inverse by a Schur complement and inverts only the new trailing part
@@ -41,7 +41,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bargmann import MonomialSymbol, NoConvergence, ToeplitzMatrix, assemble_toeplitz, check_hbar, settle
+from .bargmann import MonomialSymbol, NoConvergence, ToeplitzMatrix, _band_dense, assemble_toeplitz, check_hbar, settle
 from .quadratic import ComplexQuadraticForm, NormalFormData, _exponent, _ldexp, reduce_quadratic
 from .symbols import (
     FormalSymbol,
@@ -105,12 +105,14 @@ def _greedy_pairs(dist: np.ndarray) -> list[tuple[int, int, float]]:
     struck out, until one side runs out.  Ties go to the smaller i, then the
     smaller j."""
     dist = np.array(dist, dtype=float)
-    pairs = []
-    for _ in range(min(dist.shape)):
-        i, j = np.unravel_index(np.argmin(dist), dist.shape)
-        pairs.append((int(i), int(j), float(dist[i, j])))
-        dist[i, :] = np.inf
-        dist[:, j] = np.inf
+    rows, cols, pairs = set(), set(), []
+    for i, j in zip(*np.unravel_index(np.argsort(dist, axis=None, kind="stable"), dist.shape)):
+        if len(pairs) == min(dist.shape):
+            break
+        if i not in rows and j not in cols:
+            rows.add(i)
+            cols.add(j)
+            pairs.append((int(i), int(j), float(dist[i, j])))
     return pairs
 
 
@@ -164,22 +166,22 @@ def eigen_spectrum(
                     held[r].clear()
             ev, sec = np.concatenate(evs), np.repeat(np.arange(g), [len(e) for e in evs])
         order = np.argsort(np.abs(ev))[:k_wanted]
-        ev, sec = ev[order], sec[order]
+        cand, ev, sec = ev, ev[order], sec[order]
         if m.symbol is None:
             return SpectrumResult(ev, n, 0.0, sectors=sec)
-        # nan until two truncations report the same number of eigenvalues
+        # nan until the last truncation has as many candidates as this one reports
         gap = float("nan")
-        if prev is not None and len(prev) == len(ev):
+        if prev is not None and len(prev) >= len(ev):
             # largest move of an eigenvalue, each paired with the nearest
-            # unpaired one of the other truncation: pairing by position in the
-            # modulus-sorted lists would compare the two members of a pair of
-            # equal modulus (a conjugate pair) crosswise whenever their order
-            # flips, and report their distance as a gap
+            # unpaired candidate of the last truncation: pairing by position in
+            # the modulus-sorted lists would compare the two members of a pair
+            # of equal modulus (a conjugate pair) crosswise whenever their order
+            # flips, and either member of a tie at the k-th place may be kept
             pairs = _greedy_pairs(np.abs(ev[:, None] - prev[None, :]))
             gap = max((d for _, _, d in pairs), default=0.0)
             if gap < tol:
                 return SpectrumResult(ev, n, gap, sectors=sec)
-        prev = ev
+        prev = cand
         if n >= n_cap:
             result = SpectrumResult(ev, n, gap, converged=False, sectors=sec)
             if np.isnan(gap):
@@ -539,16 +541,6 @@ def _sigma_min_banded(op: ToeplitzMatrix, lams: np.ndarray) -> np.ndarray:
         sig = _block_inverse_iteration(a, kl, g, np.repeat(floor, g) * scale) / scale
         out[s : s + chunk] = sig.reshape(-1, g).min(axis=1)
     return out
-
-
-def _band_dense(a: np.ndarray, kl: int) -> np.ndarray:
-    """The m x m matrix of one band a (m, w), a[i, c] = A[i, i - kl + c]."""
-    i, c = np.indices(a.shape)
-    col = i - kl + c
-    inside = (col >= 0) & (col < a.shape[0])
-    dense = np.zeros((a.shape[0],) * 2, dtype=complex)
-    dense[i[inside], col[inside]] = a[inside]
-    return dense
 
 
 def _block_inverse_iteration(a, kl, g, floor) -> np.ndarray:

@@ -59,16 +59,12 @@ def _dense_scatter(symbol, hbar, n):
 
 
 def from_dense(entries, hbar):
-    """The operator of a square matrix with no symbol, one diagonal per
-    nonzero offset: a raw matrix for the solvers, which they solve once, at
-    its own size."""
+    """The operator of a square matrix with no symbol, its band taken by the
+    dense scan `_dense_blocks`: a raw matrix for the solvers, which they
+    solve once, at its own size."""
     m = np.asarray(entries, dtype=complex)
-    n = m.shape[0]
-    rows, cols = np.nonzero(m)
-    diags = {d: np.zeros(n, dtype=complex) for d in np.unique(rows - cols).tolist()}
-    for d, vals in diags.items():
-        vals[max(-d, 0) : n - max(d, 0)] = np.diagonal(m, -d)
-    return ToeplitzMatrix(diags, n, hbar)
+    band, _, kl = _dense_blocks(m)
+    return ToeplitzMatrix(band, kl, m.shape[0], hbar)
 
 
 def lam_grid(field):
@@ -260,7 +256,7 @@ def test_radial_diagonal_formula():
 
 
 class TestBandedOperator:
-    """The diagonal storage and its mod-g blocks against the dense matrix."""
+    """The stored mod-g blocks against the dense matrix."""
 
     @settings(max_examples=40, deadline=None)
     @given(case=band_symbols())
@@ -306,11 +302,16 @@ class TestBandedOperator:
             assert not block[rows:].any() and not block[:, rows:].any()
 
     def test_entries_are_read_only(self):
-        # the solvers read the diagonals, so a write to the dense view must fail
+        # the solvers read the band, so a write to the dense view must fail
         op = assemble_toeplitz(MonomialSymbol({(1, 1): 1.0}), 0.1, 6)
         with pytest.raises(ValueError, match="read-only"):
             op.entries[0, 0] = 5.0
         assert op.entries[0, 0] == op.blocks()[0][0, 0, 0] == 0.1
+
+    def test_band_is_stored(self):
+        # blocks() hands back the stored band, not a copy rebuilt per call
+        op = assemble_toeplitz(MonomialSymbol({(2, 0): 1.0, (0, 2): 1.0, (1, 1): 1.0}), 0.1, 9)
+        assert op.blocks()[0] is op.band and op.blocks()[0] is op.band
 
     def test_assembly_stays_banded_at_the_cap(self):
         # the dense 4096 x 4096 complex matrix would take 268 MB
